@@ -8,7 +8,7 @@ with Fractions, so every printed identity is an exact equality.
 from fractions import Fraction
 
 from eulerlp import (
-    distribution_check,
+    distribution_report,
     euler_numbers,
     euler_polynomial,
     euler_polynomial_value,
@@ -42,5 +42,5 @@ print("  reflection E_n(1-x) = (-1)^n E_n(x) holds for n < 4 as well")
 print()
 print("Distribution relation E_n(x) = f^n sum_a (-1)^a E_n((x+a)/f), odd f:")
 for f in (1, 3, 5, 7):
-    ok = all(distribution_check(n, f, x) for n in range(9))
+    ok = all(distribution_report(n, f, x).match for n in range(9))
     print(f"  f = {f}: {'exact for n < 9' if ok else 'FAILED'}")

@@ -12,7 +12,6 @@ from .euler import (
     EulerPolynomial,
     alternating_power_sum,
     alternating_power_sum_closed,
-    distribution_check,
     euler_number,
     euler_numbers,
     euler_polynomial,
@@ -35,7 +34,6 @@ from .lfunctions import (
     generalized_euler_number,
     interpolation_check,
     kummer_check,
-    l_at_negative_int,
     padic_l,
     padic_partial_zeta,
     padic_partial_zeta_at_neg,
@@ -52,7 +50,6 @@ from .padic import (
 from .reports import (
     CongruenceReport,
     format_rational,
-    parse_rational,
     reports_to_csv,
     reports_to_jsonl,
 )
@@ -74,7 +71,6 @@ __all__ = [
     "binomial",
     "binomial_product_report",
     "binomial_ratio_report",
-    "distribution_check",
     "distribution_report",
     "euler_number",
     "euler_numbers",
@@ -85,13 +81,11 @@ __all__ = [
     "interpolation_check",
     "is_prime",
     "kummer_check",
-    "l_at_negative_int",
     "legendre_like",
     "main_congruence_series",
     "padic_l",
     "padic_partial_zeta",
     "padic_partial_zeta_at_neg",
-    "parse_rational",
     "partial_zeta_neg",
     "power_sum_report",
     "reports_to_csv",

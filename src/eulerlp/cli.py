@@ -14,45 +14,39 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from fractions import Fraction
 
 from .characters import teichmuller_power
 from .euler import euler_numbers
-from .harness import (
-    GridConfig,
-    binomial_product_report,
-    binomial_ratio_report,
-    distribution_report,
-    power_sum_report,
-    run_grid,
-    verify_main_congruence,
-)
-from .lfunctions import TruncationPlan, interpolation_check, kummer_check, padic_l
+from .harness import CHECKS, GridConfig, run_grid
+from .lfunctions import TruncationPlan, padic_l
 from .padic import PadicContext
-from .reports import format_rational, parse_rational, reports_to_csv, reports_to_jsonl
+from .reports import format_rational, reports_to_csv, reports_to_jsonl
 
-CHECK_CHOICES = (
-    "theorem6",
-    "interpolation",
-    "kummer",
-    "distribution",
-    "powersum",
-    "binomial",
-)
+CHECK_CHOICES = tuple(CHECKS)
 
 
-def _int_list(text: str) -> tuple[int, ...]:
-    """Parse "2,4,6" or "1..4" (or a single integer)."""
+def _int_list(flag: str, text: str) -> tuple[int, ...]:
+    """Parse grid axis ``flag`` from "2,4,6" or "1..4" (or a single integer)."""
     text = text.strip()
     if ".." in text:
         lo, hi = text.split("..", 1)
-        return tuple(range(int(lo), int(hi) + 1))
-    return tuple(int(part) for part in text.split(",") if part)
+        values = tuple(range(int(lo), int(hi) + 1))
+    else:
+        values = tuple(int(part) for part in text.split(",") if part)
+    if not values:
+        raise ValueError(f"{flag} {text!r} gives an empty grid axis")
+    return values
 
 
-def _require(args, names: list[str]) -> None:
-    missing = [f"--{n}" for n in names if getattr(args, n) is None]
-    if missing:
-        raise ValueError(f"check {args.check!r} needs {', '.join(missing)}")
+def _rational(text: str) -> Fraction:
+    """argparse type for "num/den" (or an integer) with a nonzero denominator."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(
+            f"expected num/den with a nonzero denominator, got {text!r}"
+        ) from None
 
 
 def _emit(reports, fmt: str) -> int:
@@ -83,44 +77,21 @@ def cmd_lp(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    check = args.check
-    if check == "theorem6":
-        _require(args, ["p", "n", "r"])
-        reports = [verify_main_congruence(args.p, args.n, args.r, args.precision)]
-    elif check == "interpolation":
-        _require(args, ["p", "n"])
-        ctx = PadicContext(args.p, args.precision)
-        chi = teichmuller_power(args.t, ctx)
-        reports = [interpolation_check(args.n, chi, ctx, args.precision)]
-    elif check == "kummer":
-        _require(args, ["p", "k"])
-        ctx = PadicContext(args.p, max(args.precision, 1))
-        reports = [kummer_check(args.k, args.t, ctx, args.k2)]
-    elif check == "distribution":
-        _require(args, ["n", "f"])
-        reports = [distribution_report(args.n, args.f, parse_rational(args.x))]
-    elif check == "powersum":
-        _require(args, ["n", "m"])
-        reports = [power_sum_report(args.n, args.m)]
-    else:  # binomial
-        _require(args, ["r", "k", "j"])
-        reports = [
-            binomial_ratio_report(args.r, args.k),
-            binomial_product_report(args.r, args.k, args.j),
-        ]
-    return _emit(reports, args.format)
+    required, run = CHECKS[args.check]
+    missing = [f"--{name}" for name in required if getattr(args, name) is None]
+    if missing:
+        raise ValueError(f"check {args.check!r} needs {', '.join(missing)}")
+    return _emit(run({**vars(args), "margin": 0}), args.format)
 
 
 def cmd_grid(args) -> int:
     config = GridConfig(
-        primes=_int_list(args.primes),
-        r_values=_int_list(args.r),
-        n_values=_int_list(args.n),
+        primes=_int_list("--primes", args.primes),
+        r_values=_int_list("--r", args.r),
+        n_values=_int_list("--n", args.n),
         precision=args.precision,
-        output_format=args.format,
     )
-    reports = run_grid(config, threads=args.threads)
-    return _emit(reports, config.output_format)
+    return _emit(run_grid(config), args.format)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -152,7 +123,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--f", type=int)
     p_verify.add_argument("--m", type=int)
     p_verify.add_argument("--j", type=int)
-    p_verify.add_argument("--x", default="0/1", help='rational point "num/den"')
+    p_verify.add_argument("--x", type=_rational, default="0/1", help='rational point "num/den"')
     p_verify.add_argument("--precision", type=int, default=6)
     p_verify.add_argument("--format", choices=("json", "csv"), default="json")
     p_verify.set_defaults(func=cmd_verify)
@@ -163,7 +134,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_grid.add_argument("--n", required=True, help='e.g. "2,4,6"')
     p_grid.add_argument("--precision", type=int, default=6)
     p_grid.add_argument("--format", choices=("json", "csv"), default="json")
-    p_grid.add_argument("--threads", type=int, default=1)
     p_grid.set_defaults(func=cmd_grid)
 
     return parser

@@ -103,18 +103,3 @@ def partial_zeta_neg(n: int, a: int, modulus: int) -> Fraction:
     sign = -1 if a % 2 else 1
     return sign * Fraction(modulus) ** n / 2 * euler_polynomial_value(n, Fraction(a, modulus))
 
-
-def distribution_check(n: int, f: int, x: Rational) -> bool:
-    """Does E_n(x) equal f^n sum_{a=0}^{f-1} (-1)^a E_n((x + a) / f)?
-
-    Holds for every odd f; the comparison is exact.
-    """
-    if f < 1 or f % 2 == 0:
-        raise ValueError("f must be odd")
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    x = Fraction(x)
-    rhs = Fraction(f) ** n * sum(
-        ((-1) ** a) * euler_polynomial_value(n, (x + a) / f) for a in range(f)
-    )
-    return euler_polynomial_value(n, x) == rhs

@@ -8,11 +8,13 @@ twice the alternating harmonic sum over units j <= np satisfies
 as p-adic numbers.  The left side is an exact rational with denominator
 prime to p; the right side is truncated at k = M since term k has
 valuation >= k.
+
+``CHECKS`` is the one registry of named checks; the CLI's ``verify`` runs one
+entry and ``grid`` runs every entry over a parameter grid.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -104,7 +106,6 @@ class GridConfig:
     r_values: tuple[int, ...]
     n_values: tuple[int, ...]
     precision: int
-    output_format: str = "json"
 
     def __post_init__(self):
         object.__setattr__(self, "primes", tuple(sorted(set(self.primes))))
@@ -121,12 +122,17 @@ class GridConfig:
                 raise ValueError(f"r values must be >= 1, got {r}")
         if self.precision < 1:
             raise ValueError("precision must be >= 1")
-        if self.output_format not in ("json", "csv"):
-            raise ValueError(f"unknown output format: {self.output_format!r}")
 
 
 def distribution_report(n: int, f: int, x: Fraction) -> CongruenceReport:
-    """Both sides of the distribution identity for E_n at x, exactly."""
+    """E_n(x) against f^n sum_{a=0}^{f-1} (-1)^a E_n((x + a) / f), exactly.
+
+    The identity holds for every odd f >= 1.
+    """
+    if f < 1 or f % 2 == 0:
+        raise ValueError(f"f must be odd and >= 1, got {f}")
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
     x = Fraction(x)
     lhs = euler_polynomial_value(n, x)
     rhs = Fraction(f) ** n * sum(
@@ -144,7 +150,9 @@ def power_sum_report(n: int, m: int) -> CongruenceReport:
 
 
 def binomial_ratio_report(r: int, k: int) -> CongruenceReport:
-    """(r/(r+k)) C(-r-1, k) = C(-r, k), exactly."""
+    """(r/(r+k)) C(-r-1, k) = C(-r, k), exactly, for r + k != 0."""
+    if r + k == 0:
+        raise ValueError(f"the ratio identity needs r + k != 0, got r={r}, k={k}")
     lhs = Fraction(r, r + k) * binomial(-r - 1, k)
     rhs = Fraction(binomial(-r, k))
     return rational_report("binomial", {"r": r, "k": k, "identity": "ratio"}, lhs, rhs)
@@ -158,56 +166,92 @@ def binomial_product_report(r: int, k: int, j: int) -> CongruenceReport:
     return rational_report("binomial", params, lhs, rhs)
 
 
-def _grid_jobs(config: GridConfig, margin: int):
+def _theorem6(params: dict) -> list[CongruenceReport]:
+    p, n, r, M = params["p"], params["n"], params["r"], params["precision"]
+    return [verify_main_congruence(p, n, r, M, margin=params["margin"])]
+
+
+def _interpolation(params: dict) -> list[CongruenceReport]:
+    ctx = PadicContext(params["p"], params["precision"])
+    chi = teichmuller_power(params["t"], ctx)
+    M, margin = params["precision"], params["margin"]
+    return [interpolation_check(params["n"], chi, ctx, M, margin=margin)]
+
+
+def _kummer(params: dict) -> list[CongruenceReport]:
+    # compared mod p only, so a precision below 1 still gives a valid check
+    ctx = PadicContext(params["p"], max(params["precision"], 1))
+    k, t, k2, margin = params["k"], params["t"], params["k2"], params["margin"]
+    return [kummer_check(k, t, ctx, k2, margin=margin)]
+
+
+def _distribution(params: dict) -> list[CongruenceReport]:
+    return [distribution_report(params["n"], params["f"], params["x"])]
+
+
+def _power_sum(params: dict) -> list[CongruenceReport]:
+    return [power_sum_report(params["n"], params["m"])]
+
+
+def _binomial(params: dict) -> list[CongruenceReport]:
+    # A grid row passes a tuple of j values: the ratio for (r, k) comes once,
+    # then one product per j.
+    r, k, js = params["r"], params["k"], params["j"]
+    if not isinstance(js, tuple):
+        js = (js,)
+    return [binomial_ratio_report(r, k)] + [binomial_product_report(r, k, j) for j in js]
+
+
+# check name -> (parameters without a default, function of a params dict).
+# The functions call the report builders through this module's globals, so
+# a tracer that rebinds those names sees every call.
+CHECKS = {
+    "theorem6": (("p", "n", "r"), _theorem6),
+    "interpolation": (("p", "n"), _interpolation),
+    "kummer": (("p", "k"), _kummer),
+    "distribution": (("n", "f"), _distribution),
+    "powersum": (("n", "m"), _power_sum),
+    "binomial": (("r", "k", "j"), _binomial),
+}
+
+
+def _grid_jobs(config: GridConfig, margin: int) -> list[tuple[str, dict]]:
+    """(check name, params) specs for every grid point, in canonical order."""
     M = config.precision
     jobs = []
     for p in config.primes:
         for r in config.r_values:
             for n in config.n_values:
                 jobs.append(
-                    lambda p=p, n=n, r=r: verify_main_congruence(
-                        p, n, r, M, margin=margin
-                    )
+                    ("theorem6", {"p": p, "n": n, "r": r, "precision": M, "margin": margin})
                 )
     for p in config.primes:
-        ctx = PadicContext(p, M)
         for n in config.n_values:
             for t in range(p - 1):
-                jobs.append(
-                    lambda n=n, t=t, ctx=ctx: interpolation_check(
-                        n, teichmuller_power(t, ctx), ctx, M, margin=margin
-                    )
-                )
+                params = {"p": p, "n": n, "t": t, "precision": M, "margin": margin}
+                jobs.append(("interpolation", params))
     for p in config.primes:
-        ctx = PadicContext(p, M)
         for k in config.r_values:
-            jobs.append(lambda k=k, ctx=ctx: kummer_check(k, 0, ctx, margin=margin))
+            params = {"p": p, "k": k, "t": 0, "k2": None, "precision": M, "margin": margin}
+            jobs.append(("kummer", params))
     for n in config.n_values:
         for f in DISTRIBUTION_MODULI:
             for x in DISTRIBUTION_POINTS:
-                jobs.append(lambda n=n, f=f, x=x: distribution_report(n, f, x))
+                jobs.append(("distribution", {"n": n, "f": f, "x": x}))
     for n in config.n_values:
         for m in POWER_SUM_EXPONENTS:
-            jobs.append(lambda n=n, m=m: power_sum_report(n, m))
+            jobs.append(("powersum", {"n": n, "m": m}))
     for r in config.r_values:
         for k in config.r_values:
-            jobs.append(lambda r=r, k=k: binomial_ratio_report(r, k))
-            for j in config.r_values:
-                jobs.append(lambda r=r, k=k, j=j: binomial_product_report(r, k, j))
+            jobs.append(("binomial", {"r": r, "k": k, "j": config.r_values}))
     return jobs
 
 
-def run_grid(
-    config: GridConfig, *, threads: int = 1, margin: int = 0
-) -> list[CongruenceReport]:
-    """Every check suite over the configured grid, in canonical order.
-
-    Grid points are independent; with threads > 1 they are evaluated in a
-    thread pool, but reports always come back in canonical parameter order,
-    so the serialized output is identical for any thread count.
-    """
-    jobs = _grid_jobs(config, margin)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(lambda job: job(), jobs))
-    return [job() for job in jobs]
+def run_grid(config: GridConfig, *, margin: int = 0) -> list[CongruenceReport]:
+    """Every check suite over the configured grid, in canonical parameter
+    order, so equal configs give identical report streams."""
+    return [
+        report
+        for name, params in _grid_jobs(config, margin)
+        for report in CHECKS[name][1](params)
+    ]

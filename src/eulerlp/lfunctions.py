@@ -72,15 +72,6 @@ def generalized_euler_number(
     return total
 
 
-def l_at_negative_int(
-    k: int, chi: DirichletCharacter, ctx: PadicContext
-) -> PadicNumber:
-    """Value of the alternating l-series at -k, which is exactly E_{k,chi}."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    return generalized_euler_number(k, chi, ctx)
-
-
 def _check_class_args(s_or_n, a: int, modulus: int, ctx: PadicContext) -> None:
     if modulus % ctx.p != 0 or modulus % 2 == 0:
         raise ValueError("modulus must be an odd multiple of p")

@@ -17,11 +17,6 @@ def format_rational(q: Fraction | int) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-def parse_rational(text: str) -> Fraction:
-    """Inverse of :func:`format_rational`; bare integers are accepted."""
-    return Fraction(text.strip())
-
-
 @dataclass(frozen=True)
 class CongruenceReport:
     """Outcome of one check: both sides in serialized form plus a match flag.

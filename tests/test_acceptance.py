@@ -16,7 +16,7 @@ from eulerlp import (
     alternating_power_sum,
     alternating_power_sum_closed,
     binomial,
-    distribution_check,
+    distribution_report,
     euler_number,
     euler_numbers,
     interpolation_check,
@@ -83,7 +83,7 @@ def test_criterion_3_distribution():
         for n in range(13):
             for f in (1, 3, 5, 7):
                 for x in points:
-                    assert distribution_check(n, f, x)
+                    assert distribution_report(n, f, x).match
 
 
 def _series_closed_reports(margin=0):

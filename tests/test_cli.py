@@ -1,8 +1,13 @@
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
 from eulerlp.cli import main
+from eulerlp.harness import CHECKS
+
+WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.json"
 
 
 def run_cli(capsys, *argv):
@@ -117,6 +122,28 @@ class TestVerifyCommand:
         assert code == 2
         assert "--p" in err
 
+    def test_even_modulus_is_usage_error(self, capsys):
+        code, out, err = run_cli(
+            capsys, "verify", "--check", "distribution", "--n", "3", "--f", "4"
+        )
+        assert code == 2
+        assert out == ""
+        assert "f must be odd" in err
+
+    def test_vanishing_ratio_denominator_is_usage_error(self, capsys):
+        code, _, err = run_cli(
+            capsys,
+            "verify", "--check", "binomial", "--r", "-1", "--k", "1", "--j", "1",
+        )
+        assert code == 2
+        assert "r + k" in err
+
+    def test_zero_denominator_point_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--check", "distribution", "--n", "3", "--f", "5", "--x", "1/0"])
+        assert exc.value.code == 2
+        assert "--x" in capsys.readouterr().err
+
     def test_unknown_check_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--check", "frobnicate"])
@@ -154,15 +181,6 @@ class TestGridCommand:
         records = [json.loads(line) for line in out.strip().splitlines()]
         assert sum(r["check"] == "theorem6" for r in records) == 3
 
-    def test_threads_do_not_change_output(self, capsys):
-        args = ["grid", "--primes", "3,5", "--r", "1,2", "--n", "2", "--precision", "3"]
-        code1 = main(args)
-        out1 = capsys.readouterr().out
-        code2 = main(args + ["--threads", "4"])
-        out2 = capsys.readouterr().out
-        assert code1 == code2 == 0
-        assert out1 == out2
-
     def test_csv_output(self, capsys):
         code, out, _ = run_cli(
             capsys,
@@ -178,3 +196,50 @@ class TestGridCommand:
         )
         assert code == 2
         assert "even" in err
+
+    @pytest.mark.parametrize(
+        "flag, value", [("--r", "4..1"), ("--primes", ","), ("--n", "")]
+    )
+    def test_empty_axis_is_usage_error(self, capsys, flag, value):
+        axes = {"--primes": "3", "--r": "1", "--n": "2", flag: value}
+        argv = ["grid", "--precision", "2"]
+        for name, text in axes.items():
+            argv += [name, text]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert flag in err
+
+
+# One grid point of GRID_ARGV per registry check, as a verify argv.
+GRID_ARGV = ["grid", "--primes", "5", "--r", "2", "--n", "4", "--precision", "4"]
+VERIFY_ARGV = {
+    "theorem6": ["--p", "5", "--n", "4", "--r", "2", "--precision", "4"],
+    "interpolation": ["--p", "5", "--n", "4", "--t", "3", "--precision", "4"],
+    "kummer": ["--p", "5", "--k", "2", "--precision", "4"],
+    "distribution": ["--n", "4", "--f", "7", "--x=-2/7"],
+    "powersum": ["--n", "4", "--m", "8"],
+    "binomial": ["--r", "2", "--k", "2", "--j", "2"],
+}
+
+
+@pytest.mark.parametrize("check", sorted(CHECKS))
+def test_verify_lines_appear_in_grid_output(capsys, check):
+    code, grid_out, _ = run_cli(capsys, *GRID_ARGV)
+    assert code == 0
+    code, verify_out, _ = run_cli(capsys, "verify", "--check", check, *VERIFY_ARGV[check])
+    assert code == 0
+    grid_lines = grid_out.splitlines()
+    verify_lines = verify_out.splitlines()
+    assert verify_lines
+    for line in verify_lines:
+        assert line in grid_lines
+
+
+def test_grid_mixed_stdout_digest(capsys):
+    """The benchmark's grid-mixed argv still prints its recorded stream."""
+    workloads = json.loads(WORKLOADS.read_text())
+    spec = workloads["grid-mixed"]
+    code, out, _ = run_cli(capsys, *spec["default_argv"])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == spec["stdout_sha256"]

@@ -1,4 +1,5 @@
 import json
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from eulerlp import (
     run_grid,
     verify_main_congruence,
 )
+from eulerlp.harness import CHECKS, _grid_jobs
 
 GRID_PRIMES = (3, 5, 7)
 GRID_R = (1, 2, 3, 4)
@@ -113,9 +115,6 @@ class TestGridConfig:
             GridConfig(primes=(3,), r_values=(0,), n_values=(2,), precision=3)
         with pytest.raises(ValueError):
             GridConfig(primes=(3,), r_values=(1,), n_values=(2,), precision=0)
-        with pytest.raises(ValueError):
-            GridConfig(primes=(3,), r_values=(1,), n_values=(2,), precision=3,
-                       output_format="xml")
 
 
 class TestRunGrid:
@@ -149,10 +148,16 @@ class TestRunGrid:
 
     def test_deterministic_and_order_independent(self):
         config = GridConfig(primes=(3,), r_values=(1, 2), n_values=(2,), precision=3)
-        sequential = reports_to_jsonl(run_grid(config))
-        threaded = reports_to_jsonl(run_grid(config, threads=4))
-        again = reports_to_jsonl(run_grid(config))
-        assert sequential == threaded == again
+        shuffled = GridConfig(primes=(3,), r_values=(2, 1, 2), n_values=(2,), precision=3)
+        first = reports_to_jsonl(run_grid(config))
+        assert reports_to_jsonl(run_grid(shuffled)) == first
+        assert reports_to_jsonl(run_grid(config)) == first
+
+    def test_jobs_are_picklable_specs(self):
+        config = GridConfig(primes=(3,), r_values=(1, 2), n_values=(2,), precision=3)
+        jobs = _grid_jobs(config, 0)
+        assert pickle.loads(pickle.dumps(jobs)) == jobs
+        assert {name for name, _ in jobs} == set(CHECKS)
 
     def test_margin_leaves_reports_byte_identical(self):
         config = GridConfig(primes=(3, 5), r_values=(1, 2), n_values=(2,), precision=4)

@@ -10,7 +10,6 @@ from eulerlp import (
     generalized_euler_number,
     interpolation_check,
     kummer_check,
-    l_at_negative_int,
     legendre_like,
     padic_l,
     padic_partial_zeta,
@@ -67,15 +66,6 @@ class TestGeneralizedEulerNumbers:
                 for a in (1, 2)
             )
             assert generalized_euler_number(n, chi, ctx) == ctx.from_rational(exact)
-
-    def test_l_at_negative_int(self):
-        ctx = PadicContext(3, 6)
-        triv = trivial_character(ctx)
-        assert l_at_negative_int(1, triv, ctx) == ctx.from_rational(Fraction(-1, 2))
-        assert l_at_negative_int(2, triv, ctx).is_zero
-        assert l_at_negative_int(1, teichmuller_power(1, ctx), ctx).is_zero
-        with pytest.raises(ValueError):
-            l_at_negative_int(0, triv, ctx)
 
 
 class TestPartialZetaSeries:
