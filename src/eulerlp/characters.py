@@ -1,67 +1,38 @@
-"""Dirichlet characters with values in Z_p.
-
-Supported families: powers of the Teichmuller character (modulus p), the
-trivial character (modulus 1), and quadratic residue characters of a small
-odd prime conductor coprime to p.  Values always lie in Z_p itself, i.e.
-they are roots of unity of order dividing p - 1.
+"""Dirichlet characters with values in Z_p: the powers omega^t of the
+Teichmuller character, the only characters the l-function is evaluated at.
+Values are roots of unity of order dividing p - 1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 
-from .padic import PadicContext, PadicNumber, is_prime, teichmuller
+from .padic import PadicContext, PadicNumber, teichmuller
 
 
 @dataclass(frozen=True)
 class DirichletCharacter:
-    """A character evaluated through its primitive core.
+    """The character omega^t, evaluated through its primitive core.
 
     chi(a) depends only on a mod conductor and vanishes when
-    gcd(a, conductor) > 1.  The modulus records which summation ranges the
-    character is meant for; evaluation always uses the conductor, so a
-    modulus-p character of conductor 1 takes the value 1 at p.
+    gcd(a, conductor) > 1.  The conductor is p, or 1 for t = 0, in which
+    case the character takes the value 1 at p too.
     """
 
     context: PadicContext
-    modulus: int
     conductor: int
     values: tuple[PadicNumber, ...]
-    kind: str
-    teich_exponent: int | None = None
+    teich_exponent: int
 
     def __call__(self, a: int) -> PadicNumber:
         return self.values[a % self.conductor]
 
-    @property
-    def label(self) -> str:
-        if self.kind == "teichmuller":
-            return f"w^{self.teich_exponent}"
-        if self.kind == "trivial":
-            return "trivial"
-        return f"quadratic({self.conductor})"
-
     def descriptor(self) -> dict:
         """Wire form used in CLI output and JSON reports."""
-        d: dict = {"p": self.context.p, "kind": self.kind}
-        if self.kind == "teichmuller":
-            d["t"] = self.teich_exponent
-        elif self.kind == "legendre_like":
-            d["f"] = self.conductor
-        return d
+        return {"p": self.context.p, "kind": "teichmuller", "t": self.teich_exponent}
 
     def twist(self, t: int) -> "DirichletCharacter":
-        """Pointwise product with omega^t.
-
-        Only characters living on the units mod p (modulus 1 or p) can be
-        twisted without leaving Z_p-valued territory.
-        """
-        if self.modulus not in (1, self.context.p) or self.teich_exponent is None:
-            raise ValueError(
-                f"cannot twist a character of modulus {self.modulus} by a "
-                f"Teichmuller power at p = {self.context.p}"
-            )
+        """Pointwise product with omega^t."""
         return teichmuller_power(self.teich_exponent + t, self.context)
 
 
@@ -75,36 +46,8 @@ def teichmuller_power(t: int, ctx: PadicContext) -> DirichletCharacter:
     p = ctx.p
     t = t % (p - 1)
     if t == 0:
-        return DirichletCharacter(ctx, p, 1, (ctx.one(),), "teichmuller", 0)
+        return DirichletCharacter(ctx, 1, (ctx.one(),), 0)
     values = [ctx.zero()]
     for a in range(1, p):
         values.append(teichmuller(a, ctx) ** t)
-    return DirichletCharacter(ctx, p, p, tuple(values), "teichmuller", t)
-
-
-def trivial_character(ctx: PadicContext) -> DirichletCharacter:
-    """The conductor-1 character, identically 1 (at multiples of p too)."""
-    return DirichletCharacter(ctx, 1, 1, (ctx.one(),), "trivial", 0)
-
-
-def legendre_like(f: int, ctx: PadicContext) -> DirichletCharacter:
-    """Quadratic residue character mod an odd prime f coprime to p, with
-    values +-1 embedded in Z_p.
-
-    The values of a character of order d lie in Z_p only when d divides
-    p - 1; here d = 2, which divides p - 1 for every odd p, but the guard
-    is kept explicit.
-    """
-    p = ctx.p
-    if f < 3 or not is_prime(f):
-        raise ValueError("f must be an odd prime >= 3")
-    if gcd(f, p) != 1:
-        raise ValueError("f must be coprime to p")
-    if (p - 1) % 2 != 0:
-        raise ValueError("character order must divide p - 1")
-    values = [ctx.zero()]
-    minus_one = -ctx.one()
-    for a in range(1, f):
-        euler_criterion = pow(a, (f - 1) // 2, f)
-        values.append(ctx.one() if euler_criterion == 1 else minus_one)
-    return DirichletCharacter(ctx, f, f, tuple(values), "legendre_like", None)
+    return DirichletCharacter(ctx, p, tuple(values), t)

@@ -29,11 +29,14 @@ CHECK_CHOICES = tuple(CHECKS)
 def _int_list(flag: str, text: str) -> tuple[int, ...]:
     """Parse grid axis ``flag`` from "2,4,6" or "1..4" (or a single integer)."""
     text = text.strip()
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        values = tuple(range(int(lo), int(hi) + 1))
-    else:
-        values = tuple(int(part) for part in text.split(",") if part)
+    try:
+        if ".." in text:
+            lo, hi = text.split("..", 1)
+            values = tuple(range(int(lo), int(hi) + 1))
+        else:
+            values = tuple(int(part) for part in text.split(",") if part)
+    except ValueError:
+        raise ValueError(f"{flag} {text!r} is not an integer list or range") from None
     if not values:
         raise ValueError(f"{flag} {text!r} gives an empty grid axis")
     return values
@@ -58,8 +61,14 @@ def _emit(reports, fmt: str) -> int:
 
 
 def cmd_euler(args) -> int:
-    for i, value in enumerate(euler_numbers(args.nmax)):
-        print(json.dumps({"n": i, "value": format_rational(value)}, separators=(",", ":")))
+    # From n = 1843 on, numerators pass Python's int-to-str digit limit.
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        for i, value in enumerate(euler_numbers(args.nmax)):
+            print(json.dumps({"n": i, "value": format_rational(value)}, separators=(",", ":")))
+    finally:
+        sys.set_int_max_str_digits(limit)
     return 0
 
 

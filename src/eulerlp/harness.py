@@ -150,7 +150,9 @@ def power_sum_report(n: int, m: int) -> CongruenceReport:
 
 
 def binomial_ratio_report(r: int, k: int) -> CongruenceReport:
-    """(r/(r+k)) C(-r-1, k) = C(-r, k), exactly, for r + k != 0."""
+    """(r/(r+k)) C(-r-1, k) = C(-r, k), exactly, for k >= 0 and r + k != 0."""
+    if k < 0:
+        raise ValueError(f"the ratio identity needs k >= 0, got k={k}")
     if r + k == 0:
         raise ValueError(f"the ratio identity needs r + k != 0, got r={r}, k={k}")
     lhs = Fraction(r, r + k) * binomial(-r - 1, k)
@@ -159,7 +161,9 @@ def binomial_ratio_report(r: int, k: int) -> CongruenceReport:
 
 
 def binomial_product_report(r: int, k: int, j: int) -> CongruenceReport:
-    """C(-r, k) C(-r-k, j) = C(-r, k+j) C(k+j, j), exactly."""
+    """C(-r, k) C(-r-k, j) = C(-r, k+j) C(k+j, j), exactly, for k, j >= 0."""
+    if k < 0 or j < 0:
+        raise ValueError(f"the product identity needs k, j >= 0, got k={k}, j={j}")
     lhs = binomial(-r, k) * binomial(-r - k, j)
     rhs = binomial(-r, k + j) * binomial(k + j, j)
     params = {"r": r, "k": k, "j": j, "identity": "product"}

@@ -54,13 +54,11 @@ def generalized_euler_number(
 
     The scaled values f^n E_n(a/f) clear every power of f from the
     denominators, leaving powers of two, so the sum embeds in Z_p for any
-    odd p.  For the trivial character this is just E_n.
+    odd p.  For conductor 1 this is just E_n.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
     f = chi.conductor
-    if f % 2 == 0:
-        raise ValueError("conductor must be odd")
     total = ctx.zero()
     for a in range(f):
         chi_a = chi(a)
@@ -72,7 +70,7 @@ def generalized_euler_number(
     return total
 
 
-def _check_class_args(s_or_n, a: int, modulus: int, ctx: PadicContext) -> None:
+def _check_class_args(a: int, modulus: int, ctx: PadicContext) -> None:
     if modulus % ctx.p != 0 or modulus % 2 == 0:
         raise ValueError("modulus must be an odd multiple of p")
     if not 0 < a < modulus:
@@ -90,7 +88,7 @@ def padic_partial_zeta(
     The (modulus/a)^j factor is computed as modulus^j times the j-th power
     of the unit inverse of a.
     """
-    _check_class_args(s, a, modulus, ctx)
+    _check_class_args(a, modulus, ctx)
     if plan.target_precision > ctx.precision:
         raise ValueError("plan wants more digits than the context carries")
     ratio = ctx.from_int(modulus) * ctx.from_int(a).inverse()
@@ -112,7 +110,7 @@ def padic_partial_zeta_at_neg(
     zeta value (-1)^a (modulus^n / 2) E_n(a/modulus), at full precision."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    _check_class_args(-n, a, modulus, ctx)
+    _check_class_args(a, modulus, ctx)
     return teichmuller(a, ctx) ** (-n) * ctx.from_rational(
         partial_zeta_neg(n, a, modulus)
     )
@@ -123,14 +121,8 @@ def padic_l(
 ) -> PadicNumber:
     """l_p(s, chi) = 2 sum over units a mod p of chi(a) H_p(s, a | p).
 
-    The summation modulus is fixed at p, which carries every supported
-    Teichmuller-power character.
+    The summation modulus is p, the modulus of every Teichmuller power.
     """
-    if ctx.p % chi.modulus != 0:
-        raise ValueError(
-            f"character modulus {chi.modulus} does not divide the summation "
-            f"modulus {ctx.p}"
-        )
     total = ctx.zero()
     for a in range(1, ctx.p):
         total = total + chi(a) * padic_partial_zeta(s, a, ctx.p, ctx, plan)
@@ -143,15 +135,13 @@ def series_closed_check(
     ctx: PadicContext,
     digits: int,
     *,
-    modulus: int | None = None,
     margin: int = 0,
 ) -> CongruenceReport:
     """Series evaluation at s = -n against the closed form, mod p^digits."""
-    modulus = ctx.p if modulus is None else modulus
     plan = TruncationPlan(digits, digits + margin)
-    lhs = padic_partial_zeta(-n, a, modulus, ctx, plan)
-    rhs = padic_partial_zeta_at_neg(n, a, modulus, ctx)
-    params = {"p": ctx.p, "n": n, "a": a, "F": modulus, "M": digits}
+    lhs = padic_partial_zeta(-n, a, ctx.p, ctx, plan)
+    rhs = padic_partial_zeta_at_neg(n, a, ctx.p, ctx)
+    params = {"p": ctx.p, "n": n, "a": a, "F": ctx.p, "M": digits}
     return padic_report("series_closed", params, lhs, rhs, digits)
 
 

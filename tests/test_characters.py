@@ -1,24 +1,11 @@
-from math import gcd
-
 import pytest
 
-from eulerlp import (
-    PadicContext,
-    legendre_like,
-    teichmuller,
-    teichmuller_power,
-    trivial_character,
-)
+from eulerlp import PadicContext, teichmuller_power
 
 
 def all_supported_characters(p, precision=4):
     ctx = PadicContext(p, precision)
-    chars = [trivial_character(ctx)]
-    chars += [teichmuller_power(t, ctx) for t in range(p - 1)]
-    for f in (3, 5):
-        if gcd(f, p) == 1:
-            chars.append(legendre_like(f, ctx))
-    return ctx, chars
+    return ctx, [teichmuller_power(t, ctx) for t in range(p - 1)]
 
 
 class TestTeichmullerPower:
@@ -26,7 +13,6 @@ class TestTeichmullerPower:
         ctx = PadicContext(3, 4)
         chi = teichmuller_power(0, ctx)
         assert chi.conductor == 1
-        assert chi.modulus == 3
         assert chi(1) == ctx.one()
         assert chi(2) == ctx.one()
 
@@ -63,7 +49,6 @@ class TestEvaluation:
     def test_value_at_p_depends_on_conductor(self):
         ctx = PadicContext(3, 4)
         assert teichmuller_power(0, ctx)(3) == ctx.one()
-        assert trivial_character(ctx)(3) == ctx.one()
         assert teichmuller_power(1, ctx)(3).is_zero
 
     def test_congruent_classes_share_values(self):
@@ -115,10 +100,6 @@ class TestTwist:
         assert chi.conductor == 1
         assert chi.values == (ctx.one(),)
 
-    def test_twisting_trivial(self):
-        ctx = PadicContext(3, 4)
-        assert trivial_character(ctx).twist(1).values == teichmuller_power(1, ctx).values
-
     def test_exponents_add_mod_order(self):
         ctx = PadicContext(3, 4)
         assert teichmuller_power(1, ctx).twist(2).values == teichmuller_power(1, ctx).values
@@ -130,37 +111,6 @@ class TestTwist:
                 assert lhs.values == rhs.values
                 assert lhs.conductor == rhs.conductor
 
-    def test_twist_rejected_off_prime_modulus(self):
-        ctx = PadicContext(7, 3)
-        with pytest.raises(ValueError):
-            legendre_like(3, ctx).twist(1)
-
-
-class TestLegendreLike:
-    def test_conductor_three(self):
-        ctx = PadicContext(7, 3)
-        chi = legendre_like(3, ctx)
-        assert chi(1) == ctx.one()
-        assert chi(2) == -ctx.one()
-        assert chi(3).is_zero
-
-    def test_conductor_five(self):
-        ctx = PadicContext(3, 4)
-        chi = legendre_like(5, ctx)
-        assert chi(1) == ctx.one()
-        assert chi(2) == -ctx.one()
-        assert chi(3) == -ctx.one()
-        assert chi(4) == ctx.one()
-
-    def test_guards(self):
-        ctx = PadicContext(5, 2)
-        with pytest.raises(ValueError):
-            legendre_like(5, ctx)  # not coprime to p
-        with pytest.raises(ValueError):
-            legendre_like(9, ctx)  # not prime
-        with pytest.raises(ValueError):
-            legendre_like(2, ctx)  # even
-
 
 class TestDescriptor:
     def test_wire_forms(self):
@@ -170,14 +120,8 @@ class TestDescriptor:
             "kind": "teichmuller",
             "t": 3,
         }
-        assert trivial_character(ctx).descriptor() == {"p": 5, "kind": "trivial"}
-        assert legendre_like(3, ctx).descriptor() == {
+        assert teichmuller_power(0, ctx).descriptor() == {
             "p": 5,
-            "kind": "legendre_like",
-            "f": 3,
+            "kind": "teichmuller",
+            "t": 0,
         }
-
-    def test_labels(self):
-        ctx = PadicContext(5, 2)
-        assert teichmuller_power(3, ctx).label == "w^3"
-        assert trivial_character(ctx).label == "trivial"

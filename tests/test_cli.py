@@ -1,9 +1,12 @@
 import hashlib
 import json
+import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from eulerlp import cli
 from eulerlp.cli import main
 from eulerlp.harness import CHECKS
 
@@ -29,6 +32,16 @@ class TestEulerCommand:
         code, _, err = run_cli(capsys, "euler", "--nmax", "-1")
         assert code == 2
         assert "error" in err
+
+    def test_prints_numerators_past_the_digit_limit(self, capsys, monkeypatch):
+        # 4401 digits, past Python's default int-to-str limit of 4300
+        numerator = 10**4400 + 1
+        monkeypatch.setattr(cli, "euler_numbers", lambda nmax: [Fraction(numerator, 2)])
+        limit = sys.get_int_max_str_digits()
+        code, out, _ = run_cli(capsys, "euler", "--nmax", "0")
+        assert code == 0
+        assert json.loads(out)["value"] == "1" + "0" * 4399 + "1/2"
+        assert sys.get_int_max_str_digits() == limit
 
 
 class TestLpCommand:
@@ -138,6 +151,17 @@ class TestVerifyCommand:
         assert code == 2
         assert "r + k" in err
 
+    @pytest.mark.parametrize(
+        "k, j, named", [("-1", "1", "k=-1"), ("1", "-1", "j=-1")]
+    )
+    def test_negative_binomial_index_is_usage_error(self, capsys, k, j, named):
+        code, out, err = run_cli(
+            capsys, "verify", "--check", "binomial", "--r", "2", "--k", k, "--j", j
+        )
+        assert code == 2
+        assert out == ""
+        assert named in err
+
     def test_zero_denominator_point_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--check", "distribution", "--n", "3", "--f", "5", "--x", "1/0"])
@@ -198,7 +222,8 @@ class TestGridCommand:
         assert "even" in err
 
     @pytest.mark.parametrize(
-        "flag, value", [("--r", "4..1"), ("--primes", ","), ("--n", "")]
+        "flag, value",
+        [("--r", "4..1"), ("--primes", ","), ("--n", ""), ("--primes", "3,x"), ("--r", "1..x")],
     )
     def test_empty_axis_is_usage_error(self, capsys, flag, value):
         axes = {"--primes": "3", "--r": "1", "--n": "2", flag: value}
