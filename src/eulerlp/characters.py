@@ -6,6 +6,7 @@ Values are roots of unity of order dividing p - 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .padic import PadicContext, PadicNumber, teichmuller
 
@@ -41,10 +42,15 @@ def teichmuller_power(t: int, ctx: PadicContext) -> DirichletCharacter:
 
     The exponent is reduced mod p - 1; exponent 0 gives conductor 1 (the
     character is then 1 everywhere, including at p), otherwise the
-    conductor is p.
+    conductor is p.  Characters are immutable and built once per reduced
+    exponent and context.
     """
+    return _teichmuller_power(t % (ctx.p - 1), ctx)
+
+
+@lru_cache(maxsize=None)
+def _teichmuller_power(t: int, ctx: PadicContext) -> DirichletCharacter:
     p = ctx.p
-    t = t % (p - 1)
     if t == 0:
         return DirichletCharacter(ctx, 1, (ctx.one(),), 0)
     values = [ctx.zero()]

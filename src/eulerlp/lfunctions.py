@@ -13,12 +13,21 @@ Because p divides F and every E_j is p-integral, the j-th series term has
 valuation at least j, so truncating at the target precision is exact at
 that precision.  Only integer s is supported: unit powers <a>^{-s} are then
 exact and no Mahler-series precision bookkeeping is needed.
+
+Both series run on plain int residues mod p^M.  For each (p, F, M, J),
+with J the series cutoff, a table holding (-1)^a / 2, <a> and the row
+(F/a)^j E_j (j < J) for every unit a is built once; a value is then one
+dot product with the binomial row C(-s, j).  ``PadicNumber`` is only the
+type of the results.  The series is Washington's ("p-adic L-functions and
+sums of powers", J. Number Theory 69, 1998), adapted to Euler numbers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from operator import mul
 
 from .characters import DirichletCharacter, teichmuller_power
 from .euler import euler_number, euler_polynomial_value, partial_zeta_neg
@@ -79,28 +88,65 @@ def _check_class_args(a: int, modulus: int, ctx: PadicContext) -> None:
         raise ValueError("a must be a unit mod p")
 
 
+def _check_plan(ctx: PadicContext, plan: TruncationPlan) -> None:
+    if plan.target_precision > ctx.precision:
+        raise ValueError("plan wants more digits than the context carries")
+
+
+@lru_cache(maxsize=None)
+def _series_table(
+    p: int, modulus: int, digits: int, cutoff: int
+) -> tuple[tuple[int, int, tuple[int, ...]] | None, ...]:
+    """Indexed by a < modulus, for every unit a: the residues mod p^digits
+    of (-1)^a / 2, of <a>, and of (modulus/a)^j E_j for j < cutoff.
+
+    Keyed by the target digits, not by any context's precision: reducing
+    mod p^digits commutes with every ring operation of the series, and the
+    Teichmuller lift mod p^digits is the reduction of any longer lift.
+    """
+    ctx = PadicContext(p, digits)
+    m = ctx.modulus
+    euler = [ctx.from_rational(euler_number(j)).residue for j in range(cutoff)]
+    table = [None] * modulus
+    for a in range(1, modulus):
+        if a % p == 0:
+            continue
+        ratio = modulus * pow(a, -1, m)
+        row, power = [], 1
+        for e in euler:
+            row.append(power * e % m)
+            power = power * ratio % m
+        half = ctx.from_rational(Fraction(-1 if a % 2 else 1, 2)).residue
+        table[a] = (half, angle(a, ctx).residue, tuple(row))
+    return tuple(table)
+
+
+@lru_cache(maxsize=None)
+def _binomial_row(s: int, cutoff: int) -> tuple[int, ...]:
+    """C(-s, j) for j < cutoff."""
+    return tuple(binomial(-s, j) for j in range(cutoff))
+
+
+def _partial_zeta_residue(
+    s: int, entry: tuple[int, int, tuple[int, ...]], binomials: tuple[int, ...], m: int
+) -> int:
+    """(-1)^a / 2 * <a>^{-s} * sum_j C(-s, j) (modulus/a)^j E_j mod m, from
+    one row of :func:`_series_table`."""
+    half, unit, row = entry
+    return half * pow(unit, -s, m) * sum(map(mul, binomials, row)) % m
+
+
 def padic_partial_zeta(
     s: int, a: int, modulus: int, ctx: PadicContext, plan: TruncationPlan
 ) -> PadicNumber:
     """Series evaluation of the p-adic partial zeta H_p(s, a | modulus),
-    correct mod p^target_precision.
-
-    The (modulus/a)^j factor is computed as modulus^j times the j-th power
-    of the unit inverse of a.
-    """
+    correct mod p^target_precision."""
     _check_class_args(a, modulus, ctx)
-    if plan.target_precision > ctx.precision:
-        raise ValueError("plan wants more digits than the context carries")
-    ratio = ctx.from_int(modulus) * ctx.from_int(a).inverse()
-    power = ctx.one()
-    series = ctx.zero()
-    for j in range(plan.series_cutoff):
-        c = binomial(-s, j)
-        if c:
-            series = series + ctx.from_int(c) * power * ctx.from_rational(euler_number(j))
-        power = power * ratio
-    half = ctx.from_rational(Fraction(-1 if a % 2 else 1, 2))
-    return (half * angle(a, ctx) ** (-s) * series).reduce(plan.target_precision)
+    _check_plan(ctx, plan)
+    digits, cutoff = plan.target_precision, plan.series_cutoff
+    entry = _series_table(ctx.p, modulus, digits, cutoff)[a]
+    residue = _partial_zeta_residue(s, entry, _binomial_row(s, cutoff), ctx.p**digits)
+    return PadicNumber(ctx, residue, digits)
 
 
 def padic_partial_zeta_at_neg(
@@ -123,10 +169,18 @@ def padic_l(
 
     The summation modulus is p, the modulus of every Teichmuller power.
     """
-    total = ctx.zero()
-    for a in range(1, ctx.p):
-        total = total + chi(a) * padic_partial_zeta(s, a, ctx.p, ctx, plan)
-    return (2 * total).reduce(plan.target_precision)
+    if chi.context != ctx:
+        raise ValueError("operands come from different p-adic contexts")
+    _check_plan(ctx, plan)
+    p, digits, cutoff = ctx.p, plan.target_precision, plan.series_cutoff
+    m = p**digits
+    table = _series_table(p, p, digits, cutoff)
+    binomials = _binomial_row(s, cutoff)
+    total = sum(
+        chi(a).residue * _partial_zeta_residue(s, table[a], binomials, m)
+        for a in range(1, p)
+    )
+    return PadicNumber(ctx, 2 * total, digits)
 
 
 def series_closed_check(

@@ -5,6 +5,8 @@ import pytest
 from eulerlp import (
     PadicContext,
     TruncationPlan,
+    angle,
+    binomial,
     euler_number,
     generalized_euler_number,
     interpolation_check,
@@ -14,7 +16,31 @@ from eulerlp import (
     padic_partial_zeta_at_neg,
     series_closed_check,
     teichmuller_power,
+    verify_main_congruence,
 )
+from eulerlp import lfunctions
+
+
+def reference_partial_zeta(s, a, modulus, ctx, plan):
+    """H_p(s, a | modulus) term by term on PadicNumber arithmetic, at the
+    context's full precision: the reference the residue kernel must match."""
+    ratio = ctx.from_int(modulus) * ctx.from_int(a).inverse()
+    power = ctx.one()
+    series = ctx.zero()
+    for j in range(plan.series_cutoff):
+        c = binomial(-s, j)
+        if c:
+            series = series + ctx.from_int(c) * power * ctx.from_rational(euler_number(j))
+        power = power * ratio
+    half = ctx.from_rational(Fraction(-1 if a % 2 else 1, 2))
+    return (half * angle(a, ctx) ** (-s) * series).reduce(plan.target_precision)
+
+
+def reference_l(s, chi, ctx, plan):
+    total = ctx.zero()
+    for a in range(1, ctx.p):
+        total = total + chi(a) * reference_partial_zeta(s, a, ctx.p, ctx, plan)
+    return (2 * total).reduce(plan.target_precision)
 
 
 class TestTruncationPlan:
@@ -93,6 +119,48 @@ class TestPartialZetaSeries:
             padic_partial_zeta(1, 1, 3, ctx, TruncationPlan(9))  # beyond context
 
 
+class TestKernelAgainstReference:
+    @pytest.mark.parametrize(
+        "p, modulus", [(3, 3), (5, 5), (7, 7), (11, 11), (13, 13), (3, 15), (5, 15)]
+    )
+    def test_partial_zeta_matches_padic_series(self, p, modulus):
+        for digits in (1, 4, 10):
+            for cutoff in (digits, digits + 3):
+                plan = TruncationPlan(digits, cutoff)
+                for precision in (digits, digits + 2):
+                    ctx = PadicContext(p, precision)
+                    for a in range(1, modulus):
+                        if a % p == 0:
+                            continue
+                        for s in range(-4, 5):
+                            value = padic_partial_zeta(s, a, modulus, ctx, plan)
+                            expected = reference_partial_zeta(s, a, modulus, ctx, plan)
+                            assert value == expected, (p, modulus, digits, cutoff, precision, a, s)
+                            assert value.precision == digits
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+    def test_l_matches_padic_series(self, p):
+        for digits in (1, 4, 10):
+            ctx = PadicContext(p, digits + 2)
+            plan = TruncationPlan(digits)
+            for t in range(p - 1):
+                chi = teichmuller_power(t, ctx)
+                for s in range(-4, 5):
+                    value = padic_l(s, chi, ctx, plan)
+                    assert value == reference_l(s, chi, ctx, plan), (p, digits, t, s)
+                    assert value.precision == digits
+
+    def test_tables_depend_on_target_digits_not_context_precision(self):
+        lfunctions._series_table.cache_clear()
+        plan = TruncationPlan(4, 7)
+        values = {
+            padic_partial_zeta(3, 2, 5, PadicContext(5, precision), plan).residue
+            for precision in (4, 6, 9)
+        }
+        assert lfunctions._series_table.cache_info().misses == 1
+        assert len(values) == 1
+
+
 class TestPartialZetaClosedForm:
     def test_examples(self):
         ctx = PadicContext(3, 6)
@@ -150,6 +218,15 @@ class TestPadicL:
                 chi = teichmuller_power(t, ctx)
                 for s in range(-4, 5):
                     assert padic_l(s, chi, ctx, plan).valuation >= 0
+
+    def test_rejects_character_from_another_context(self):
+        # the kernel reads character values as bare residues, so a foreign
+        # character would otherwise give wrong digits instead of an error
+        ctx = PadicContext(5, 6)
+        plan = TruncationPlan(6)
+        for other in (PadicContext(5, 3), PadicContext(5, 8), PadicContext(7, 6)):
+            with pytest.raises(ValueError, match="different p-adic contexts"):
+                padic_l(1, teichmuller_power(1, other), ctx, plan)
 
     def test_truncation_soundness(self):
         # a larger cutoff never changes the reported residue
@@ -236,3 +313,70 @@ class TestKummer:
     def test_nonzero_exponent_multiple_of_order_accepted(self):
         ctx = PadicContext(3, 4)
         assert kummer_check(2, 4, ctx).match
+
+
+class TestStrongKummer:
+    def test_period_congruence(self):
+        # k = k' mod (p-1) p^(m-1) implies l_p(k, w^t) = l_p(k', w^t) mod p^m
+        for p in (3, 5, 7, 11):
+            ctx = PadicContext(p, 3)
+            for t in range(p - 1):
+                chi = teichmuller_power(t, ctx)
+                for m in (1, 2, 3):
+                    plan = TruncationPlan(m)
+                    period = (p - 1) * p ** (m - 1)
+                    for k in range(-3, 6):
+                        lhs = padic_l(k, chi, ctx, plan)
+                        assert lhs == padic_l(k + period, chi, ctx, plan), (p, t, m, k)
+
+    def test_period_one_power_of_p_short_breaks(self):
+        # negative control: mod p every value is independent of s (term j
+        # carries p^j and <a> = 1 mod p), so only m >= 2 can fail
+        for p in (3, 5, 7):
+            ctx = PadicContext(p, 3)
+            for m in (2, 3):
+                plan = TruncationPlan(m)
+                short = (p - 1) * p ** (m - 2)
+                pairs = [
+                    (padic_l(k, chi, ctx, plan), padic_l(k + short, chi, ctx, plan))
+                    for chi in (teichmuller_power(t, ctx) for t in range(p - 1))
+                    for k in range(1, 5)
+                ]
+                assert any(lhs != rhs for lhs, rhs in pairs), (p, m)
+
+
+class TestEulerNumberMutants:
+    """One E_j off by one inside the series must make the checks that use
+    l_p report a mismatch; the kernel's tables are cleared on both sides of
+    the mutation so that no cached table can hide it or carry it on."""
+
+    P, DIGITS = 5, 6
+
+    def _matches(self):
+        ctx = PadicContext(self.P, self.DIGITS)
+        interpolation = [
+            interpolation_check(n, teichmuller_power(t, ctx), ctx, self.DIGITS).match
+            for n in (1, 2, 3)
+            for t in range(self.P - 1)
+        ]
+        theorem6 = [
+            verify_main_congruence(self.P, n, r, self.DIGITS).match
+            for n in (2, 4)
+            for r in (1, 2)
+        ]
+        return interpolation, theorem6
+
+    @pytest.mark.parametrize("j", [0, 1, 3])
+    def test_perturbed_euler_number_is_reported(self, monkeypatch, j):
+        original = lfunctions.euler_number
+        lfunctions._series_table.cache_clear()
+        monkeypatch.setattr(lfunctions, "euler_number", lambda n: original(n) + (n == j))
+        try:
+            interpolation, theorem6 = self._matches()
+        finally:
+            monkeypatch.undo()
+            lfunctions._series_table.cache_clear()
+        assert not all(interpolation), interpolation
+        assert not all(theorem6), theorem6
+        interpolation, theorem6 = self._matches()
+        assert all(interpolation) and all(theorem6)
