@@ -24,7 +24,7 @@ print()
 print("Euler polynomials are monic with x^{n-1} coefficient -n/2:")
 for n in range(5):
     poly = euler_polynomial(n)
-    terms = " + ".join(f"({c})x^{i}" for i, c in enumerate(poly.coefficients) if c)
+    terms = " + ".join(f"({c})x^{i}" for i, c in enumerate(poly) if c)
     print(f"  E_{n}(x) = {terms or '1'}")
 
 print()

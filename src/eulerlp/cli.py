@@ -90,7 +90,7 @@ def cmd_verify(args) -> int:
     missing = [f"--{name}" for name in required if getattr(args, name) is None]
     if missing:
         raise ValueError(f"check {args.check!r} needs {', '.join(missing)}")
-    return _emit(run({**vars(args), "margin": 0}), args.format)
+    return _emit(run(vars(args)), args.format)
 
 
 def cmd_grid(args) -> int:

@@ -8,7 +8,6 @@ of two as denominator (making each one a p-adic integer for odd p).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
@@ -37,36 +36,26 @@ def euler_numbers(nmax: int) -> list[Fraction]:
     return [euler_number(k) for k in range(nmax + 1)]
 
 
-@dataclass(frozen=True)
-class EulerPolynomial:
-    """E_n(x) with explicit coefficients; ``coefficients[i]`` multiplies x^i.
+@lru_cache(maxsize=None)
+def euler_polynomial(n: int) -> tuple[Fraction, ...]:
+    """Coefficients of E_n(x) = sum_{k=0}^{n} C(n, k) E_k x^{n-k}; entry i
+    multiplies x^i.
 
     E_n(x) is monic of degree n, and for n >= 1 the x^{n-1} coefficient is
     -n/2 (the binomial expansion pins it to n * E_1).
     """
-
-    degree: int
-    coefficients: tuple[Fraction, ...]
-
-    def __call__(self, x: Rational) -> Fraction:
-        value = Fraction(0)
-        for c in reversed(self.coefficients):
-            value = value * x + c
-        return value
-
-
-@lru_cache(maxsize=None)
-def euler_polynomial(n: int) -> EulerPolynomial:
-    """E_n(x) = sum_{k=0}^{n} C(n, k) E_k x^{n-k}."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    coefficients = tuple(comb(n, i) * euler_number(n - i) for i in range(n + 1))
-    return EulerPolynomial(n, coefficients)
+    return tuple(comb(n, i) * euler_number(n - i) for i in range(n + 1))
 
 
 def euler_polynomial_value(n: int, x: Rational) -> Fraction:
-    """E_n evaluated at a rational point, exactly."""
-    return euler_polynomial(n)(Fraction(x))
+    """E_n evaluated at a rational point, exactly (Horner's rule)."""
+    x = Fraction(x)
+    value = Fraction(0)
+    for c in reversed(euler_polynomial(n)):
+        value = value * x + c
+    return value
 
 
 def alternating_power_sum(n: int, m: int) -> Fraction:
@@ -101,5 +90,5 @@ def partial_zeta_neg(n: int, a: int, modulus: int) -> Fraction:
     if n < 0:
         raise ValueError("n must be >= 0")
     sign = -1 if a % 2 else 1
-    return sign * Fraction(modulus) ** n / 2 * euler_polynomial_value(n, Fraction(a, modulus))
+    return Fraction(sign * modulus**n, 2) * euler_polynomial_value(n, Fraction(a, modulus))
 

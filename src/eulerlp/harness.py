@@ -76,8 +76,6 @@ def verify_main_congruence(
     mod p^digits; the report is labeled "theorem6" in CLI vocabulary."""
     if n < 2 or n % 2:
         raise ValueError("n must be even and >= 2")
-    if digits < 1:
-        raise ValueError("digits must be >= 1")
     ctx = PadicContext(p, digits)
     lhs = ctx.from_rational(2 * alt_harmonic_sum(p, n, r))
     rhs = main_congruence_series(p, n, r, ctx, digits, margin=margin)
@@ -172,21 +170,18 @@ def binomial_product_report(r: int, k: int, j: int) -> CongruenceReport:
 
 def _theorem6(params: dict) -> list[CongruenceReport]:
     p, n, r, M = params["p"], params["n"], params["r"], params["precision"]
-    return [verify_main_congruence(p, n, r, M, margin=params["margin"])]
+    return [verify_main_congruence(p, n, r, M)]
 
 
 def _interpolation(params: dict) -> list[CongruenceReport]:
     ctx = PadicContext(params["p"], params["precision"])
     chi = teichmuller_power(params["t"], ctx)
-    M, margin = params["precision"], params["margin"]
-    return [interpolation_check(params["n"], chi, ctx, M, margin=margin)]
+    return [interpolation_check(params["n"], chi, ctx, params["precision"])]
 
 
 def _kummer(params: dict) -> list[CongruenceReport]:
-    # compared mod p only, so a precision below 1 still gives a valid check
-    ctx = PadicContext(params["p"], max(params["precision"], 1))
-    k, t, k2, margin = params["k"], params["t"], params["k2"], params["margin"]
-    return [kummer_check(k, t, ctx, k2, margin=margin)]
+    ctx = PadicContext(params["p"], params["precision"])
+    return [kummer_check(params["k"], params["t"], ctx, params["k2"])]
 
 
 def _distribution(params: dict) -> list[CongruenceReport]:
@@ -219,25 +214,21 @@ CHECKS = {
 }
 
 
-def _grid_jobs(config: GridConfig, margin: int) -> list[tuple[str, dict]]:
+def _grid_jobs(config: GridConfig) -> list[tuple[str, dict]]:
     """(check name, params) specs for every grid point, in canonical order."""
     M = config.precision
     jobs = []
     for p in config.primes:
         for r in config.r_values:
             for n in config.n_values:
-                jobs.append(
-                    ("theorem6", {"p": p, "n": n, "r": r, "precision": M, "margin": margin})
-                )
+                jobs.append(("theorem6", {"p": p, "n": n, "r": r, "precision": M}))
     for p in config.primes:
         for n in config.n_values:
             for t in range(p - 1):
-                params = {"p": p, "n": n, "t": t, "precision": M, "margin": margin}
-                jobs.append(("interpolation", params))
+                jobs.append(("interpolation", {"p": p, "n": n, "t": t, "precision": M}))
     for p in config.primes:
         for k in config.r_values:
-            params = {"p": p, "k": k, "t": 0, "k2": None, "precision": M, "margin": margin}
-            jobs.append(("kummer", params))
+            jobs.append(("kummer", {"p": p, "k": k, "t": 0, "k2": None, "precision": M}))
     for n in config.n_values:
         for f in DISTRIBUTION_MODULI:
             for x in DISTRIBUTION_POINTS:
@@ -251,11 +242,11 @@ def _grid_jobs(config: GridConfig, margin: int) -> list[tuple[str, dict]]:
     return jobs
 
 
-def run_grid(config: GridConfig, *, margin: int = 0) -> list[CongruenceReport]:
+def run_grid(config: GridConfig) -> list[CongruenceReport]:
     """Every check suite over the configured grid, in canonical parameter
     order, so equal configs give identical report streams."""
     return [
         report
-        for name, params in _grid_jobs(config, margin)
+        for name, params in _grid_jobs(config)
         for report in CHECKS[name][1](params)
     ]

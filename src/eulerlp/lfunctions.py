@@ -30,7 +30,7 @@ from functools import lru_cache
 from operator import mul
 
 from .characters import DirichletCharacter, teichmuller_power
-from .euler import euler_number, euler_polynomial_value, partial_zeta_neg
+from .euler import euler_number, partial_zeta_neg
 from .padic import PadicContext, PadicNumber, angle, binomial, teichmuller
 from .reports import CongruenceReport, padic_report
 
@@ -61,22 +61,18 @@ def generalized_euler_number(
 ) -> PadicNumber:
     """E_{n,chi} = f^n sum_{a=0}^{f-1} chi(a) (-1)^a E_n(a/f), f = conductor.
 
-    The scaled values f^n E_n(a/f) clear every power of f from the
-    denominators, leaving powers of two, so the sum embeds in Z_p for any
-    odd p.  For conductor 1 this is just E_n.
+    For conductor 1 this is E_n.  For conductor p, chi(0) = 0 and each
+    remaining term is twice the partial zeta value at -n, whose
+    denominator is a power of two, so the sum embeds in Z_p for odd p.
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
     f = chi.conductor
-    total = ctx.zero()
-    for a in range(f):
-        chi_a = chi(a)
-        if chi_a.is_zero:
-            continue
-        scaled = Fraction(f) ** n * euler_polynomial_value(n, Fraction(a, f))
-        sign = -1 if a % 2 else 1
-        total = total + chi_a * ctx.from_rational(sign * scaled)
-    return total
+    if f == 1:
+        return ctx.from_rational(euler_number(n))
+    total = sum(
+        (chi(a) * ctx.from_rational(partial_zeta_neg(n, a, f)) for a in range(1, f)),
+        ctx.zero(),
+    )
+    return 2 * total
 
 
 def _check_class_args(a: int, modulus: int, ctx: PadicContext) -> None:

@@ -238,18 +238,13 @@ class PadicNumber:
 
 def teichmuller(a: int, ctx: PadicContext) -> PadicNumber:
     """Teichmuller lift of a unit a: the (p-1)-th root of unity with
-    omega(a) = a mod p, obtained by iterating x -> x^p until it is fixed
-    (at most N iterations are ever needed)."""
+    omega(a) = a mod p, in closed form omega(a) = a^(p^(N-1)) mod p^N.
+
+    a = omega(a) <a> with <a> = 1 mod p, omega(a)^p = omega(a), and each
+    p-th power of a principal unit fixes one more digit of 1."""
     if a % ctx.p == 0:
         raise ValueError(f"{a} is divisible by {ctx.p}; the lift needs a unit")
-    m = ctx.modulus
-    x = a % m
-    for _ in range(ctx.precision + 1):
-        y = pow(x, ctx.p, m)
-        if y == x:
-            return PadicNumber(ctx, x, ctx.precision)
-        x = y
-    raise AssertionError("Teichmuller iteration did not stabilize")
+    return ctx.from_int(pow(a, ctx.p ** (ctx.precision - 1), ctx.modulus))
 
 
 def angle(a: int, ctx: PadicContext) -> PadicNumber:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 from .padic import PadicNumber
@@ -23,7 +23,8 @@ class CongruenceReport:
 
     For p-adic checks lhs/rhs are PadicNumber dicts and ``precision`` gives
     the number of compared digits; for exact rational identities lhs/rhs
-    are "num/den" strings and p/precision/lhs_valuation are None.
+    are "num/den" strings and p/precision/lhs_valuation are None.  The
+    field order is the key order of the JSON form and the CSV columns.
     """
 
     check: str
@@ -36,16 +37,7 @@ class CongruenceReport:
     lhs_valuation: int | None
 
     def as_dict(self) -> dict:
-        return {
-            "check": self.check,
-            "p": self.p,
-            "params": self.params,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "precision": self.precision,
-            "match": self.match,
-            "lhs_valuation": self.lhs_valuation,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def to_json(self) -> str:
         return json.dumps(self.as_dict(), separators=(",", ":"))
@@ -87,7 +79,7 @@ def rational_report(
     )
 
 
-CSV_COLUMNS = ("check", "p", "params", "lhs", "rhs", "precision", "match", "lhs_valuation")
+CSV_COLUMNS = tuple(f.name for f in fields(CongruenceReport))
 
 
 def _csv_cell(value) -> str:

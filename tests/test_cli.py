@@ -97,6 +97,22 @@ class TestVerifyCommand:
         assert record["match"] is True
         assert record["params"]["k2"] == 9
 
+    @pytest.mark.parametrize("precision", ["0", "-3"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--check", "theorem6", "--p", "3", "--n", "2", "--r", "1"],
+            ["--check", "interpolation", "--p", "5", "--n", "1"],
+            ["--check", "kummer", "--p", "7", "--k", "2"],
+        ],
+        ids=["theorem6", "interpolation", "kummer"],
+    )
+    def test_precision_below_one_is_usage_error(self, capsys, argv, precision):
+        code, out, err = run_cli(capsys, "verify", *argv, "--precision", precision)
+        assert code == 2
+        assert out == ""
+        assert "precision must be >= 1" in err
+
     def test_distribution(self, capsys):
         code, out, _ = run_cli(
             capsys,

@@ -55,14 +55,14 @@ class TestEulerNumbers:
 
 class TestEulerPolynomial:
     def test_degree_zero(self):
-        assert euler_polynomial(0).coefficients == (Fraction(1),)
+        assert euler_polynomial(0) == (Fraction(1),)
 
     def test_degree_one(self):
-        assert euler_polynomial(1).coefficients == (Fraction(-1, 2), Fraction(1))
+        assert euler_polynomial(1) == (Fraction(-1, 2), Fraction(1))
 
     def test_degree_two(self):
         # x^2 - x
-        assert euler_polynomial(2).coefficients == (
+        assert euler_polynomial(2) == (
             Fraction(0),
             Fraction(-1),
             Fraction(1),
@@ -71,8 +71,8 @@ class TestEulerPolynomial:
     def test_monic_with_forced_subleading_coefficient(self):
         for n in range(1, 21):
             poly = euler_polynomial(n)
-            assert poly.coefficients[n] == 1
-            assert poly.coefficients[n - 1] == Fraction(-n, 2)
+            assert poly[n] == 1
+            assert poly[n - 1] == Fraction(-n, 2)
 
     def test_eval_examples(self):
         assert euler_polynomial_value(1, Fraction(1, 3)) == Fraction(-1, 6)
@@ -99,6 +99,35 @@ class TestEulerPolynomial:
             for x in points:
                 lhs = euler_polynomial_value(n, 1 - x)
                 assert lhs == (-1) ** n * euler_polynomial_value(n, x)
+
+
+def _fraction(value) -> Fraction:
+    """A sympy Rational as a Fraction."""
+    return Fraction(int(value.p), int(value.q))
+
+
+class TestSympyOracle:
+    """sympy.euler(n, x) shares no code with this package."""
+
+    def test_euler_numbers(self):
+        sympy = pytest.importorskip("sympy")
+        for n in range(60):
+            assert euler_number(n) == _fraction(sympy.euler(n, 0))
+
+    def test_polynomial_values(self):
+        sympy = pytest.importorskip("sympy")
+        points = [Fraction(1, 3), Fraction(-2, 7), Fraction(5, 4), Fraction(11, 2)]
+        for n in range(25):
+            for x in points:
+                expected = sympy.euler(n, sympy.Rational(x.numerator, x.denominator))
+                assert euler_polynomial_value(n, x) == _fraction(expected)
+
+    def test_polynomial_coefficients(self):
+        sympy = pytest.importorskip("sympy")
+        x = sympy.Symbol("x")
+        for n in range(25):
+            coefficients = sympy.Poly(sympy.euler(n, x), x).all_coeffs()[::-1]
+            assert euler_polynomial(n) == tuple(_fraction(c) for c in coefficients)
 
 
 class TestAlternatingPowerSums:

@@ -155,15 +155,9 @@ class TestRunGrid:
 
     def test_jobs_are_picklable_specs(self):
         config = GridConfig(primes=(3,), r_values=(1, 2), n_values=(2,), precision=3)
-        jobs = _grid_jobs(config, 0)
+        jobs = _grid_jobs(config)
         assert pickle.loads(pickle.dumps(jobs)) == jobs
         assert {name for name, _ in jobs} == set(CHECKS)
-
-    def test_margin_leaves_reports_byte_identical(self):
-        config = GridConfig(primes=(3, 5), r_values=(1, 2), n_values=(2,), precision=4)
-        base = reports_to_jsonl(run_grid(config))
-        wide = reports_to_jsonl(run_grid(config, margin=4))
-        assert base == wide
 
     def test_reports_in_canonical_parameter_order(self):
         config = GridConfig(primes=(5, 3), r_values=(2, 1), n_values=(4, 2), precision=3)

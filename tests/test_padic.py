@@ -156,15 +156,15 @@ class TestTeichmuller:
             teichmuller(10, z5)
 
     def test_defining_properties(self):
-        for p in (3, 5, 7):
-            for N in (1, 3, 8):
-                ctx = PadicContext(p, N)
-                for a in range(1, 3 * p):
-                    if a % p == 0:
-                        continue
-                    w = teichmuller(a, ctx)
-                    assert (w ** (p - 1)).residue == 1
-                    assert w.residue % p == a % p
+        cases = [(p, N) for p in (3, 5, 7) for N in (1, 3, 8)]
+        for p, N in cases + [(31, 40), (101, 30), (31, 1), (101, 1)]:
+            ctx = PadicContext(p, N)
+            for a in range(1, 3 * p):
+                if a % p == 0:
+                    continue
+                w = teichmuller(a, ctx)
+                assert (w ** (p - 1)).residue == 1
+                assert w.residue % p == a % p
 
     def test_multiplicative(self):
         for p in (3, 5, 7):
