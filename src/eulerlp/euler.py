@@ -1,5 +1,9 @@
 """Euler numbers, Euler polynomials, alternating power sums, and partial
-zeta values at negative integers, all in exact rational arithmetic.
+zeta values at negative integers.
+
+The Euler numbers come from one integer table of zigzag numbers, grown on
+demand with the Seidel-Entringer-Arnold boustrophedon; every value this
+module returns is exact (a ``Fraction`` at the API).
 
 Conventions: E_n(x) is the coefficient sequence of 2 e^{xt} / (e^t + 1) and
 E_n = E_n(0), so E_0 = 1, E_1 = -1/2, E_3 = 1/4, and every E_n has a power
@@ -15,18 +19,51 @@ from math import comb
 Rational = Fraction | int
 
 
+# Zigzag numbers A_0, A_1, ... and the boustrophedon row that produced the
+# last of them.  Both start at row 0 and grow only when _zigzag asks, so
+# importing this module builds nothing.
+_zigzag_table = [1]
+_row = [1]
+
+
+def _zigzag(n: int) -> int:
+    """A_n, the number of alternating permutations of n letters.
+
+    Row k of the Seidel-Entringer-Arnold boustrophedon starts at 0 and adds
+    the entries of row k-1 read backwards; it ends in A_k.  Odd rows are
+    stored reversed, so each step puts a 0 at one end of the one row list
+    and accumulates toward the other end, in place.
+    """
+    table, row = _zigzag_table, _row
+    for k in range(len(table), n + 1):
+        if k % 2:
+            row.append(0)
+            for i in range(k - 1, -1, -1):
+                row[i] += row[i + 1]
+            table.append(row[0])
+        else:
+            row.insert(0, 0)
+            for i in range(1, k + 1):
+                row[i] += row[i - 1]
+            table.append(row[k])
+    return table[n]
+
+
 @lru_cache(maxsize=None)
 def euler_number(n: int) -> Fraction:
     """The n-th Euler number E_n = E_n(0).
 
-    Multiplying the generating function by e^t + 1 forces E_0 = 1 and
-    E_n = -(1/2) sum_{k=0}^{n-1} C(n, k) E_k for n >= 1.
+    E_0 = 1 and E_n = 0 for even n >= 2 (2 / (e^t + 1) - 1 is odd); for odd
+    n, E_n = (-1)^((n+1)/2) A_n / 2^n with A_n the zigzag number.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
     if n == 0:
         return Fraction(1)
-    return -sum(comb(n, k) * euler_number(k) for k in range(n)) / 2
+    if n % 2 == 0:
+        return Fraction(0)
+    sign = -1 if n % 4 == 1 else 1
+    return Fraction(sign * _zigzag(n), 1 << n)
 
 
 def euler_numbers(nmax: int) -> list[Fraction]:

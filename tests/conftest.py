@@ -13,6 +13,16 @@ def bernoulli_numbers(nmax):
     return values
 
 
+def euler_numbers_by_recurrence(nmax):
+    """E_0..E_nmax from E_0 = 1 and E_n = -(1/2) sum_{k=0}^{n-1} C(n, k) E_k,
+    which multiplying 2 / (e^t + 1) by e^t + 1 forces: the exact Fraction
+    recurrence, sharing no code with the library's zigzag table."""
+    values = [Fraction(1)]
+    for n in range(1, nmax + 1):
+        values.append(-sum(comb(n, k) * values[k] for k in range(n)) / 2)
+    return values
+
+
 def random_rationals(rng, count, bound=50):
     """Deterministic sample of rationals with |num| <= bound, den <= bound."""
     return [

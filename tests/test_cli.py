@@ -1,5 +1,7 @@
 import hashlib
 import json
+import os
+import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -10,13 +12,42 @@ from eulerlp import cli
 from eulerlp.cli import main
 from eulerlp.harness import CHECKS
 
-WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.json"
+ROOT = Path(__file__).resolve().parent.parent
+WORKLOADS = ROOT / "perfbench" / "workloads.json"
 
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _tangent_numbers(count):
+    """T[k] = tangent number T_{2k-1} for k = 1..count (T[0] unused), by
+    Brent and Harvey's integer recurrence (2011)."""
+    t = [0] * (count + 1)
+    if count:
+        t[1] = 1
+    for k in range(2, count + 1):
+        t[k] = (k - 1) * t[k - 1]
+    for k in range(2, count + 1):
+        for j in range(k, count + 1):
+            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
+    return t
+
+
+def _expected_euler_line(n, tangent):
+    """E_0 = 1, E_n = 0 at even n > 0, E_n = (-1)^k T_n / 2^n at odd n = 2k - 1."""
+    if n == 0:
+        value = Fraction(1)
+    elif n % 2 == 0:
+        value = Fraction(0)
+    else:
+        k = (n + 1) // 2
+        value = Fraction((-1) ** k * tangent[k], 2**n)
+    return json.dumps(
+        {"n": n, "value": f"{value.numerator}/{value.denominator}"}, separators=(",", ":")
+    )
 
 
 class TestEulerCommand:
@@ -42,6 +73,25 @@ class TestEulerCommand:
         assert code == 0
         assert json.loads(out)["value"] == "1" + "0" * 4399 + "1/2"
         assert sys.get_int_max_str_digits() == limit
+
+    def test_real_table_past_the_digit_limit(self, capsys):
+        # Numerators pass the default int-to-str limit of 4300 digits from
+        # n = 1843 on; every line must equal the tangent-number oracle.
+        nmax = 1900
+        code, out, _ = run_cli(capsys, "euler", "--nmax", str(nmax))
+        lines = out.splitlines()
+        assert code == 0
+        assert len(lines) == nmax + 1
+        tangent = _tangent_numbers((nmax + 1) // 2)
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            for n, line in enumerate(lines):
+                assert line == _expected_euler_line(n, tangent), n
+        finally:
+            sys.set_int_max_str_digits(limit)
+        numerator = json.loads(lines[nmax - 1])["value"].split("/")[0]
+        assert len(numerator.lstrip("-")) > 4300
 
 
 class TestLpCommand:
@@ -284,3 +334,20 @@ def test_grid_mixed_stdout_digest(capsys):
     code, out, _ = run_cli(capsys, *spec["default_argv"])
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == spec["stdout_sha256"]
+
+
+def test_import_builds_no_euler_table():
+    # A CLI call pays for the Euler table it uses; importing the CLI must not
+    # build any of it (the benchmark refuses a warm cache after the import).
+    probe = (
+        "import eulerlp.cli\n"
+        "from eulerlp import euler\n"
+        "print(euler.euler_number.cache_info().currsize, euler._zigzag_table, euler._row)"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "[1]", "[1]"]
+

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from conftest import bernoulli_numbers, random_rationals
+from conftest import bernoulli_numbers, euler_numbers_by_recurrence, random_rationals
 
 from eulerlp import (
     alternating_power_sum,
@@ -14,6 +14,8 @@ from eulerlp import (
     euler_polynomial_value,
     partial_zeta_neg,
 )
+from eulerlp import euler
+from eulerlp.harness import power_sum_report
 
 
 class TestEulerNumbers:
@@ -51,6 +53,23 @@ class TestEulerNumbers:
     def test_negative_index_rejected(self):
         with pytest.raises(ValueError):
             euler_number(-1)
+
+    def test_growth_order_does_not_change_values(self, monkeypatch):
+        # Each order starts from an unbuilt table: one jump to n = 601 and
+        # then the small n, or the table grown one index at a time.
+        orders = ([601, *range(601)], list(range(602)))
+        tables = []
+        try:
+            for order in orders:
+                euler_number.cache_clear()
+                monkeypatch.setattr(euler, "_zigzag_table", [1])
+                monkeypatch.setattr(euler, "_row", [1])
+                tables.append({n: euler_number(n) for n in order})
+        finally:
+            monkeypatch.undo()
+            euler_number.cache_clear()
+        assert tables[0] == tables[1]
+        assert [tables[0][n] for n in range(602)] == euler_numbers(601)
 
 
 class TestEulerPolynomial:
@@ -128,6 +147,45 @@ class TestSympyOracle:
         for n in range(25):
             coefficients = sympy.Poly(sympy.euler(n, x), x).all_coeffs()[::-1]
             assert euler_polynomial(n) == tuple(_fraction(c) for c in coefficients)
+
+
+class TestFractionOracle:
+    """The Fraction recurrence that the zigzag table replaced."""
+
+    def test_euler_numbers(self):
+        assert euler_numbers(400) == euler_numbers_by_recurrence(400)
+
+
+class TestEulerLayerMutants:
+    """One E_j off by one at the Euler layer must turn a power-sum and a
+    distribution report to a mismatch; the Euler polynomial cache is cleared
+    on both sides of the mutation so that no cached polynomial can hide it
+    or carry it on."""
+
+    def _matches(self):
+        powersum = [power_sum_report(n, m).match for n in (2, 4, 6) for m in range(8)]
+        distribution = [
+            distribution_report(n, f, x).match
+            for n in range(1, 6)
+            for f in (3, 5)
+            for x in (Fraction(0), Fraction(2, 7))
+        ]
+        return powersum, distribution
+
+    @pytest.mark.parametrize("j", [1, 3])
+    def test_perturbed_euler_number_is_reported(self, monkeypatch, j):
+        original = euler.euler_number
+        euler_polynomial.cache_clear()
+        monkeypatch.setattr(euler, "euler_number", lambda n: original(n) + (n == j))
+        try:
+            powersum, distribution = self._matches()
+        finally:
+            monkeypatch.undo()
+            euler_polynomial.cache_clear()
+        assert not all(powersum), powersum
+        assert not all(distribution), distribution
+        powersum, distribution = self._matches()
+        assert all(powersum) and all(distribution)
 
 
 class TestAlternatingPowerSums:

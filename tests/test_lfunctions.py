@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from conftest import euler_numbers_by_recurrence
 
 from eulerlp import (
     PadicContext,
@@ -58,18 +59,16 @@ class TestGeneralizedEulerNumbers:
     def test_trivial_character_recovers_euler_numbers(self):
         ctx = PadicContext(3, 6)
         chi = teichmuller_power(0, ctx)
+        expected = euler_numbers_by_recurrence(8)
         for n in range(9):
-            assert generalized_euler_number(n, chi, ctx) == ctx.from_rational(
-                euler_number(n)
-            )
+            assert generalized_euler_number(n, chi, ctx) == ctx.from_rational(expected[n])
 
     def test_conductor_one_teichmuller_power_agrees(self):
         ctx = PadicContext(5, 4)
         chi = teichmuller_power(4, ctx)  # exponent reduces to 0
+        expected = euler_numbers_by_recurrence(5)
         for n in range(6):
-            assert generalized_euler_number(n, chi, ctx) == ctx.from_rational(
-                euler_number(n)
-            )
+            assert generalized_euler_number(n, chi, ctx) == ctx.from_rational(expected[n])
 
     def test_w1_at_three(self):
         ctx = PadicContext(3, 6)
