@@ -55,5 +55,5 @@ def _teichmuller_power(t: int, ctx: PadicContext) -> DirichletCharacter:
         return DirichletCharacter(ctx, 1, (ctx.one(),), 0)
     values = [ctx.zero()]
     for a in range(1, p):
-        values.append(teichmuller(a, ctx) ** t)
+        values.append(ctx.from_int(pow(teichmuller(a, ctx).residue, t, ctx.modulus)))
     return DirichletCharacter(ctx, p, tuple(values), t)

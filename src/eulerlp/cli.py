@@ -61,14 +61,17 @@ def _emit(reports, fmt: str) -> int:
 
 
 def cmd_euler(args) -> int:
-    # From n = 1843 on, numerators pass Python's int-to-str digit limit.
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
+    # From n = 1843 on, numerators pass Python's int-to-str digit limit;
+    # Pythons before 3.10.7 have no limit and no functions to set one.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
     try:
         for i, value in enumerate(euler_numbers(args.nmax)):
             print(json.dumps({"n": i, "value": format_rational(value)}, separators=(",", ":")))
     finally:
-        sys.set_int_max_str_digits(limit)
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
     return 0
 
 

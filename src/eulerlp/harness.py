@@ -57,16 +57,13 @@ def main_congruence_series(
     in Z_p, any K >= digits gives the same residue.
     """
     plan = TruncationPlan(digits, digits + margin)
-    pn = ctx.from_int(p * n)
-    pn_power = ctx.one()
-    total = ctx.zero()
-    for k in range(1, digits + margin + 1):
-        pn_power = pn_power * pn
-        chi = teichmuller_power(-(k + r), ctx)
-        total = total + ctx.from_int(binomial(-r, k)) * pn_power * padic_l(
-            r + k, chi, ctx, plan
-        )
-    return (-total).reduce(digits)
+    total = sum(
+        binomial(-r, k)
+        * (p * n) ** k
+        * padic_l(r + k, teichmuller_power(-(k + r), ctx), ctx, plan).residue
+        for k in range(1, digits + margin + 1)
+    )
+    return PadicNumber(ctx, -total, digits)
 
 
 def verify_main_congruence(

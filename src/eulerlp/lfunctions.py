@@ -69,10 +69,10 @@ def generalized_euler_number(
     if f == 1:
         return ctx.from_rational(euler_number(n))
     total = sum(
-        (chi(a) * ctx.from_rational(partial_zeta_neg(n, a, f)) for a in range(1, f)),
-        ctx.zero(),
+        chi(a).residue * ctx.from_rational(partial_zeta_neg(n, a, f)).residue
+        for a in range(1, f)
     )
-    return 2 * total
+    return ctx.from_int(2 * total)
 
 
 def _check_class_args(a: int, modulus: int, ctx: PadicContext) -> None:
@@ -153,9 +153,9 @@ def padic_partial_zeta_at_neg(
     if n < 1:
         raise ValueError("n must be >= 1")
     _check_class_args(a, modulus, ctx)
-    return teichmuller(a, ctx) ** (-n) * ctx.from_rational(
-        partial_zeta_neg(n, a, modulus)
-    )
+    lift = pow(teichmuller(a, ctx).residue, -n, ctx.modulus)
+    value = ctx.from_rational(partial_zeta_neg(n, a, modulus))
+    return ctx.from_int(lift * value.residue)
 
 
 def padic_l(
@@ -210,8 +210,8 @@ def interpolation_check(
     plan = TruncationPlan(digits, digits + margin)
     lhs = padic_l(-n, chi, ctx, plan)
     chi_n = chi.twist(-n)
-    factor = ctx.one() - ctx.from_int(ctx.p) ** n * chi_n(ctx.p)
-    rhs = factor * generalized_euler_number(n, chi_n, ctx)
+    factor = 1 - ctx.p**n * chi_n(ctx.p).residue
+    rhs = ctx.from_int(factor * generalized_euler_number(n, chi_n, ctx).residue)
     params = {"p": ctx.p, "n": n, "t": chi.teich_exponent, "M": digits}
     return padic_report("interpolation", params, lhs, rhs, digits)
 

@@ -5,6 +5,9 @@ most the precision N of its :class:`PadicContext`.  Arithmetic tracks how
 many base-p digits of a result are actually known, so precision can shrink
 but is never overclaimed, and division is restricted to units (dividing by
 p is a separate, explicit operation).
+
+Library code computes on plain int residues and wraps each value it returns
+once, at the precision it is known to; the operators are for callers.
 """
 
 from __future__ import annotations
@@ -223,18 +226,6 @@ class PadicNumber:
             self.context, self.residue // self.context.p ** k, self.precision - k
         )
 
-    def congruent_to(self, other, digits: int | None = None) -> bool:
-        """Residues agree mod p^digits (default: all shared known digits)."""
-        other = self._coerce(other)
-        if other is None:
-            raise TypeError("cannot compare with this type")
-        shared = min(self.precision, other.precision)
-        if digits is None:
-            digits = shared
-        if digits > shared:
-            raise ValueError("comparison would exceed the known digits")
-        return (self.residue - other.residue) % self.context.p ** digits == 0
-
 
 def teichmuller(a: int, ctx: PadicContext) -> PadicNumber:
     """Teichmuller lift of a unit a: the (p-1)-th root of unity with
@@ -249,7 +240,7 @@ def teichmuller(a: int, ctx: PadicContext) -> PadicNumber:
 
 def angle(a: int, ctx: PadicContext) -> PadicNumber:
     """Principal-unit projection <a> = a / omega(a); congruent to 1 mod p."""
-    return ctx.from_int(a) * teichmuller(a, ctx).inverse()
+    return ctx.from_int(a * pow(teichmuller(a, ctx).residue, -1, ctx.modulus))
 
 
 def binomial(z: int, j: int) -> int:

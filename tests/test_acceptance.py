@@ -27,6 +27,7 @@ from eulerlp import (
     teichmuller_power,
     verify_main_congruence,
 )
+from eulerlp import lfunctions
 
 PRIMES = (3, 5, 7)
 
@@ -194,3 +195,27 @@ def test_criterion_9_truncation_robustness():
             tight = reports_to_jsonl(build(margin=0))
             wide = reports_to_jsonl(build(margin=4))
             assert tight == wide, build.__name__
+
+
+def test_criterion_9_negative_control():
+    # The cutoffs criterion 9 compares differ only by terms that vanish mod
+    # p^M by construction; a table one term short (J = M - 1, which
+    # TruncationPlan refuses) must change residues, or the criterion could
+    # not fail.
+    M = 6
+    for p in PRIMES:
+        m = p**M
+        tables = {J: lfunctions._series_table(p, p, M, J) for J in (M - 1, M, M + 4)}
+        changed = set()
+        for s in range(-8, 9):
+            for a in range(1, p):
+                residues = {
+                    J: lfunctions._partial_zeta_residue(
+                        s, table[a], lfunctions._binomial_row(s, J), m
+                    )
+                    for J, table in tables.items()
+                }
+                assert residues[M] == residues[M + 4], (p, s, a)
+                if residues[M - 1] != residues[M]:
+                    changed.add((s, a))
+        assert changed, p

@@ -74,6 +74,14 @@ class TestEulerCommand:
         assert json.loads(out)["value"] == "1" + "0" * 4399 + "1/2"
         assert sys.get_int_max_str_digits() == limit
 
+    def test_runs_on_pythons_without_a_digit_limit(self, capsys, monkeypatch):
+        # Python before 3.10.7 has neither function
+        monkeypatch.delattr(sys, "get_int_max_str_digits")
+        monkeypatch.delattr(sys, "set_int_max_str_digits")
+        code, out, _ = run_cli(capsys, "euler", "--nmax", "7")
+        assert code == 0
+        assert json.loads(out.splitlines()[7]) == {"n": 7, "value": "17/8"}
+
     def test_real_table_past_the_digit_limit(self, capsys):
         # Numerators pass the default int-to-str limit of 4300 digits from
         # n = 1843 on; every line must equal the tangent-number oracle.

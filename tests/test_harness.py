@@ -14,6 +14,7 @@ from eulerlp import (
     run_grid,
     verify_main_congruence,
 )
+from eulerlp import harness
 from eulerlp.harness import CHECKS, _grid_jobs
 
 GRID_PRIMES = (3, 5, 7)
@@ -164,6 +165,51 @@ class TestRunGrid:
         theorem = [r for r in run_grid(config) if r.check == "theorem6"]
         keys = [(r.params["p"], r.params["r"], r.params["n"]) for r in theorem]
         assert keys == sorted(keys)
+
+
+class TestSuiteMutants:
+    """A fault on one side of the binomial identities or of the main
+    congruence must turn at least one grid-mixed report to a mismatch, and
+    every report must match again once the fault is undone."""
+
+    CONFIG = GridConfig(
+        primes=(3, 5, 7, 11, 13), r_values=(1, 2, 3, 4), n_values=(2, 4, 6), precision=10
+    )
+
+    def _matches(self, check):
+        return [
+            report.match
+            for name, params in _grid_jobs(self.CONFIG)
+            if name == check
+            for report in CHECKS[name][1](params)
+        ]
+
+    def _assert_caught(self, monkeypatch, check, name, mutant):
+        monkeypatch.setattr(harness, name, mutant)
+        try:
+            mutated = self._matches(check)
+        finally:
+            monkeypatch.undo()
+        assert not all(mutated), mutated
+        assert all(self._matches(check))
+
+    def test_binomial_perturbed_on_one_side(self, monkeypatch):
+        # C(z, j) with z >= 0 occurs only on the right of the product
+        # identity, C(-r, k+j) C(k+j, j); every r in the grid is >= 1
+        original = harness.binomial
+        self._assert_caught(
+            monkeypatch, "binomial", "binomial", lambda z, j: original(z, j) + (z >= 0)
+        )
+
+    def test_theorem6_harmonic_sum_missing_its_last_term(self, monkeypatch):
+        # the last unit j = np - 1; its term is a p-adic unit
+        original = harness.alt_harmonic_sum
+
+        def mutant(p, n, r):
+            j = n * p - 1
+            return original(p, n, r) - Fraction((-1) ** j, j**r)
+
+        self._assert_caught(monkeypatch, "theorem6", "alt_harmonic_sum", mutant)
 
 
 class TestSerializationFormats:

@@ -192,6 +192,28 @@ class TestPartialZetaClosedForm:
                 closed = padic_partial_zeta_at_neg(n, a, 15, ctx)
                 assert series == closed.reduce(6)
 
+    def test_wrong_sign_of_minus_one_to_the_a_is_reported(self, monkeypatch):
+        # the closed form with (-1)^a dropped, i.e. the wrong sign for odd a
+        original = lfunctions.partial_zeta_neg
+
+        def matches():
+            return [
+                series_closed_check(n, a, ctx, 10).match
+                for ctx in (PadicContext(p, 10) for p in (3, 5, 7, 11, 13))
+                for n in range(1, 9)
+                for a in range(1, ctx.p)
+            ]
+
+        monkeypatch.setattr(
+            lfunctions, "partial_zeta_neg", lambda n, a, F: (-1) ** a * original(n, a, F)
+        )
+        try:
+            mutated = matches()
+        finally:
+            monkeypatch.undo()
+        assert not all(mutated), mutated
+        assert all(matches())
+
 
 class TestPadicL:
     def test_value_at_minus_one(self):

@@ -260,14 +260,6 @@ class TestPrecisionOps:
         with pytest.raises(ValueError):
             ctx.from_int(8).div_p(-1)
 
-    def test_congruences(self, z3):
-        x = z3.from_int(4)
-        y = z3.from_int(7)
-        assert x.congruent_to(y, 1)
-        assert not x.congruent_to(y, 2)
-        with pytest.raises(ValueError):
-            x.congruent_to(y.reduce(1), 2)
-
 
 class TestSerialization:
     def test_digit_order_is_little_endian(self, z3):

@@ -1,0 +1,133 @@
+"""The library computes on plain int residues and wraps each result once in
+a ``PadicNumber``.  The references below are the ``PadicNumber`` expressions
+that the residue code replaced; every rewritten function must return the same
+residue at the same precision (``PadicNumber`` equality compares context,
+residue and precision)."""
+
+import pytest
+
+from eulerlp import (
+    PadicContext,
+    TruncationPlan,
+    angle,
+    binomial,
+    euler_number,
+    generalized_euler_number,
+    interpolation_check,
+    main_congruence_series,
+    padic_l,
+    padic_partial_zeta_at_neg,
+    teichmuller,
+    teichmuller_power,
+)
+from eulerlp.euler import partial_zeta_neg
+from eulerlp.reports import padic_report
+
+PRIMES = (3, 5, 7, 11, 13)
+PRECISIONS = (1, 4, 10)
+CONTEXTS = [PadicContext(p, N) for p in PRIMES for N in PRECISIONS]
+
+
+def _label(ctx):
+    return f"p{ctx.p}-N{ctx.precision}"
+
+
+def reference_angle(a, ctx):
+    return ctx.from_int(a) * teichmuller(a, ctx).inverse()
+
+
+def reference_character_values(t, ctx):
+    if t % (ctx.p - 1) == 0:
+        return (ctx.one(),)
+    return (ctx.zero(),) + tuple(teichmuller(a, ctx) ** t for a in range(1, ctx.p))
+
+
+def reference_generalized_euler_number(n, chi, ctx):
+    f = chi.conductor
+    if f == 1:
+        return ctx.from_rational(euler_number(n))
+    total = sum(
+        (chi(a) * ctx.from_rational(partial_zeta_neg(n, a, f)) for a in range(1, f)),
+        ctx.zero(),
+    )
+    return 2 * total
+
+
+def reference_partial_zeta_at_neg(n, a, modulus, ctx):
+    return teichmuller(a, ctx) ** (-n) * ctx.from_rational(
+        partial_zeta_neg(n, a, modulus)
+    )
+
+
+def reference_interpolation_rhs(n, chi, ctx):
+    chi_n = chi.twist(-n)
+    factor = ctx.one() - ctx.from_int(ctx.p) ** n * chi_n(ctx.p)
+    return factor * reference_generalized_euler_number(n, chi_n, ctx)
+
+
+def reference_main_congruence_series(p, n, r, ctx, digits, margin=0):
+    plan = TruncationPlan(digits, digits + margin)
+    pn = ctx.from_int(p * n)
+    pn_power = ctx.one()
+    total = ctx.zero()
+    for k in range(1, digits + margin + 1):
+        pn_power = pn_power * pn
+        chi = teichmuller_power(-(k + r), ctx)
+        total = total + ctx.from_int(binomial(-r, k)) * pn_power * padic_l(
+            r + k, chi, ctx, plan
+        )
+    return (-total).reduce(digits)
+
+
+@pytest.mark.parametrize("ctx", CONTEXTS, ids=_label)
+class TestResiduesMatchPadicReferences:
+    def test_angle(self, ctx):
+        for a in range(-2 * ctx.p, 3 * ctx.p):
+            if a % ctx.p:
+                assert angle(a, ctx) == reference_angle(a, ctx), a
+
+    def test_character_values(self, ctx):
+        for t in range(-1, 2 * (ctx.p - 1)):
+            values = teichmuller_power(t, ctx).values
+            assert values == reference_character_values(t, ctx), t
+
+    def test_generalized_euler_number(self, ctx):
+        for t in range(ctx.p - 1):
+            chi = teichmuller_power(t, ctx)
+            for n in range(9):
+                expected = reference_generalized_euler_number(n, chi, ctx)
+                assert generalized_euler_number(n, chi, ctx) == expected, (t, n)
+
+    def test_partial_zeta_at_neg(self, ctx):
+        for modulus in (ctx.p, 3 * ctx.p):
+            for a in range(1, modulus):
+                if a % ctx.p == 0:
+                    continue
+                for n in range(1, 9):
+                    expected = reference_partial_zeta_at_neg(n, a, modulus, ctx)
+                    value = padic_partial_zeta_at_neg(n, a, modulus, ctx)
+                    assert value == expected, (modulus, a, n)
+
+    def test_interpolation_rhs(self, ctx):
+        for digits in sorted({1, ctx.precision}):
+            for t in range(ctx.p - 1):
+                chi = teichmuller_power(t, ctx)
+                for n in range(1, 9):
+                    report = interpolation_check(n, chi, ctx, digits)
+                    lhs = padic_l(-n, chi, ctx, TruncationPlan(digits))
+                    rhs = reference_interpolation_rhs(n, chi, ctx)
+                    expected = padic_report(
+                        "interpolation", report.params, lhs, rhs, digits
+                    )
+                    assert report == expected, (digits, t, n)
+
+    def test_main_congruence_series(self, ctx):
+        for digits in sorted({1, ctx.precision}):
+            for margin in (0, 2):
+                for n in range(9):
+                    for r in (1, 2, 3):
+                        args = (ctx.p, n, r, ctx, digits)
+                        value = main_congruence_series(*args, margin=margin)
+                        expected = reference_main_congruence_series(*args, margin)
+                        assert value == expected, (digits, margin, n, r)
+
