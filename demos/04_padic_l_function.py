@@ -40,24 +40,24 @@ print()
 print("generalized Euler numbers for the quadratic twist w^2:")
 chi = teichmuller_power(2, ctx)
 for n in range(5):
-    value = generalized_euler_number(n, chi, ctx)
+    value = generalized_euler_number(n, chi)
     print(f"  E_{n},chi = {value}")
 
 print()
 print("interpolation: l_p(-n, w^t) = (1 - p^n chi_n(p)) E_(n, chi_n):")
 for n in (1, 2, 3, 4):
     for t in range(p - 1):
-        report = interpolation_check(n, teichmuller_power(t, ctx), ctx, digits)
+        report = interpolation_check(n, teichmuller_power(t, ctx), digits)
         assert report.match, report.params
 print("  verified for n <= 4 and every twist exponent t")
-value = padic_l(-1, teichmuller_power(1, ctx), ctx, plan)
+value = padic_l(-1, teichmuller_power(1, ctx), plan)
 expected = ctx.from_rational((1 - Fraction(p)) * euler_number(1))
 print(f"  sample: l_p(-1, w^1) = {value}  equals (1-p)E_1 = {expected.residue}")
 
 print()
 print("exponent-0 twists: the function is 0 mod p at every integer argument")
 chi0 = teichmuller_power(0, ctx)
-row = [padic_l(s, chi0, ctx, TruncationPlan(1)).residue for s in range(1, 9)]
+row = [padic_l(s, chi0, TruncationPlan(1)).residue for s in range(1, 9)]
 print(f"  l_p(s, w^0) mod {p} for s = 1..8: {row}")
 for k in (1, 2, 3):
     report = kummer_check(k, 0, ctx)

@@ -76,9 +76,8 @@ def cmd_euler(args) -> int:
 
 
 def cmd_lp(args) -> int:
-    ctx = PadicContext(args.p, args.precision)
-    chi = teichmuller_power(args.t, ctx)
-    value = padic_l(args.s, chi, ctx, TruncationPlan(args.precision))
+    chi = teichmuller_power(args.t, PadicContext(args.p, args.precision))
+    value = padic_l(args.s, chi, TruncationPlan(args.precision))
     out = {
         "s": args.s,
         "character": chi.descriptor(),

@@ -49,9 +49,10 @@ def alt_harmonic_sum(p: int, n: int, r: int) -> Fraction:
 
 
 def main_congruence_series(
-    p: int, n: int, r: int, ctx: PadicContext, digits: int, *, margin: int = 0
+    n: int, r: int, ctx: PadicContext, digits: int, *, margin: int = 0
 ) -> PadicNumber:
-    """-sum_{k=1}^{K} C(-r, k) (pn)^k l_p(r+k, w^{-k-r}) mod p^digits.
+    """-sum_{k=1}^{K} C(-r, k) (pn)^k l_p(r+k, w^{-k-r}) mod p^digits, with
+    p the prime of ctx.
 
     K = digits + margin; since (pn)^k has valuation >= k and l_p values lie
     in Z_p, any K >= digits gives the same residue.
@@ -59,8 +60,8 @@ def main_congruence_series(
     plan = TruncationPlan(digits, digits + margin)
     total = sum(
         binomial(-r, k)
-        * (p * n) ** k
-        * padic_l(r + k, teichmuller_power(-(k + r), ctx), ctx, plan).residue
+        * (ctx.p * n) ** k
+        * padic_l(r + k, teichmuller_power(-(k + r), ctx), plan).residue
         for k in range(1, digits + margin + 1)
     )
     return PadicNumber(ctx, -total, digits)
@@ -75,7 +76,7 @@ def verify_main_congruence(
         raise ValueError("n must be even and >= 2")
     ctx = PadicContext(p, digits)
     lhs = ctx.from_rational(2 * alt_harmonic_sum(p, n, r))
-    rhs = main_congruence_series(p, n, r, ctx, digits, margin=margin)
+    rhs = main_congruence_series(n, r, ctx, digits, margin=margin)
     params = {"p": p, "n": n, "r": r, "M": digits}
     return padic_report("theorem6", params, lhs, rhs, digits)
 
@@ -173,7 +174,7 @@ def _theorem6(params: dict) -> list[CongruenceReport]:
 def _interpolation(params: dict) -> list[CongruenceReport]:
     ctx = PadicContext(params["p"], params["precision"])
     chi = teichmuller_power(params["t"], ctx)
-    return [interpolation_check(params["n"], chi, ctx, params["precision"])]
+    return [interpolation_check(params["n"], chi, params["precision"])]
 
 
 def _kummer(params: dict) -> list[CongruenceReport]:

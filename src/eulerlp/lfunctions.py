@@ -56,16 +56,15 @@ class TruncationPlan:
             raise ValueError("series_cutoff must be >= target_precision")
 
 
-def generalized_euler_number(
-    n: int, chi: DirichletCharacter, ctx: PadicContext
-) -> PadicNumber:
-    """E_{n,chi} = f^n sum_{a=0}^{f-1} chi(a) (-1)^a E_n(a/f), f = conductor.
+def generalized_euler_number(n: int, chi: DirichletCharacter) -> PadicNumber:
+    """E_{n,chi} = f^n sum_{a=0}^{f-1} chi(a) (-1)^a E_n(a/f), f = conductor,
+    in chi's context.
 
     For conductor 1 this is E_n.  For conductor p, chi(0) = 0 and each
     remaining term is twice the partial zeta value at -n, whose
     denominator is a power of two, so the sum embeds in Z_p for odd p.
     """
-    f = chi.conductor
+    ctx, f = chi.context, chi.conductor
     if f == 1:
         return ctx.from_rational(euler_number(n))
     total = sum(
@@ -158,15 +157,13 @@ def padic_partial_zeta_at_neg(
     return ctx.from_int(lift * value.residue)
 
 
-def padic_l(
-    s: int, chi: DirichletCharacter, ctx: PadicContext, plan: TruncationPlan
-) -> PadicNumber:
-    """l_p(s, chi) = 2 sum over units a mod p of chi(a) H_p(s, a | p).
+def padic_l(s: int, chi: DirichletCharacter, plan: TruncationPlan) -> PadicNumber:
+    """l_p(s, chi) = 2 sum over units a mod p of chi(a) H_p(s, a | p), in
+    chi's context.
 
     The summation modulus is p, the modulus of every Teichmuller power.
     """
-    if chi.context != ctx:
-        raise ValueError("operands come from different p-adic contexts")
+    ctx = chi.context
     _check_plan(ctx, plan)
     p, digits, cutoff = ctx.p, plan.target_precision, plan.series_cutoff
     m = p**digits
@@ -196,7 +193,7 @@ def series_closed_check(
 
 
 def interpolation_check(
-    n: int, chi: DirichletCharacter, ctx: PadicContext, digits: int, *, margin: int = 0
+    n: int, chi: DirichletCharacter, digits: int, *, margin: int = 0
 ) -> CongruenceReport:
     """Compare l_p(-n, chi) against (1 - p^n chi_n(p)) E_{n, chi_n}, where
     chi_n is chi twisted by omega^{-n}.
@@ -207,11 +204,11 @@ def interpolation_check(
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    plan = TruncationPlan(digits, digits + margin)
-    lhs = padic_l(-n, chi, ctx, plan)
+    ctx = chi.context
+    lhs = padic_l(-n, chi, TruncationPlan(digits, digits + margin))
     chi_n = chi.twist(-n)
     factor = 1 - ctx.p**n * chi_n(ctx.p).residue
-    rhs = ctx.from_int(factor * generalized_euler_number(n, chi_n, ctx).residue)
+    rhs = ctx.from_int(factor * generalized_euler_number(n, chi_n).residue)
     params = {"p": ctx.p, "n": n, "t": chi.teich_exponent, "M": digits}
     return padic_report("interpolation", params, lhs, rhs, digits)
 
@@ -231,7 +228,7 @@ def kummer_check(
         k2 = k + p
     chi = teichmuller_power(t, ctx)
     plan = TruncationPlan(1, 1 + margin)
-    lhs = padic_l(k, chi, ctx, plan)
-    rhs = padic_l(k2, chi, ctx, plan)
+    lhs = padic_l(k, chi, plan)
+    rhs = padic_l(k2, chi, plan)
     params = {"p": p, "k": k, "k2": k2, "t": t, "M": 1}
     return padic_report("kummer", params, lhs, rhs, 1)

@@ -103,7 +103,7 @@ def _interpolation_reports(margin=0):
         ctx = PadicContext(p, 6)
         for n in range(1, 9):
             chi = teichmuller_power(n % (p - 1), ctx)
-            reports.append(interpolation_check(n, chi, ctx, 6, margin=margin))
+            reports.append(interpolation_check(n, chi, 6, margin=margin))
     return reports
 
 
@@ -142,11 +142,11 @@ def test_criterion_5_interpolation():
             plan = TruncationPlan(6)
             for n in range(1, 9):
                 chi = teichmuller_power(n % (p - 1), ctx)
-                lhs = padic_l(-n, chi, ctx, plan)
+                lhs = padic_l(-n, chi, plan)
                 rhs = ctx.from_rational((1 - Fraction(p) ** n) * euler_number(n))
                 assert lhs == rhs.reduce(6), (p, n)
         ctx3 = PadicContext(3, 6)
-        spot = padic_l(-1, teichmuller_power(1, ctx3), ctx3, TruncationPlan(6))
+        spot = padic_l(-1, teichmuller_power(1, ctx3), TruncationPlan(6))
         assert spot == ctx3.one()
 
 
@@ -158,7 +158,7 @@ def test_criterion_6_kummer_suite():
             ctx = PadicContext(p, 6)
             chi = teichmuller_power(0, ctx)
             for s in range(1, 9):
-                assert padic_l(s, chi, ctx, TruncationPlan(1)).is_zero, (p, s)
+                assert padic_l(s, chi, TruncationPlan(1)).is_zero, (p, s)
 
 
 def test_criterion_7_main_congruence_grid():

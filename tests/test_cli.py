@@ -359,3 +359,30 @@ def test_import_builds_no_euler_table():
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["0", "[1]", "[1]"]
 
+
+
+def _run_module(*argv):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run(
+        [sys.executable, "-m", "eulerlp", *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+
+
+def test_module_entry_point_matches_main(capsys):
+    argv = [
+        "verify", "--check", "theorem6",
+        "--p", "3", "--n", "2", "--r", "1", "--precision", "3",
+    ]
+    proc = _run_module(*argv)
+    assert proc.returncode == 0, proc.stderr
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert proc.stdout == out
+
+
+def test_module_entry_point_usage_error():
+    proc = _run_module("verify", "--check", "kummer", "--p", "7", "--k", "2", "--t", "1")
+    assert proc.returncode == 2
+    assert "error: the congruence needs t = 0 mod p-1" in proc.stderr
+    assert "Traceback" not in proc.stderr
