@@ -47,7 +47,7 @@ print()
 print("interpolation: l_p(-n, w^t) = (1 - p^n chi_n(p)) E_(n, chi_n):")
 for n in (1, 2, 3, 4):
     for t in range(p - 1):
-        report = interpolation_check(n, teichmuller_power(t, ctx), digits)
+        report = interpolation_check(n, teichmuller_power(t, ctx))
         assert report.match, report.params
 print("  verified for n <= 4 and every twist exponent t")
 value = padic_l(-1, teichmuller_power(1, ctx), plan)

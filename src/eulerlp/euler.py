@@ -105,16 +105,13 @@ def alternating_power_sum(n: int, m: int) -> Fraction:
 def alternating_power_sum_closed(n: int, m: int) -> Fraction:
     """Closed form of :func:`alternating_power_sum` for even n:
 
-        -sum_{l=0}^{m-1} C(m, l) E_l n^{m-l}
+        -sum_{l=0}^{m-1} C(m, l) E_l n^{m-l}  =  E_m - E_m(n)
     """
     if n < 2 or n % 2:
         raise ValueError("the closed form needs even n >= 2")
     if m < 0:
         raise ValueError("m must be >= 0")
-    return -sum(
-        (comb(m, l) * euler_number(l) * Fraction(n) ** (m - l) for l in range(m)),
-        Fraction(0),
-    )
+    return euler_number(m) - euler_polynomial_value(m, n)
 
 
 def partial_zeta_neg(n: int, a: int, modulus: int) -> Fraction:

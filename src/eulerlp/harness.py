@@ -49,14 +49,15 @@ def alt_harmonic_sum(p: int, n: int, r: int) -> Fraction:
 
 
 def main_congruence_series(
-    n: int, r: int, ctx: PadicContext, digits: int, *, margin: int = 0
+    n: int, r: int, ctx: PadicContext, *, margin: int = 0
 ) -> PadicNumber:
-    """-sum_{k=1}^{K} C(-r, k) (pn)^k l_p(r+k, w^{-k-r}) mod p^digits, with
-    p the prime of ctx.
+    """-sum_{k=1}^{K} C(-r, k) (pn)^k l_p(r+k, w^{-k-r}) mod p^N, with p
+    and N the prime and precision of ctx.
 
-    K = digits + margin; since (pn)^k has valuation >= k and l_p values lie
-    in Z_p, any K >= digits gives the same residue.
+    K = N + margin; since (pn)^k has valuation >= k and l_p values lie in
+    Z_p, any K >= N gives the same residue.
     """
+    digits = ctx.precision
     plan = TruncationPlan(digits, digits + margin)
     total = sum(
         binomial(-r, k)
@@ -76,7 +77,7 @@ def verify_main_congruence(
         raise ValueError("n must be even and >= 2")
     ctx = PadicContext(p, digits)
     lhs = ctx.from_rational(2 * alt_harmonic_sum(p, n, r))
-    rhs = main_congruence_series(n, r, ctx, digits, margin=margin)
+    rhs = main_congruence_series(n, r, ctx, margin=margin)
     params = {"p": p, "n": n, "r": r, "M": digits}
     return padic_report("theorem6", params, lhs, rhs, digits)
 
@@ -174,7 +175,7 @@ def _theorem6(params: dict) -> list[CongruenceReport]:
 def _interpolation(params: dict) -> list[CongruenceReport]:
     ctx = PadicContext(params["p"], params["precision"])
     chi = teichmuller_power(params["t"], ctx)
-    return [interpolation_check(params["n"], chi, params["precision"])]
+    return [interpolation_check(params["n"], chi)]
 
 
 def _kummer(params: dict) -> list[CongruenceReport]:

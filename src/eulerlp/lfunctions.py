@@ -177,14 +177,11 @@ def padic_l(s: int, chi: DirichletCharacter, plan: TruncationPlan) -> PadicNumbe
 
 
 def series_closed_check(
-    n: int,
-    a: int,
-    ctx: PadicContext,
-    digits: int,
-    *,
-    margin: int = 0,
+    n: int, a: int, ctx: PadicContext, *, margin: int = 0
 ) -> CongruenceReport:
-    """Series evaluation at s = -n against the closed form, mod p^digits."""
+    """Series evaluation at s = -n against the closed form, mod p^N with N
+    the precision of ctx."""
+    digits = ctx.precision
     plan = TruncationPlan(digits, digits + margin)
     lhs = padic_partial_zeta(-n, a, ctx.p, ctx, plan)
     rhs = padic_partial_zeta_at_neg(n, a, ctx.p, ctx)
@@ -193,10 +190,11 @@ def series_closed_check(
 
 
 def interpolation_check(
-    n: int, chi: DirichletCharacter, digits: int, *, margin: int = 0
+    n: int, chi: DirichletCharacter, *, margin: int = 0
 ) -> CongruenceReport:
-    """Compare l_p(-n, chi) against (1 - p^n chi_n(p)) E_{n, chi_n}, where
-    chi_n is chi twisted by omega^{-n}.
+    """Compare l_p(-n, chi) against (1 - p^n chi_n(p)) E_{n, chi_n} mod p^N,
+    where chi_n is chi twisted by omega^{-n} and N is the precision of chi's
+    context.
 
     A mismatch is a report outcome, not an exception.  chi_n(p) is 1 for
     conductor 1 and 0 otherwise, which is exactly what makes the factor
@@ -205,6 +203,7 @@ def interpolation_check(
     if n < 1:
         raise ValueError("n must be >= 1")
     ctx = chi.context
+    digits = ctx.precision
     lhs = padic_l(-n, chi, TruncationPlan(digits, digits + margin))
     chi_n = chi.twist(-n)
     factor = 1 - ctx.p**n * chi_n(ctx.p).residue

@@ -93,7 +93,7 @@ def _series_closed_reports(margin=0):
         ctx = PadicContext(p, 6)
         for n in range(1, 9):
             for a in range(1, p):
-                reports.append(series_closed_check(n, a, ctx, 6, margin=margin))
+                reports.append(series_closed_check(n, a, ctx, margin=margin))
     return reports
 
 
@@ -103,7 +103,7 @@ def _interpolation_reports(margin=0):
         ctx = PadicContext(p, 6)
         for n in range(1, 9):
             chi = teichmuller_power(n % (p - 1), ctx)
-            reports.append(interpolation_check(n, chi, 6, margin=margin))
+            reports.append(interpolation_check(n, chi, margin=margin))
     return reports
 
 

@@ -344,6 +344,28 @@ def test_grid_mixed_stdout_digest(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == spec["stdout_sha256"]
 
 
+def test_grid_mixed_csv_stdout_digest(capsys):
+    """The grid-mixed argv with --format csv prints its recorded stream."""
+    spec = json.loads(WORKLOADS.read_text())["grid-mixed"]
+    code, out, _ = run_cli(capsys, *spec["default_argv"], "--format", "csv")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "cef199519708b218590dc20c63e3ec66f8ec3a6a4ae2f59b5b455d640f012224"
+    )
+
+
+def test_lp_at_p7_stdout_digest(capsys):
+    """An l_p value at p = 7, a prime no other lp test uses, prints its
+    recorded line."""
+    code, out, _ = run_cli(
+        capsys, "lp", "--p", "7", "--s", "-3", "--t", "5", "--precision", "8"
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "95ac74eac527d163a9e711341d55af1804b3d3a70605b4f54c5e997d4b3d4f81"
+    )
+
+
 def test_import_builds_no_euler_table():
     # A CLI call pays for the Euler table it uses; importing the CLI must not
     # build any of it (the benchmark refuses a warm cache after the import).

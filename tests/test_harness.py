@@ -60,13 +60,13 @@ class TestMainCongruenceSeries:
     def test_anchor_residues_by_precision(self):
         for digits, expected in [(1, 0), (2, 0), (3, 18)]:
             ctx = PadicContext(3, digits)
-            value = main_congruence_series(2, 1, ctx, digits)
+            value = main_congruence_series(2, 1, ctx)
             assert value.residue == expected
 
     def test_margin_stability(self):
         ctx = PadicContext(3, 4)
-        base = main_congruence_series(2, 1, ctx, 4)
-        wide = main_congruence_series(2, 1, ctx, 4, margin=4)
+        base = main_congruence_series(2, 1, ctx)
+        wide = main_congruence_series(2, 1, ctx, margin=4)
         assert base == wide
 
 

@@ -173,14 +173,14 @@ class TestPartialZetaClosedForm:
             ctx = PadicContext(p, 6)
             for n in range(1, 9):
                 for a in range(1, p):
-                    report = series_closed_check(n, a, ctx, 6)
+                    report = series_closed_check(n, a, ctx)
                     assert report.match, (p, n, a)
 
     def test_agreement_at_lower_precisions(self):
-        ctx = PadicContext(5, 6)
         for digits in (1, 2, 3, 4, 5):
+            ctx = PadicContext(5, digits)
             for a in (1, 2, 3, 4):
-                assert series_closed_check(3, a, ctx, digits).match
+                assert series_closed_check(3, a, ctx).match
 
     def test_composite_odd_multiple_of_p(self):
         # F = 3p exercises the general modulus path of the series
@@ -198,7 +198,7 @@ class TestPartialZetaClosedForm:
 
         def matches():
             return [
-                series_closed_check(n, a, ctx, 10).match
+                series_closed_check(n, a, ctx).match
                 for ctx in (PadicContext(p, 10) for p in (3, 5, 7, 11, 13))
                 for n in range(1, 9)
                 for a in range(1, ctx.p)
@@ -265,16 +265,16 @@ class TestInterpolation:
 
     def test_report_examples(self):
         ctx3 = PadicContext(3, 6)
-        report = interpolation_check(1, teichmuller_power(1, ctx3), 6)
+        report = interpolation_check(1, teichmuller_power(1, ctx3))
         assert report.match
         assert report.lhs["digits"][0] == 1 and report.lhs["valuation"] == 0
 
-        report = interpolation_check(2, teichmuller_power(2, ctx3), 6)
+        report = interpolation_check(2, teichmuller_power(2, ctx3))
         assert report.match
         assert report.lhs["valuation"] == 6  # both sides vanish (E_2 = 0)
 
         ctx5 = PadicContext(5, 6)
-        report = interpolation_check(1, teichmuller_power(1, ctx5), 6)
+        report = interpolation_check(1, teichmuller_power(1, ctx5))
         assert report.match
         assert report.lhs["digits"] == [2, 0, 0, 0, 0, 0]  # (1 - 5) E_1 = 2
 
@@ -284,13 +284,13 @@ class TestInterpolation:
             for n in range(1, 7):
                 for t in range(p - 1):
                     chi = teichmuller_power(t, ctx)
-                    assert interpolation_check(n, chi, 5).match, (p, n, t)
+                    assert interpolation_check(n, chi).match, (p, n, t)
 
     def test_margin_does_not_change_reports(self):
         ctx = PadicContext(5, 5)
         chi = teichmuller_power(3, ctx)
-        base = interpolation_check(4, chi, 5)
-        wide = interpolation_check(4, chi, 5, margin=4)
+        base = interpolation_check(4, chi)
+        wide = interpolation_check(4, chi, margin=4)
         assert base == wide
 
 
@@ -367,7 +367,7 @@ class TestEulerNumberMutants:
     def _matches(self):
         ctx = PadicContext(self.P, self.DIGITS)
         interpolation = [
-            interpolation_check(n, teichmuller_power(t, ctx), self.DIGITS).match
+            interpolation_check(n, teichmuller_power(t, ctx)).match
             for n in (1, 2, 3)
             for t in range(self.P - 1)
         ]

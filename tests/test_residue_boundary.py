@@ -110,12 +110,13 @@ class TestResiduesMatchPadicReferences:
 
     def test_interpolation_rhs(self, ctx):
         for digits in sorted({1, ctx.precision}):
+            ctx_d = PadicContext(ctx.p, digits)
             for t in range(ctx.p - 1):
-                chi = teichmuller_power(t, ctx)
+                chi = teichmuller_power(t, ctx_d)
                 for n in range(1, 9):
-                    report = interpolation_check(n, chi, digits)
+                    report = interpolation_check(n, chi)
                     lhs = padic_l(-n, chi, TruncationPlan(digits))
-                    rhs = reference_interpolation_rhs(n, chi, ctx)
+                    rhs = reference_interpolation_rhs(n, chi, ctx_d)
                     expected = padic_report(
                         "interpolation", report.params, lhs, rhs, digits
                     )
@@ -123,12 +124,13 @@ class TestResiduesMatchPadicReferences:
 
     def test_main_congruence_series(self, ctx):
         for digits in sorted({1, ctx.precision}):
+            ctx_d = PadicContext(ctx.p, digits)
             for margin in (0, 2):
                 for n in range(9):
                     for r in (1, 2, 3):
-                        value = main_congruence_series(n, r, ctx, digits, margin=margin)
+                        value = main_congruence_series(n, r, ctx_d, margin=margin)
                         expected = reference_main_congruence_series(
-                            ctx.p, n, r, ctx, digits, margin
+                            ctx.p, n, r, ctx_d, digits, margin
                         )
                         assert value == expected, (digits, margin, n, r)
 
