@@ -68,7 +68,7 @@ def generalized_euler_number(n: int, chi: DirichletCharacter) -> PadicNumber:
     if f == 1:
         return ctx.from_rational(euler_number(n))
     total = sum(
-        chi(a).residue * ctx.from_rational(partial_zeta_neg(n, a, f)).residue
+        chi(a) * ctx.from_rational(partial_zeta_neg(n, a, f)).residue
         for a in range(1, f)
     )
     return ctx.from_int(2 * total)
@@ -170,7 +170,7 @@ def padic_l(s: int, chi: DirichletCharacter, plan: TruncationPlan) -> PadicNumbe
     table = _series_table(p, p, digits, cutoff)
     binomials = _binomial_row(s, cutoff)
     total = sum(
-        chi(a).residue * _partial_zeta_residue(s, table[a], binomials, m)
+        chi(a) * _partial_zeta_residue(s, table[a], binomials, m)
         for a in range(1, p)
     )
     return PadicNumber(ctx, 2 * total, digits)
@@ -206,9 +206,9 @@ def interpolation_check(
     digits = ctx.precision
     lhs = padic_l(-n, chi, TruncationPlan(digits, digits + margin))
     chi_n = chi.twist(-n)
-    factor = 1 - ctx.p**n * chi_n(ctx.p).residue
+    factor = 1 - ctx.p**n * chi_n(ctx.p)
     rhs = ctx.from_int(factor * generalized_euler_number(n, chi_n).residue)
-    params = {"p": ctx.p, "n": n, "t": chi.teich_exponent, "M": digits}
+    params = {"p": ctx.p, "n": n, "t": chi.t, "M": digits}
     return padic_report("interpolation", params, lhs, rhs, digits)
 
 

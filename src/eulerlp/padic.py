@@ -59,12 +59,6 @@ class PadicContext:
         residue = q.numerator * pow(q.denominator, -1, self.modulus)
         return PadicNumber(self, residue, self.precision)
 
-    def zero(self) -> "PadicNumber":
-        return self.from_int(0)
-
-    def one(self) -> "PadicNumber":
-        return self.from_int(1)
-
 
 @dataclass(frozen=True)
 class PadicNumber:

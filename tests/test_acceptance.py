@@ -147,7 +147,7 @@ def test_criterion_5_interpolation():
                 assert lhs == rhs.reduce(6), (p, n)
         ctx3 = PadicContext(3, 6)
         spot = padic_l(-1, teichmuller_power(1, ctx3), TruncationPlan(6))
-        assert spot == ctx3.one()
+        assert spot == ctx3.from_int(1)
 
 
 def test_criterion_6_kummer_suite():

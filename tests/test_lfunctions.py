@@ -26,8 +26,8 @@ def reference_partial_zeta(s, a, modulus, ctx, plan):
     """H_p(s, a | modulus) term by term on PadicNumber arithmetic, at the
     context's full precision: the reference the residue kernel must match."""
     ratio = ctx.from_int(modulus) * ctx.from_int(a).inverse()
-    power = ctx.one()
-    series = ctx.zero()
+    power = ctx.from_int(1)
+    series = ctx.from_int(0)
     for j in range(plan.series_cutoff):
         c = binomial(-s, j)
         if c:
@@ -38,7 +38,7 @@ def reference_partial_zeta(s, a, modulus, ctx, plan):
 
 
 def reference_l(s, chi, ctx, plan):
-    total = ctx.zero()
+    total = ctx.from_int(0)
     for a in range(1, ctx.p):
         total = total + chi(a) * reference_partial_zeta(s, a, ctx.p, ctx, plan)
     return (2 * total).reduce(plan.target_precision)
@@ -166,7 +166,7 @@ class TestPartialZetaClosedForm:
         quarter = ctx.from_rational(Fraction(1, 4))
         assert padic_partial_zeta_at_neg(1, 1, 3, ctx) == quarter
         assert padic_partial_zeta_at_neg(1, 2, 3, ctx) == -quarter
-        assert padic_partial_zeta_at_neg(2, 1, 3, ctx) == ctx.one()
+        assert padic_partial_zeta_at_neg(2, 1, 3, ctx) == ctx.from_int(1)
 
     def test_series_agrees_with_closed_form(self):
         for p in (3, 5, 7):
@@ -219,7 +219,7 @@ class TestPadicL:
     def test_value_at_minus_one(self):
         ctx = PadicContext(3, 6)
         value = padic_l(-1, teichmuller_power(1, ctx), TruncationPlan(6))
-        assert value == ctx.one()  # equals (1 - 3) E_1 exactly
+        assert value == ctx.from_int(1)  # equals (1 - 3) E_1 exactly
 
     def test_positive_argument_example(self):
         ctx = PadicContext(3, 2)
