@@ -11,7 +11,6 @@ from fractions import Fraction
 
 from eulerlp import (
     PadicContext,
-    TruncationPlan,
     euler_number,
     generalized_euler_number,
     interpolation_check,
@@ -24,15 +23,14 @@ from eulerlp import (
 
 p, digits = 5, 6
 ctx = PadicContext(p, digits)
-plan = TruncationPlan(digits)
 
 print(f"p = {p}, all residues mod {p}^{digits} = {ctx.modulus}")
 print()
 print("series vs closed form for the partial zeta at negative arguments:")
 for n in (1, 2, 3):
     for a in (1, 2):
-        series = padic_partial_zeta(-n, a, p, ctx, plan)
-        closed = padic_partial_zeta_at_neg(n, a, p, ctx).reduce(digits)
+        series = padic_partial_zeta(-n, a, p, ctx)
+        closed = padic_partial_zeta_at_neg(n, a, p, ctx)
         print(f"  H_p(-{n}, {a}|{p}): series {series.residue:>6}, "
               f"closed {closed.residue:>6}, equal: {series == closed}")
 
@@ -50,14 +48,14 @@ for n in (1, 2, 3, 4):
         report = interpolation_check(n, teichmuller_power(t, ctx))
         assert report.match, report.params
 print("  verified for n <= 4 and every twist exponent t")
-value = padic_l(-1, teichmuller_power(1, ctx), plan)
+value = padic_l(-1, teichmuller_power(1, ctx))
 expected = ctx.from_rational((1 - Fraction(p)) * euler_number(1))
 print(f"  sample: l_p(-1, w^1) = {value}  equals (1-p)E_1 = {expected.residue}")
 
 print()
 print("exponent-0 twists: the function is 0 mod p at every integer argument")
-chi0 = teichmuller_power(0, ctx)
-row = [padic_l(s, chi0, TruncationPlan(1)).residue for s in range(1, 9)]
+chi0 = teichmuller_power(0, PadicContext(p, 1))  # one digit: mod p
+row = [padic_l(s, chi0).residue for s in range(1, 9)]
 print(f"  l_p(s, w^0) mod {p} for s = 1..8: {row}")
 for k in (1, 2, 3):
     report = kummer_check(k, 0, ctx)

@@ -21,7 +21,6 @@ from .harness import (
     verify_main_congruence,
 )
 from .lfunctions import (
-    TruncationPlan,
     generalized_euler_number,
     interpolation_check,
     kummer_check,
@@ -51,7 +50,6 @@ __all__ = [
     "GridConfig",
     "PadicContext",
     "PadicNumber",
-    "TruncationPlan",
     "alt_harmonic_sum",
     "alternating_power_sum",
     "alternating_power_sum_closed",

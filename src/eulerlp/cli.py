@@ -19,7 +19,7 @@ from fractions import Fraction
 from .characters import teichmuller_power
 from .euler import euler_numbers
 from .harness import CHECKS, GridConfig, run_grid
-from .lfunctions import TruncationPlan, padic_l
+from .lfunctions import padic_l
 from .padic import PadicContext
 from .reports import format_rational, reports_to_csv, reports_to_jsonl
 
@@ -77,7 +77,7 @@ def cmd_euler(args) -> int:
 
 def cmd_lp(args) -> int:
     chi = teichmuller_power(args.t, PadicContext(args.p, args.precision))
-    value = padic_l(args.s, chi, TruncationPlan(args.precision))
+    value = padic_l(args.s, chi)
     out = {
         "s": args.s,
         "character": chi.descriptor(),

@@ -24,7 +24,7 @@ from .euler import (
     alternating_power_sum_closed,
     euler_polynomial_value,
 )
-from .lfunctions import TruncationPlan, interpolation_check, kummer_check, padic_l
+from .lfunctions import _series_cutoff, interpolation_check, kummer_check, padic_l
 from .padic import PadicContext, PadicNumber, binomial, is_prime
 from .reports import CongruenceReport, format_rational, padic_report, rational_report
 
@@ -57,15 +57,13 @@ def main_congruence_series(
     K = N + margin; since (pn)^k has valuation >= k and l_p values lie in
     Z_p, any K >= N gives the same residue.
     """
-    digits = ctx.precision
-    plan = TruncationPlan(digits, digits + margin)
     total = sum(
         binomial(-r, k)
         * (ctx.p * n) ** k
-        * padic_l(r + k, teichmuller_power(-(k + r), ctx), plan).residue
-        for k in range(1, digits + margin + 1)
+        * padic_l(r + k, teichmuller_power(-(k + r), ctx), margin=margin).residue
+        for k in range(1, _series_cutoff(ctx, margin) + 1)
     )
-    return PadicNumber(ctx, -total, digits)
+    return ctx.from_int(-total)
 
 
 def verify_main_congruence(
@@ -79,7 +77,7 @@ def verify_main_congruence(
     lhs = ctx.from_rational(2 * alt_harmonic_sum(p, n, r))
     rhs = main_congruence_series(n, r, ctx, margin=margin)
     params = {"p": p, "n": n, "r": r, "M": digits}
-    return padic_report("theorem6", params, lhs, rhs, digits)
+    return padic_report("theorem6", params, lhs, rhs)
 
 
 # Fixed evaluation points for the p-independent identity suites.

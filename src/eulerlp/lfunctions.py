@@ -10,21 +10,23 @@ for an odd multiple F of p and a unit a, and the l-function is
     l_p(s, chi) = 2 sum_{a=1, (a,p)=1}^{F} chi(a) H_p(s, a | F).
 
 Because p divides F and every E_j is p-integral, the j-th series term has
-valuation at least j, so truncating at the target precision is exact at
-that precision.  Only integer s is supported: unit powers <a>^{-s} are then
-exact and no Mahler-series precision bookkeeping is needed.
+valuation at least j, so truncating after N terms is exact mod p^N.  Every
+value is computed mod p^N, with N the precision of its context, from
+N + margin series terms; a margin > 0 must never change a residue.  Only
+integer s is supported: unit powers <a>^{-s} are then exact and no
+Mahler-series precision bookkeeping is needed.
 
-Both series run on plain int residues mod p^M.  For each (p, F, M, J),
-with J the series cutoff, a table holding (-1)^a / 2, <a> and the row
-(F/a)^j E_j (j < J) for every unit a is built once; a value is then one
-dot product with the binomial row C(-s, j).  ``PadicNumber`` is only the
-type of the results.  The series is Washington's ("p-adic L-functions and
-sums of powers", J. Number Theory 69, 1998), adapted to Euler numbers.
+Both series run on plain int residues mod p^N.  For each
+(p, F, N, N + margin), a table holding (-1)^a / 2, <a> and the row
+(F/a)^j E_j (j < N + margin) for every unit a is built once; a value is
+then one dot product with the binomial row C(-s, j).  ``PadicNumber`` is
+only the type of the results.  The series is Washington's ("p-adic
+L-functions and sums of powers", J. Number Theory 69, 1998), adapted to
+Euler numbers.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from operator import mul
@@ -33,27 +35,6 @@ from .characters import DirichletCharacter, teichmuller_power
 from .euler import euler_number, partial_zeta_neg
 from .padic import PadicContext, PadicNumber, angle, binomial, teichmuller
 from .reports import CongruenceReport, padic_report
-
-
-@dataclass(frozen=True)
-class TruncationPlan:
-    """Target precision M and series cutoff J for the defining series.
-
-    J >= M suffices for results exact mod p^M, since term j carries
-    valuation >= j.  The default is the tight cutoff J = M; a larger J must
-    never change any reported residue.
-    """
-
-    target_precision: int
-    series_cutoff: int | None = None
-
-    def __post_init__(self):
-        if self.target_precision < 1:
-            raise ValueError("target_precision must be >= 1")
-        if self.series_cutoff is None:
-            object.__setattr__(self, "series_cutoff", self.target_precision)
-        if self.series_cutoff < self.target_precision:
-            raise ValueError("series_cutoff must be >= target_precision")
 
 
 def generalized_euler_number(n: int, chi: DirichletCharacter) -> PadicNumber:
@@ -83,9 +64,11 @@ def _check_class_args(a: int, modulus: int, ctx: PadicContext) -> None:
         raise ValueError("a must be a unit mod p")
 
 
-def _check_plan(ctx: PadicContext, plan: TruncationPlan) -> None:
-    if plan.target_precision > ctx.precision:
-        raise ValueError("plan wants more digits than the context carries")
+def _series_cutoff(ctx: PadicContext, margin: int) -> int:
+    """N + margin, the number of series terms summed for a value mod p^N."""
+    if margin < 0:
+        raise ValueError(f"margin must be >= 0, got {margin}")
+    return ctx.precision + margin
 
 
 @lru_cache(maxsize=None)
@@ -95,9 +78,8 @@ def _series_table(
     """Indexed by a < modulus, for every unit a: the residues mod p^digits
     of (-1)^a / 2, of <a>, and of (modulus/a)^j E_j for j < cutoff.
 
-    Keyed by the target digits, not by any context's precision: reducing
-    mod p^digits commutes with every ring operation of the series, and the
-    Teichmuller lift mod p^digits is the reduction of any longer lift.
+    The library passes digits = N and cutoff = N + margin; a cutoff below
+    digits gives a wrong value, and only the tests build such a table.
     """
     ctx = PadicContext(p, digits)
     m = ctx.modulus
@@ -132,16 +114,15 @@ def _partial_zeta_residue(
 
 
 def padic_partial_zeta(
-    s: int, a: int, modulus: int, ctx: PadicContext, plan: TruncationPlan
+    s: int, a: int, modulus: int, ctx: PadicContext, *, margin: int = 0
 ) -> PadicNumber:
-    """Series evaluation of the p-adic partial zeta H_p(s, a | modulus),
-    correct mod p^target_precision."""
+    """Series evaluation of the p-adic partial zeta H_p(s, a | modulus) mod
+    p^N, with N the precision of ctx, from N + margin terms."""
     _check_class_args(a, modulus, ctx)
-    _check_plan(ctx, plan)
-    digits, cutoff = plan.target_precision, plan.series_cutoff
-    entry = _series_table(ctx.p, modulus, digits, cutoff)[a]
-    residue = _partial_zeta_residue(s, entry, _binomial_row(s, cutoff), ctx.p**digits)
-    return PadicNumber(ctx, residue, digits)
+    cutoff = _series_cutoff(ctx, margin)
+    entry = _series_table(ctx.p, modulus, ctx.precision, cutoff)[a]
+    residue = _partial_zeta_residue(s, entry, _binomial_row(s, cutoff), ctx.modulus)
+    return ctx.from_int(residue)
 
 
 def padic_partial_zeta_at_neg(
@@ -157,23 +138,22 @@ def padic_partial_zeta_at_neg(
     return ctx.from_int(lift * value.residue)
 
 
-def padic_l(s: int, chi: DirichletCharacter, plan: TruncationPlan) -> PadicNumber:
-    """l_p(s, chi) = 2 sum over units a mod p of chi(a) H_p(s, a | p), in
-    chi's context.
+def padic_l(s: int, chi: DirichletCharacter, *, margin: int = 0) -> PadicNumber:
+    """l_p(s, chi) = 2 sum over units a mod p of chi(a) H_p(s, a | p) mod
+    p^N, with N the precision of chi's context, from N + margin terms.
 
     The summation modulus is p, the modulus of every Teichmuller power.
     """
     ctx = chi.context
-    _check_plan(ctx, plan)
-    p, digits, cutoff = ctx.p, plan.target_precision, plan.series_cutoff
-    m = p**digits
-    table = _series_table(p, p, digits, cutoff)
+    cutoff = _series_cutoff(ctx, margin)
+    m = ctx.modulus
+    table = _series_table(ctx.p, ctx.p, ctx.precision, cutoff)
     binomials = _binomial_row(s, cutoff)
     total = sum(
         chi(a) * _partial_zeta_residue(s, table[a], binomials, m)
-        for a in range(1, p)
+        for a in range(1, ctx.p)
     )
-    return PadicNumber(ctx, 2 * total, digits)
+    return ctx.from_int(2 * total)
 
 
 def series_closed_check(
@@ -181,12 +161,10 @@ def series_closed_check(
 ) -> CongruenceReport:
     """Series evaluation at s = -n against the closed form, mod p^N with N
     the precision of ctx."""
-    digits = ctx.precision
-    plan = TruncationPlan(digits, digits + margin)
-    lhs = padic_partial_zeta(-n, a, ctx.p, ctx, plan)
+    lhs = padic_partial_zeta(-n, a, ctx.p, ctx, margin=margin)
     rhs = padic_partial_zeta_at_neg(n, a, ctx.p, ctx)
-    params = {"p": ctx.p, "n": n, "a": a, "F": ctx.p, "M": digits}
-    return padic_report("series_closed", params, lhs, rhs, digits)
+    params = {"p": ctx.p, "n": n, "a": a, "F": ctx.p, "M": ctx.precision}
+    return padic_report("series_closed", params, lhs, rhs)
 
 
 def interpolation_check(
@@ -203,19 +181,19 @@ def interpolation_check(
     if n < 1:
         raise ValueError("n must be >= 1")
     ctx = chi.context
-    digits = ctx.precision
-    lhs = padic_l(-n, chi, TruncationPlan(digits, digits + margin))
+    lhs = padic_l(-n, chi, margin=margin)
     chi_n = chi.twist(-n)
     factor = 1 - ctx.p**n * chi_n(ctx.p)
     rhs = ctx.from_int(factor * generalized_euler_number(n, chi_n).residue)
-    params = {"p": ctx.p, "n": n, "t": chi.t, "M": digits}
-    return padic_report("interpolation", params, lhs, rhs, digits)
+    params = {"p": ctx.p, "n": n, "t": chi.t, "M": ctx.precision}
+    return padic_report("interpolation", params, lhs, rhs)
 
 
 def kummer_check(
     k: int, t: int, ctx: PadicContext, k2: int | None = None, *, margin: int = 0
 ) -> CongruenceReport:
-    """l_p(k, w^t) against l_p(k2, w^t) mod p, for t = 0 mod p-1.
+    """l_p(k, w^t) against l_p(k2, w^t) mod p, for t = 0 mod p-1; both
+    values are computed in the 1-digit context of ctx's prime.
 
     k2 defaults to k + p; any pair of arguments may be supplied, since for
     such t the function is constant mod p.
@@ -225,9 +203,8 @@ def kummer_check(
         raise ValueError("the congruence needs t = 0 mod p-1")
     if k2 is None:
         k2 = k + p
-    chi = teichmuller_power(t, ctx)
-    plan = TruncationPlan(1, 1 + margin)
-    lhs = padic_l(k, chi, plan)
-    rhs = padic_l(k2, chi, plan)
+    chi = teichmuller_power(t, PadicContext(p, 1))
+    lhs = padic_l(k, chi, margin=margin)
+    rhs = padic_l(k2, chi, margin=margin)
     params = {"p": p, "k": k, "k2": k2, "t": t, "M": 1}
-    return padic_report("kummer", params, lhs, rhs, 1)
+    return padic_report("kummer", params, lhs, rhs)

@@ -44,9 +44,11 @@ class CongruenceReport:
 
 
 def padic_report(
-    check: str, params: dict, lhs: PadicNumber, rhs: PadicNumber, digits: int
+    check: str, params: dict, lhs: PadicNumber, rhs: PadicNumber
 ) -> CongruenceReport:
-    """Report comparing two p-adic values mod p^digits."""
+    """Report comparing two p-adic values mod p^N, with N the precision of
+    lhs's context; a side known to fewer digits raises ValueError."""
+    digits = lhs.context.precision
     lhs = lhs.reduce(digits)
     rhs = rhs.reduce(digits)
     return CongruenceReport(

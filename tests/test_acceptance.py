@@ -11,7 +11,6 @@ from conftest import bernoulli_numbers, random_rationals
 
 from eulerlp import (
     PadicContext,
-    TruncationPlan,
     alt_harmonic_sum,
     alternating_power_sum,
     alternating_power_sum_closed,
@@ -139,14 +138,13 @@ def test_criterion_5_interpolation():
         # the congruent values are the embedded rationals (1 - p^n) E_n
         for p in PRIMES:
             ctx = PadicContext(p, 6)
-            plan = TruncationPlan(6)
             for n in range(1, 9):
                 chi = teichmuller_power(n % (p - 1), ctx)
-                lhs = padic_l(-n, chi, plan)
+                lhs = padic_l(-n, chi)
                 rhs = ctx.from_rational((1 - Fraction(p) ** n) * euler_number(n))
-                assert lhs == rhs.reduce(6), (p, n)
+                assert lhs == rhs, (p, n)
         ctx3 = PadicContext(3, 6)
-        spot = padic_l(-1, teichmuller_power(1, ctx3), TruncationPlan(6))
+        spot = padic_l(-1, teichmuller_power(1, ctx3))
         assert spot == ctx3.from_int(1)
 
 
@@ -155,10 +153,9 @@ def test_criterion_6_kummer_suite():
         for report in _kummer_reports():
             assert report.match, report.params
         for p in PRIMES:
-            ctx = PadicContext(p, 6)
-            chi = teichmuller_power(0, ctx)
+            chi = teichmuller_power(0, PadicContext(p, 1))
             for s in range(1, 9):
-                assert padic_l(s, chi, TruncationPlan(1)).is_zero, (p, s)
+                assert padic_l(s, chi).is_zero, (p, s)
 
 
 def test_criterion_7_main_congruence_grid():
@@ -199,9 +196,9 @@ def test_criterion_9_truncation_robustness():
 
 def test_criterion_9_negative_control():
     # The cutoffs criterion 9 compares differ only by terms that vanish mod
-    # p^M by construction; a table one term short (J = M - 1, which
-    # TruncationPlan refuses) must change residues, or the criterion could
-    # not fail.
+    # p^M by construction; a table one term short (J = M - 1, the negative
+    # margin that every entry point refuses) must change residues, or the
+    # criterion could not fail.
     M = 6
     for p in PRIMES:
         m = p**M

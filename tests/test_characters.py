@@ -3,7 +3,6 @@ import pytest
 from eulerlp import (
     DirichletCharacter,
     PadicContext,
-    TruncationPlan,
     interpolation_check,
     padic_l,
     teichmuller_power,
@@ -162,7 +161,7 @@ class TestExponentFixesCharacter:
     def test_exponent_fixes_the_values_read_by_the_checks(self):
         ctx = PadicContext(5, 6)
         assert interpolation_check(2, DirichletCharacter(ctx, 3)).match
-        value = padic_l(-1, DirichletCharacter(ctx, 1), TruncationPlan(6))
+        value = padic_l(-1, DirichletCharacter(ctx, 1))
         assert value == ctx.from_int(2)  # (1 - 5) E_1 = 2
 
 

@@ -354,6 +354,38 @@ def test_grid_mixed_csv_stdout_digest(capsys):
     )
 
 
+# Ceiling on the grid-mixed reports that cannot fail: those whose sides are
+# both zero, and distribution at f = 1, which compares E_n(x) with itself.
+# kummer compares values that are 0 mod p at every s; interpolation at even t
+# compares 0 with 0 by parity, yet still checks that the series cancels.
+# Strengthening a check lowers its ceiling.
+CANNOT_FAIL_CEILING = {
+    "theorem6": 0,
+    "interpolation": 51,
+    "kummer": 20,
+    "distribution": 24,
+    "powersum": 3,
+    "binomial": 0,
+}
+
+
+def _is_zero(side):
+    return not any(side["digits"]) if isinstance(side, dict) else side == "0/1"
+
+
+def test_grid_mixed_reports_that_cannot_fail_stay_under_a_ceiling(capsys):
+    spec = json.loads(WORKLOADS.read_text())["grid-mixed"]
+    code, out, _ = run_cli(capsys, *spec["default_argv"])
+    assert code == 0
+    counts = dict.fromkeys(CANNOT_FAIL_CEILING, 0)
+    for line in out.splitlines():
+        record = json.loads(line)
+        self_compared = record["check"] == "distribution" and record["params"]["f"] == 1
+        if self_compared or (_is_zero(record["lhs"]) and _is_zero(record["rhs"])):
+            counts[record["check"]] += 1
+    assert all(counts[c] <= CANNOT_FAIL_CEILING[c] for c in counts), counts
+
+
 def test_lp_at_p7_stdout_digest(capsys):
     """An l_p value at p = 7, a prime no other lp test uses, prints its
     recorded line."""

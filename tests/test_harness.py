@@ -7,6 +7,7 @@ import pytest
 from eulerlp import (
     GridConfig,
     PadicContext,
+    PadicNumber,
     alt_harmonic_sum,
     main_congruence_series,
     reports_to_csv,
@@ -16,6 +17,7 @@ from eulerlp import (
 )
 from eulerlp import harness
 from eulerlp.harness import CHECKS, _grid_jobs
+from eulerlp.reports import padic_report
 
 GRID_PRIMES = (3, 5, 7)
 GRID_R = (1, 2, 3, 4)
@@ -237,3 +239,19 @@ class TestSerializationFormats:
         assert lines[0] == "check,p,params,lhs,rhs,precision,match,lhs_valuation"
         assert len(lines) == len(reports) + 1
         assert all(line.count("true") >= 1 for line in lines[1:])
+
+
+class TestPadicReport:
+    CTX = PadicContext(5, 4)
+
+    def test_side_known_to_fewer_digits_than_its_context_raises(self):
+        full, short = self.CTX.from_int(7), PadicNumber(self.CTX, 7, 3)
+        with pytest.raises(ValueError):
+            padic_report("check", {}, short, full)
+        with pytest.raises(ValueError):
+            padic_report("check", {}, full, short)
+
+    def test_compares_at_the_context_precision(self):
+        report = padic_report("check", {}, self.CTX.from_int(7), self.CTX.from_int(7))
+        assert report.precision == 4
+        assert report.match

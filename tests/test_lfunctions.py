@@ -5,13 +5,13 @@ from conftest import euler_numbers_by_recurrence
 
 from eulerlp import (
     PadicContext,
-    TruncationPlan,
     angle,
     binomial,
     euler_number,
     generalized_euler_number,
     interpolation_check,
     kummer_check,
+    main_congruence_series,
     padic_l,
     padic_partial_zeta,
     padic_partial_zeta_at_neg,
@@ -22,37 +22,50 @@ from eulerlp import (
 from eulerlp import lfunctions
 
 
-def reference_partial_zeta(s, a, modulus, ctx, plan):
-    """H_p(s, a | modulus) term by term on PadicNumber arithmetic, at the
-    context's full precision: the reference the residue kernel must match."""
+def reference_partial_zeta(s, a, modulus, ctx, cutoff):
+    """H_p(s, a | modulus) from its first cutoff terms on PadicNumber
+    arithmetic, at the context's full precision: the reference the residue
+    kernel must match."""
     ratio = ctx.from_int(modulus) * ctx.from_int(a).inverse()
     power = ctx.from_int(1)
     series = ctx.from_int(0)
-    for j in range(plan.series_cutoff):
+    for j in range(cutoff):
         c = binomial(-s, j)
         if c:
             series = series + ctx.from_int(c) * power * ctx.from_rational(euler_number(j))
         power = power * ratio
     half = ctx.from_rational(Fraction(-1 if a % 2 else 1, 2))
-    return (half * angle(a, ctx) ** (-s) * series).reduce(plan.target_precision)
+    return half * angle(a, ctx) ** (-s) * series
 
 
-def reference_l(s, chi, ctx, plan):
+def reference_l(s, chi):
+    ctx = chi.context
     total = ctx.from_int(0)
     for a in range(1, ctx.p):
-        total = total + chi(a) * reference_partial_zeta(s, a, ctx.p, ctx, plan)
-    return (2 * total).reduce(plan.target_precision)
+        total = total + chi(a) * reference_partial_zeta(s, a, ctx.p, ctx, ctx.precision)
+    return 2 * total
 
 
-class TestTruncationPlan:
-    def test_default_cutoff_is_target(self):
-        assert TruncationPlan(4).series_cutoff == 4
+# Every series sums N + margin terms.  A negative margin sums fewer than N,
+# which gives a wrong value mod p^N (main_congruence_series at margin -4 and
+# N = 4 sums no term and would return 0), so each entry point refuses it.
+_CTX = PadicContext(5, 4)
+_CHI = teichmuller_power(1, _CTX)
+NEGATIVE_MARGIN_CALLS = {
+    "padic_l": lambda: padic_l(2, _CHI, margin=-1),
+    "padic_partial_zeta": lambda: padic_partial_zeta(2, 1, 5, _CTX, margin=-1),
+    "main_congruence_series": lambda: main_congruence_series(2, 1, _CTX, margin=-4),
+    "interpolation_check": lambda: interpolation_check(1, _CHI, margin=-1),
+    "series_closed_check": lambda: series_closed_check(1, 1, _CTX, margin=-1),
+    "kummer_check": lambda: kummer_check(1, 0, _CTX, margin=-1),
+    "verify_main_congruence": lambda: verify_main_congruence(5, 2, 1, 4, margin=-1),
+}
 
-    def test_rejects_short_cutoff(self):
-        with pytest.raises(ValueError):
-            TruncationPlan(4, 3)
-        with pytest.raises(ValueError):
-            TruncationPlan(0)
+
+@pytest.mark.parametrize("name", NEGATIVE_MARGIN_CALLS)
+def test_negative_margin_raises(name):
+    with pytest.raises(ValueError, match="margin"):
+        NEGATIVE_MARGIN_CALLS[name]()
 
 
 class TestGeneralizedEulerNumbers:
@@ -82,40 +95,35 @@ class TestPartialZetaSeries:
         # C(0, j) = 0 for j >= 1, so only (-1)^a / 2 survives
         for p in (3, 5):
             ctx = PadicContext(p, 6)
-            plan = TruncationPlan(6)
             for a in range(1, p):
                 expected = ctx.from_rational(Fraction((-1) ** a, 2))
-                assert padic_partial_zeta(0, a, p, ctx, plan) == expected.reduce(6)
+                assert padic_partial_zeta(0, a, p, ctx) == expected
 
     def test_negative_s_example(self):
         ctx = PadicContext(5, 2)
-        value = padic_partial_zeta(-1, 1, 5, ctx, TruncationPlan(2))
+        value = padic_partial_zeta(-1, 1, 5, ctx)
         assert value.residue == 7  # 3/4 embedded in Z_5
 
     def test_positive_s_example(self):
         ctx = PadicContext(3, 2)
-        assert padic_partial_zeta(1, 1, 3, ctx, TruncationPlan(2)).residue == 1
-        assert padic_partial_zeta(1, 2, 3, ctx, TruncationPlan(2)).residue == 8
+        assert padic_partial_zeta(1, 1, 3, ctx).residue == 1
+        assert padic_partial_zeta(1, 2, 3, ctx).residue == 8
 
     def test_frozen_positive_s_values_mod_nine(self):
         ctx = PadicContext(3, 2)
-        plan = TruncationPlan(2)
-        assert padic_partial_zeta(2, 1, 3, ctx, plan).residue == 7
-        assert padic_partial_zeta(2, 2, 3, ctx, plan).residue == 2
+        assert padic_partial_zeta(2, 1, 3, ctx).residue == 7
+        assert padic_partial_zeta(2, 2, 3, ctx).residue == 2
 
     def test_guards(self):
         ctx = PadicContext(3, 4)
-        plan = TruncationPlan(3)
         with pytest.raises(ValueError):
-            padic_partial_zeta(1, 1, 5, ctx, plan)  # p does not divide modulus
+            padic_partial_zeta(1, 1, 5, ctx)  # p does not divide modulus
         with pytest.raises(ValueError):
-            padic_partial_zeta(1, 1, 6, ctx, plan)  # even modulus
+            padic_partial_zeta(1, 1, 6, ctx)  # even modulus
         with pytest.raises(ValueError):
-            padic_partial_zeta(1, 3, 9, ctx, plan)  # a not a unit
+            padic_partial_zeta(1, 3, 9, ctx)  # a not a unit
         with pytest.raises(ValueError):
-            padic_partial_zeta(1, 4, 3, ctx, plan)  # a out of range
-        with pytest.raises(ValueError):
-            padic_partial_zeta(1, 1, 3, ctx, TruncationPlan(9))  # beyond context
+            padic_partial_zeta(1, 4, 3, ctx)  # a out of range
 
 
 class TestKernelAgainstReference:
@@ -124,40 +132,40 @@ class TestKernelAgainstReference:
     )
     def test_partial_zeta_matches_padic_series(self, p, modulus):
         for digits in (1, 4, 10):
-            for cutoff in (digits, digits + 3):
-                plan = TruncationPlan(digits, cutoff)
-                for precision in (digits, digits + 2):
-                    ctx = PadicContext(p, precision)
-                    for a in range(1, modulus):
-                        if a % p == 0:
-                            continue
-                        for s in range(-4, 5):
-                            value = padic_partial_zeta(s, a, modulus, ctx, plan)
-                            expected = reference_partial_zeta(s, a, modulus, ctx, plan)
-                            assert value == expected, (p, modulus, digits, cutoff, precision, a, s)
-                            assert value.precision == digits
+            ctx = PadicContext(p, digits)
+            for margin in (0, 3):
+                for a in range(1, modulus):
+                    if a % p == 0:
+                        continue
+                    for s in range(-4, 5):
+                        value = padic_partial_zeta(s, a, modulus, ctx, margin=margin)
+                        expected = reference_partial_zeta(s, a, modulus, ctx, digits + margin)
+                        assert value == expected, (p, modulus, digits, margin, a, s)
+                        assert value.precision == digits
 
     @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
     def test_l_matches_padic_series(self, p):
         for digits in (1, 4, 10):
-            ctx = PadicContext(p, digits + 2)
-            plan = TruncationPlan(digits)
+            ctx = PadicContext(p, digits)
             for t in range(p - 1):
                 chi = teichmuller_power(t, ctx)
                 for s in range(-4, 5):
-                    value = padic_l(s, chi, plan)
-                    assert value == reference_l(s, chi, ctx, plan), (p, digits, t, s)
+                    value = padic_l(s, chi)
+                    assert value == reference_l(s, chi), (p, digits, t, s)
                     assert value.precision == digits
 
-    def test_tables_depend_on_target_digits_not_context_precision(self):
-        lfunctions._series_table.cache_clear()
-        plan = TruncationPlan(4, 7)
-        values = {
-            padic_partial_zeta(3, 2, 5, PadicContext(5, precision), plan).residue
-            for precision in (4, 6, 9)
-        }
-        assert lfunctions._series_table.cache_info().misses == 1
-        assert len(values) == 1
+    def test_more_context_digits_extend_the_value(self):
+        # the value at N + 2 digits, reduced to N, is the value at N digits
+        for p in (3, 5, 7):
+            for digits in (1, 4):
+                short, long = PadicContext(p, digits), PadicContext(p, digits + 2)
+                for s in range(-4, 5):
+                    for a in range(1, p):
+                        value = padic_partial_zeta(s, a, p, long).reduce(digits).residue
+                        assert value == padic_partial_zeta(s, a, p, short).residue
+                    for t in range(p - 1):
+                        value = padic_l(s, teichmuller_power(t, long)).reduce(digits).residue
+                        assert value == padic_l(s, teichmuller_power(t, short)).residue
 
 
 class TestPartialZetaClosedForm:
@@ -185,12 +193,11 @@ class TestPartialZetaClosedForm:
     def test_composite_odd_multiple_of_p(self):
         # F = 3p exercises the general modulus path of the series
         ctx = PadicContext(5, 6)
-        plan = TruncationPlan(6, 12)
         for n in (1, 2, 3):
             for a in (1, 2, 4, 7, 8, 11, 13, 14):
-                series = padic_partial_zeta(-n, a, 15, ctx, plan)
+                series = padic_partial_zeta(-n, a, 15, ctx, margin=6)
                 closed = padic_partial_zeta_at_neg(n, a, 15, ctx)
-                assert series == closed.reduce(6)
+                assert series == closed
 
     def test_wrong_sign_of_minus_one_to_the_a_is_reported(self, monkeypatch):
         # the closed form with (-1)^a dropped, i.e. the wrong sign for odd a
@@ -218,27 +225,26 @@ class TestPartialZetaClosedForm:
 class TestPadicL:
     def test_value_at_minus_one(self):
         ctx = PadicContext(3, 6)
-        value = padic_l(-1, teichmuller_power(1, ctx), TruncationPlan(6))
+        value = padic_l(-1, teichmuller_power(1, ctx))
         assert value == ctx.from_int(1)  # equals (1 - 3) E_1 exactly
 
     def test_positive_argument_example(self):
         ctx = PadicContext(3, 2)
-        value = padic_l(1, teichmuller_power(1, ctx), TruncationPlan(2))
+        value = padic_l(1, teichmuller_power(1, ctx))
         assert value.residue == 4
 
     def test_trivial_character_example(self):
         ctx = PadicContext(3, 2)
-        value = padic_l(2, teichmuller_power(0, ctx), TruncationPlan(2))
+        value = padic_l(2, teichmuller_power(0, ctx))
         assert value.is_zero
 
     def test_values_lie_in_zp(self):
         for p in (3, 5, 7):
             ctx = PadicContext(p, 5)
-            plan = TruncationPlan(5)
             for t in range(p - 1):
                 chi = teichmuller_power(t, ctx)
                 for s in range(-4, 5):
-                    assert padic_l(s, chi, plan).valuation >= 0
+                    assert padic_l(s, chi).valuation >= 0
 
     def test_truncation_soundness(self):
         # a larger cutoff never changes the reported residue
@@ -246,8 +252,8 @@ class TestPadicL:
             ctx = PadicContext(p, 5)
             chi = teichmuller_power(1, ctx)
             for s in (-4, -1, 1, 3, 6):
-                tight = padic_l(s, chi, TruncationPlan(5))
-                wide = padic_l(s, chi, TruncationPlan(5, 9))
+                tight = padic_l(s, chi)
+                wide = padic_l(s, chi, margin=4)
                 assert tight == wide
 
 
@@ -256,12 +262,11 @@ class TestInterpolation:
         # l_p(-n, w^t) = (1 - p^n) E_n whenever n = t mod p-1
         for p in (3, 5, 7):
             ctx = PadicContext(p, 6)
-            plan = TruncationPlan(6)
             for n in range(1, 9):
                 chi = teichmuller_power(n, ctx)
-                lhs = padic_l(-n, chi, plan)
+                lhs = padic_l(-n, chi)
                 rhs = ctx.from_rational((1 - Fraction(p) ** n) * euler_number(n))
-                assert lhs == rhs.reduce(6)
+                assert lhs == rhs
 
     def test_report_examples(self):
         ctx3 = PadicContext(3, 6)
@@ -311,10 +316,9 @@ class TestKummer:
 
     def test_values_vanish_mod_p_for_exponent_zero(self):
         for p in (3, 5, 7):
-            ctx = PadicContext(p, 4)
-            chi = teichmuller_power(0, ctx)
+            chi = teichmuller_power(0, PadicContext(p, 1))
             for s in range(1, 9):
-                value = padic_l(s, chi, TruncationPlan(1))
+                value = padic_l(s, chi)
                 assert value.is_zero
 
     def test_rejects_bad_exponent(self):
@@ -331,26 +335,24 @@ class TestStrongKummer:
     def test_period_congruence(self):
         # k = k' mod (p-1) p^(m-1) implies l_p(k, w^t) = l_p(k', w^t) mod p^m
         for p in (3, 5, 7, 11):
-            ctx = PadicContext(p, 3)
-            for t in range(p - 1):
-                chi = teichmuller_power(t, ctx)
-                for m in (1, 2, 3):
-                    plan = TruncationPlan(m)
-                    period = (p - 1) * p ** (m - 1)
+            for m in (1, 2, 3):
+                ctx = PadicContext(p, m)
+                period = (p - 1) * p ** (m - 1)
+                for t in range(p - 1):
+                    chi = teichmuller_power(t, ctx)
                     for k in range(-3, 6):
-                        lhs = padic_l(k, chi, plan)
-                        assert lhs == padic_l(k + period, chi, plan), (p, t, m, k)
+                        lhs = padic_l(k, chi)
+                        assert lhs == padic_l(k + period, chi), (p, t, m, k)
 
     def test_period_one_power_of_p_short_breaks(self):
         # negative control: mod p every value is independent of s (term j
         # carries p^j and <a> = 1 mod p), so only m >= 2 can fail
         for p in (3, 5, 7):
-            ctx = PadicContext(p, 3)
             for m in (2, 3):
-                plan = TruncationPlan(m)
+                ctx = PadicContext(p, m)
                 short = (p - 1) * p ** (m - 2)
                 pairs = [
-                    (padic_l(k, chi, plan), padic_l(k + short, chi, plan))
+                    (padic_l(k, chi), padic_l(k + short, chi))
                     for chi in (teichmuller_power(t, ctx) for t in range(p - 1))
                     for k in range(1, 5)
                 ]
