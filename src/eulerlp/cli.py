@@ -61,17 +61,8 @@ def _emit(reports, fmt: str) -> int:
 
 
 def cmd_euler(args) -> int:
-    # From n = 1843 on, numerators pass Python's int-to-str digit limit;
-    # Pythons before 3.10.7 have no limit and no functions to set one.
-    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
-    if limit is not None:
-        sys.set_int_max_str_digits(0)
-    try:
-        for i, value in enumerate(euler_numbers(args.nmax)):
-            print(json.dumps({"n": i, "value": format_rational(value)}, separators=(",", ":")))
-    finally:
-        if limit is not None:
-            sys.set_int_max_str_digits(limit)
+    for i, value in enumerate(euler_numbers(args.nmax)):
+        print(json.dumps({"n": i, "value": format_rational(value)}, separators=(",", ":")))
     return 0
 
 
@@ -153,8 +144,18 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # Exact values pass Python's int-to-str digit limit (Euler numbers from
+    # n = 1843 on, distribution and power-sum sides at large n), so every
+    # command prints with the limit lifted.  Pythons before 3.10.7 have no
+    # limit and no functions to set one.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
     except (ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)

@@ -74,6 +74,18 @@ def euler_numbers(nmax: int) -> list[Fraction]:
 
 
 @lru_cache(maxsize=None)
+def _scaled_euler_polynomial(n: int) -> tuple[int, ...]:
+    """Entry i is C(n, i) 2^(n-i) E_(n-i), the x^i coefficient of
+    2^n E_n(x / 2); every 2^m E_m is an integer."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    coefficients = []
+    for i in range(n + 1):
+        e = euler_number(n - i)  # denominator a power of two up to 2^(n-i)
+        coefficients.append(comb(n, i) * e.numerator * ((1 << (n - i)) // e.denominator))
+    return tuple(coefficients)
+
+
 def euler_polynomial(n: int) -> tuple[Fraction, ...]:
     """Coefficients of E_n(x) = sum_{k=0}^{n} C(n, k) E_k x^{n-k}; entry i
     multiplies x^i.
@@ -81,18 +93,26 @@ def euler_polynomial(n: int) -> tuple[Fraction, ...]:
     E_n(x) is monic of degree n, and for n >= 1 the x^{n-1} coefficient is
     -n/2 (the binomial expansion pins it to n * E_1).
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    return tuple(comb(n, i) * euler_number(n - i) for i in range(n + 1))
+    return tuple(
+        Fraction(c, 1 << (n - i)) for i, c in enumerate(_scaled_euler_polynomial(n))
+    )
 
 
 def euler_polynomial_value(n: int, x: Rational) -> Fraction:
-    """E_n evaluated at a rational point, exactly (Horner's rule)."""
+    """E_n evaluated at a rational point, exactly.
+
+    For x = u/v, a homogeneous Horner loop on ints gives
+    (2v)^n E_n(u/v) = sum_i C(n, i) 2^(n-i) E_(n-i) (2u)^i v^(n-i), and one
+    ``Fraction`` is built at the end.
+    """
     x = Fraction(x)
-    value = Fraction(0)
-    for c in reversed(euler_polynomial(n)):
-        value = value * x + c
-    return value
+    two_u, v = 2 * x.numerator, x.denominator
+    coefficients = _scaled_euler_polynomial(n)
+    acc, v_power = coefficients[n], 1
+    for c in reversed(coefficients[:n]):
+        v_power *= v
+        acc = acc * two_u + c * v_power
+    return Fraction(acc, (2 * v) ** n)
 
 
 def alternating_power_sum(n: int, m: int) -> Fraction:

@@ -23,6 +23,13 @@ then one dot product with the binomial row C(-s, j).  ``PadicNumber`` is
 only the type of the results.  The series is Washington's ("p-adic
 L-functions and sums of powers", J. Number Theory 69, 1998), adapted to
 Euler numbers.
+
+A value depends on (s, chi, margin) only, so ``padic_l`` is an lru cache
+on those arguments: the main congruence asks for the same l_p(r+k,
+w^(-r-k)) at every n and r.  The interpolation oracle embeds each exact
+partial zeta value z(n, a) = ``partial_zeta_neg(n, a, p)`` once per
+(n, context), in the cached tuple ``_partial_zeta_residues``; each
+E_{n,chi} is then one dot product with ``chi.values``.
 """
 
 from __future__ import annotations
@@ -45,14 +52,22 @@ def generalized_euler_number(n: int, chi: DirichletCharacter) -> PadicNumber:
     remaining term is twice the partial zeta value at -n, whose
     denominator is a power of two, so the sum embeds in Z_p for odd p.
     """
-    ctx, f = chi.context, chi.conductor
-    if f == 1:
+    ctx = chi.context
+    if chi.conductor == 1:
         return ctx.from_rational(euler_number(n))
-    total = sum(
-        chi(a) * ctx.from_rational(partial_zeta_neg(n, a, f)).residue
-        for a in range(1, f)
-    )
+    total = sum(map(mul, chi.values, _partial_zeta_residues(n, ctx)))
     return ctx.from_int(2 * total)
+
+
+@lru_cache(maxsize=None)
+def _partial_zeta_residues(n: int, ctx: PadicContext) -> tuple[int, ...]:
+    """Indexed by a < p: the residue of partial_zeta_neg(n, a, p) in ctx
+    for a >= 1, and 0 at a = 0, where every character of conductor p
+    vanishes."""
+    p = ctx.p
+    return (0,) + tuple(
+        ctx.from_rational(partial_zeta_neg(n, a, p)).residue for a in range(1, p)
+    )
 
 
 def _check_class_args(a: int, modulus: int, ctx: PadicContext) -> None:
@@ -138,11 +153,14 @@ def padic_partial_zeta_at_neg(
     return ctx.from_int(lift * value.residue)
 
 
+@lru_cache(maxsize=None)
 def padic_l(s: int, chi: DirichletCharacter, *, margin: int = 0) -> PadicNumber:
     """l_p(s, chi) = 2 sum over units a mod p of chi(a) H_p(s, a | p) mod
     p^N, with N the precision of chi's context, from N + margin terms.
 
     The summation modulus is p, the modulus of every Teichmuller power.
+    The value depends on (s, chi, margin) only, and is computed once per
+    distinct triple.
     """
     ctx = chi.context
     cutoff = _series_cutoff(ctx, margin)

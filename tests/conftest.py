@@ -1,7 +1,22 @@
-"""Shared test oracles and helpers (kept independent of the library code)."""
+"""Shared test oracles and helpers.  The oracles are kept independent of the
+library code; ``clear_library_caches`` is the one helper that touches it."""
 
+import sys
 from fractions import Fraction
 from math import comb
+
+
+def clear_library_caches():
+    """cache_clear() every functools.lru_cache bound in an imported eulerlp
+    module.  A mutant test calls this before patching and again after
+    ``monkeypatch.undo()``, so that no cached value can hide the mutant or
+    carry it on into later tests."""
+    for name, module in list(sys.modules.items()):
+        if name == "eulerlp" or name.startswith("eulerlp."):
+            for value in vars(module).values():
+                clear = getattr(value, "cache_clear", None)
+                if callable(clear):
+                    clear()
 
 
 def bernoulli_numbers(nmax):

@@ -440,3 +440,18 @@ def test_module_entry_point_usage_error():
     assert proc.returncode == 2
     assert "error: the congruence needs t = 0 mod p-1" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_verify_prints_sides_past_the_digit_limit():
+    # E_1569(1/3) and the distribution sum are the smallest --f 3 --x 1/3
+    # sides whose numerators pass Python's default int-to-str limit of 4300
+    # digits; the comparison holds and must print, not give a usage error
+    proc = _run_module(
+        "verify", "--check", "distribution", "--n", "1569", "--f", "3", "--x", "1/3"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    report = json.loads(proc.stdout)
+    assert report["match"] is True
+    assert '"match":true' in proc.stdout
+    assert max(len(part) for part in report["lhs"].lstrip("-").split("/")) > 4300

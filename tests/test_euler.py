@@ -2,7 +2,12 @@ import random
 from fractions import Fraction
 
 import pytest
-from conftest import bernoulli_numbers, euler_numbers_by_recurrence, random_rationals
+from conftest import (
+    bernoulli_numbers,
+    clear_library_caches,
+    euler_numbers_by_recurrence,
+    random_rationals,
+)
 
 from eulerlp import (
     alternating_power_sum,
@@ -158,9 +163,9 @@ class TestFractionOracle:
 
 class TestEulerLayerMutants:
     """One E_j off by one at the Euler layer must turn a power-sum and a
-    distribution report to a mismatch; the Euler polynomial cache is cleared
-    on both sides of the mutation so that no cached polynomial can hide it
-    or carry it on."""
+    distribution report to a mismatch; the library's caches are cleared on
+    both sides of the mutation so that no cached polynomial can hide it or
+    carry it on."""
 
     def _matches(self):
         powersum = [power_sum_report(n, m).match for n in (2, 4, 6) for m in range(8)]
@@ -175,13 +180,13 @@ class TestEulerLayerMutants:
     @pytest.mark.parametrize("j", [1, 3])
     def test_perturbed_euler_number_is_reported(self, monkeypatch, j):
         original = euler.euler_number
-        euler_polynomial.cache_clear()
+        clear_library_caches()
         monkeypatch.setattr(euler, "euler_number", lambda n: original(n) + (n == j))
         try:
             powersum, distribution = self._matches()
         finally:
             monkeypatch.undo()
-            euler_polynomial.cache_clear()
+            clear_library_caches()
         assert not all(powersum), powersum
         assert not all(distribution), distribution
         powersum, distribution = self._matches()

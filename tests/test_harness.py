@@ -3,6 +3,7 @@ import pickle
 from fractions import Fraction
 
 import pytest
+from conftest import clear_library_caches
 
 from eulerlp import (
     GridConfig,
@@ -15,13 +16,28 @@ from eulerlp import (
     run_grid,
     verify_main_congruence,
 )
-from eulerlp import harness
+from eulerlp import harness, lfunctions
 from eulerlp.harness import CHECKS, _grid_jobs
 from eulerlp.reports import padic_report
 
 GRID_PRIMES = (3, 5, 7)
 GRID_R = (1, 2, 3, 4)
 GRID_N = (2, 4, 6)
+
+# the config of the benchmark's grid-mixed argv
+GRID_MIXED = GridConfig(
+    primes=(3, 5, 7, 11, 13), r_values=(1, 2, 3, 4), n_values=(2, 4, 6), precision=10
+)
+
+
+def grid_mixed_reports(check):
+    """The reports of one suite at the grid-mixed config."""
+    return [
+        report
+        for name, params in _grid_jobs(GRID_MIXED)
+        if name == check
+        for report in CHECKS[name][1](params)
+    ]
 
 
 class TestAltHarmonicSum:
@@ -100,6 +116,66 @@ class TestVerifyMainCongruence:
             verify_main_congruence(9, 2, 1, 3)
         with pytest.raises(ValueError):
             verify_main_congruence(3, 2, 1, 0)
+        with pytest.raises(ValueError):
+            verify_main_congruence(3, 2, 0, 3)
+
+
+class TestAltHarmonicResidue:
+    """The residue sum verify_main_congruence compares is the embedding of
+    twice the exact sum."""
+
+    @staticmethod
+    def _assert_pinned(p, n, r, digits):
+        ctx = PadicContext(p, digits)
+        exact = ctx.from_rational(2 * alt_harmonic_sum(p, n, r))
+        assert harness._alt_harmonic_residue(p, n, r, ctx.modulus) == exact.residue
+
+    @pytest.mark.parametrize("p", GRID_MIXED.primes)
+    def test_grid_mixed_points(self, p):
+        for r in GRID_MIXED.r_values:
+            for n in GRID_MIXED.n_values:
+                self._assert_pinned(p, n, r, GRID_MIXED.precision)
+
+    def test_theorem6_deep(self):
+        self._assert_pinned(31, 4, 2, 40)
+
+    def test_theorem6_wide(self):
+        self._assert_pinned(101, 200, 4, 2)
+
+
+class TestOneEvaluationPerValue:
+    """The grid computes each distinct l_p value and each embedded partial
+    zeta value once; these counts fail if that structure regresses."""
+
+    def test_theorem6_evaluates_each_l_value_once(self):
+        # l_p(s, w^-s) for s = r + k in 2..14 at each of the 5 primes
+        clear_library_caches()
+        try:
+            reports = grid_mixed_reports("theorem6")
+            misses = lfunctions.padic_l.cache_info().misses
+        finally:
+            clear_library_caches()
+        assert len(reports) == 60 and all(r.match for r in reports)
+        assert misses == 65
+
+    def test_interpolation_embeds_each_partial_zeta_value_once(self, monkeypatch):
+        # z(n, a) for n in 2, 4, 6 and 0 < a < p: 3 * (2 + 4 + 6 + 10 + 12)
+        original = lfunctions.partial_zeta_neg
+        calls = []
+
+        def counted(n, a, modulus):
+            calls.append((n, a, modulus))
+            return original(n, a, modulus)
+
+        clear_library_caches()
+        monkeypatch.setattr(lfunctions, "partial_zeta_neg", counted)
+        try:
+            reports = grid_mixed_reports("interpolation")
+        finally:
+            monkeypatch.undo()
+            clear_library_caches()
+        assert len(reports) == 102 and all(r.match for r in reports)
+        assert len(calls) == len(set(calls)) == 102
 
 
 class TestGridConfig:
@@ -174,24 +250,17 @@ class TestSuiteMutants:
     congruence must turn at least one grid-mixed report to a mismatch, and
     every report must match again once the fault is undone."""
 
-    CONFIG = GridConfig(
-        primes=(3, 5, 7, 11, 13), r_values=(1, 2, 3, 4), n_values=(2, 4, 6), precision=10
-    )
-
     def _matches(self, check):
-        return [
-            report.match
-            for name, params in _grid_jobs(self.CONFIG)
-            if name == check
-            for report in CHECKS[name][1](params)
-        ]
+        return [report.match for report in grid_mixed_reports(check)]
 
     def _assert_caught(self, monkeypatch, check, name, mutant):
+        clear_library_caches()
         monkeypatch.setattr(harness, name, mutant)
         try:
             mutated = self._matches(check)
         finally:
             monkeypatch.undo()
+            clear_library_caches()
         assert not all(mutated), mutated
         assert all(self._matches(check))
 
@@ -204,14 +273,15 @@ class TestSuiteMutants:
         )
 
     def test_theorem6_harmonic_sum_missing_its_last_term(self, monkeypatch):
-        # the last unit j = np - 1; its term is a p-adic unit
-        original = harness.alt_harmonic_sum
+        # the residue sum verify_main_congruence runs, without the term of the
+        # last unit j = np - 1; that term is a p-adic unit
+        original = harness._alt_harmonic_residue
 
-        def mutant(p, n, r):
+        def mutant(p, n, r, m):
             j = n * p - 1
-            return original(p, n, r) - Fraction((-1) ** j, j**r)
+            return (original(p, n, r, m) - 2 * (-1) ** j * pow(j, -r, m)) % m
 
-        self._assert_caught(monkeypatch, "theorem6", "alt_harmonic_sum", mutant)
+        self._assert_caught(monkeypatch, "theorem6", "_alt_harmonic_residue", mutant)
 
 
 class TestSerializationFormats:

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from conftest import euler_numbers_by_recurrence
+from conftest import clear_library_caches, euler_numbers_by_recurrence
 
 from eulerlp import (
     PadicContext,
@@ -361,8 +361,9 @@ class TestStrongKummer:
 
 class TestEulerNumberMutants:
     """One E_j off by one inside the series must make the checks that use
-    l_p report a mismatch; the kernel's tables are cleared on both sides of
-    the mutation so that no cached table can hide it or carry it on."""
+    l_p report a mismatch; the library's caches (the kernel's tables and the
+    l_p values) are cleared on both sides of the mutation so that no cached
+    value can hide it or carry it on."""
 
     P, DIGITS = 5, 6
 
@@ -383,13 +384,13 @@ class TestEulerNumberMutants:
     @pytest.mark.parametrize("j", [0, 1, 3])
     def test_perturbed_euler_number_is_reported(self, monkeypatch, j):
         original = lfunctions.euler_number
-        lfunctions._series_table.cache_clear()
+        clear_library_caches()
         monkeypatch.setattr(lfunctions, "euler_number", lambda n: original(n) + (n == j))
         try:
             interpolation, theorem6 = self._matches()
         finally:
             monkeypatch.undo()
-            lfunctions._series_table.cache_clear()
+            clear_library_caches()
         assert not all(interpolation), interpolation
         assert not all(theorem6), theorem6
         interpolation, theorem6 = self._matches()

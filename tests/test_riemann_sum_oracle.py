@@ -16,6 +16,7 @@ w(x) = x^(p^(M-1)) mod p^M, and <x> = x / w(x).
 from math import ceil
 
 import pytest
+from conftest import clear_library_caches
 
 from eulerlp import PadicContext, lfunctions, padic_l, teichmuller_power
 
@@ -97,10 +98,14 @@ def test_series_mutant_is_caught_at_positive_s(monkeypatch):
         row = original(s, cutoff)
         return row[:1] + (-row[1],) + row[2:] if cutoff > 1 else row
 
+    # padic_l caches its values: clear them so that neither a value cached
+    # by an earlier test hides the mutant nor a mutated one outlives it
+    clear_library_caches()
     monkeypatch.setattr(lfunctions, "_binomial_row", mutant)
     try:
         wrong = mismatches(p, M, M)
     finally:
         monkeypatch.undo()
+        clear_library_caches()
     assert any(s > 0 for _, s in wrong), sorted(wrong)
     assert not mismatches(p, M, M)
