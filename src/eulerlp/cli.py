@@ -61,8 +61,9 @@ def _emit(reports, fmt: str) -> int:
 
 
 def cmd_euler(args) -> int:
-    for i, value in enumerate(euler_numbers(args.nmax)):
-        print(json.dumps({"n": i, "value": format_rational(value)}, separators=(",", ":")))
+    # JSON lines written by hand: "num/den" holds no character JSON escapes
+    values = enumerate(euler_numbers(args.nmax))
+    print("\n".join(f'{{"n":{i},"value":"{format_rational(v)}"}}' for i, v in values))
     return 0
 
 

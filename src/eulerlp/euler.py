@@ -1,9 +1,10 @@
 """Euler numbers, Euler polynomials, alternating power sums, and partial
 zeta values at negative integers.
 
-The Euler numbers come from one integer table of zigzag numbers, grown on
-demand with the Seidel-Entringer-Arnold boustrophedon; every value this
-module returns is exact (a ``Fraction`` at the API).
+The Euler numbers come from one integer table of tangent numbers, built by
+Brent and Harvey's recurrence and rebuilt at twice its size when a request
+passes its end; every value this module returns is exact (a ``Fraction`` at
+the API).
 
 Conventions: E_n(x) is the coefficient sequence of 2 e^{xt} / (e^t + 1) and
 E_n = E_n(0), so E_0 = 1, E_1 = -1/2, E_3 = 1/4, and every E_n has a power
@@ -19,34 +20,31 @@ from math import comb
 Rational = Fraction | int
 
 
-# Zigzag numbers A_0, A_1, ... and the boustrophedon row that produced the
-# last of them.  Both start at row 0 and grow only when _zigzag asks, so
-# importing this module builds nothing.
-_zigzag_table = [1]
-_row = [1]
+# entry k is the tangent number T_k = A_(2k-1); unbuilt until a request
+_tangent = [0]
 
 
-def _zigzag(n: int) -> int:
-    """A_n, the number of alternating permutations of n letters.
+def _tangent_numbers(m: int) -> list[int]:
+    """[0, T_1, ..., T_m] for m >= 1, by the integer recurrence of Knuth and
+    Buckholtz (Math. Comp. 21, 1967) in Brent and Harvey's form ("Fast
+    computation of Bernoulli, Tangent and Secant numbers", 2013): m^2/2
+    steps with small multipliers.  Its first pass depends on m, so the table
+    cannot grow in place."""
+    t = [0, 1]
+    for k in range(2, m + 1):
+        t.append((k - 1) * t[k - 1])
+    for k in range(2, m + 1):
+        for j in range(k, m + 1):
+            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
+    return t
 
-    Row k of the Seidel-Entringer-Arnold boustrophedon starts at 0 and adds
-    the entries of row k-1 read backwards; it ends in A_k.  Odd rows are
-    stored reversed, so each step puts a 0 at one end of the one row list
-    and accumulates toward the other end, in place.
-    """
-    table, row = _zigzag_table, _row
-    for k in range(len(table), n + 1):
-        if k % 2:
-            row.append(0)
-            for i in range(k - 1, -1, -1):
-                row[i] += row[i + 1]
-            table.append(row[0])
-        else:
-            row.insert(0, 0)
-            for i in range(1, k + 1):
-                row[i] += row[i - 1]
-            table.append(row[k])
-    return table[n]
+
+def _tangent_number(k: int) -> int:
+    """T_k; a k past the table's end rebuilds it to max(k, twice its size)."""
+    global _tangent
+    if k >= len(_tangent):
+        _tangent = _tangent_numbers(max(k, 2 * (len(_tangent) - 1)))
+    return _tangent[k]
 
 
 @lru_cache(maxsize=None)
@@ -54,7 +52,7 @@ def euler_number(n: int) -> Fraction:
     """The n-th Euler number E_n = E_n(0).
 
     E_0 = 1 and E_n = 0 for even n >= 2 (2 / (e^t + 1) - 1 is odd); for odd
-    n, E_n = (-1)^((n+1)/2) A_n / 2^n with A_n the zigzag number.
+    n = 2k - 1, E_n = (-1)^k T_k / 2^n with T_k the k-th tangent number.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -62,14 +60,15 @@ def euler_number(n: int) -> Fraction:
         return Fraction(1)
     if n % 2 == 0:
         return Fraction(0)
-    sign = -1 if n % 4 == 1 else 1
-    return Fraction(sign * _zigzag(n), 1 << n)
+    k = (n + 1) // 2
+    return Fraction((-1) ** k * _tangent_number(k), 1 << n)
 
 
 def euler_numbers(nmax: int) -> list[Fraction]:
-    """[E_0, E_1, ..., E_nmax]."""
+    """[E_0, E_1, ..., E_nmax], from a tangent table sized once."""
     if nmax < 0:
         raise ValueError("nmax must be >= 0")
+    _tangent_number((nmax + 1) // 2)
     return [euler_number(k) for k in range(nmax + 1)]
 
 

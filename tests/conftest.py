@@ -31,10 +31,25 @@ def bernoulli_numbers(nmax):
 def euler_numbers_by_recurrence(nmax):
     """E_0..E_nmax from E_0 = 1 and E_n = -(1/2) sum_{k=0}^{n-1} C(n, k) E_k,
     which multiplying 2 / (e^t + 1) by e^t + 1 forces: the exact Fraction
-    recurrence, sharing no code with the library's zigzag table."""
+    recurrence, sharing no code with the library's tangent table."""
     values = [Fraction(1)]
     for n in range(1, nmax + 1):
         values.append(-sum(comb(n, k) * values[k] for k in range(n)) / 2)
+    return values
+
+
+def zigzag_numbers_by_boustrophedon(nmax):
+    """A_0..A_nmax, the zigzag numbers, from the Seidel-Entringer-Arnold
+    boustrophedon: row n starts at 0 and adds the entries of row n-1 read
+    backwards, and A_n is its last entry.  It shares neither code nor
+    recurrence with the library's tangent table."""
+    values, row = [1], [1]
+    for _ in range(nmax):
+        sums = [0]
+        for entry in reversed(row):
+            sums.append(sums[-1] + entry)
+        row = sums
+        values.append(row[-1])
     return values
 
 

@@ -404,14 +404,14 @@ def test_import_builds_no_euler_table():
     probe = (
         "import eulerlp.cli\n"
         "from eulerlp import euler\n"
-        "print(euler.euler_number.cache_info().currsize, euler._zigzag_table, euler._row)"
+        "print(euler.euler_number.cache_info().currsize, euler._tangent)"
     )
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["0", "[1]", "[1]"]
+    assert proc.stdout.split() == ["0", "[0]"]
 
 
 

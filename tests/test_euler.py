@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ from conftest import (
     clear_library_caches,
     euler_numbers_by_recurrence,
     random_rationals,
+    zigzag_numbers_by_boustrophedon,
 )
 
 from eulerlp import (
@@ -67,14 +69,46 @@ class TestEulerNumbers:
         try:
             for order in orders:
                 euler_number.cache_clear()
-                monkeypatch.setattr(euler, "_zigzag_table", [1])
-                monkeypatch.setattr(euler, "_row", [1])
+                monkeypatch.setattr(euler, "_tangent", [0])
                 tables.append({n: euler_number(n) for n in order})
         finally:
             monkeypatch.undo()
             euler_number.cache_clear()
         assert tables[0] == tables[1]
         assert [tables[0][n] for n in range(602)] == euler_numbers(601)
+
+    def _count_builds(self, monkeypatch, request):
+        """Tangent-table builds made by request() from an unbuilt table and
+        a cold euler_number cache."""
+        builds = []
+        build = euler._tangent_numbers
+
+        def counted_build(m):
+            builds.append(m)
+            return build(m)
+
+        try:
+            euler_number.cache_clear()
+            monkeypatch.setattr(euler, "_tangent", [0])
+            monkeypatch.setattr(euler, "_tangent_numbers", counted_build)
+            request()
+        finally:
+            monkeypatch.undo()
+            euler_number.cache_clear()
+        return builds
+
+    def test_one_index_at_a_time_rebuilds_by_doubling(self, monkeypatch):
+        # n = 601 needs T_301; doubling from T_1 gets there in 10 builds,
+        # a rebuild per new index would take 301
+        builds = self._count_builds(
+            monkeypatch, lambda: [euler_number(n) for n in range(602)]
+        )
+        assert len(builds) <= math.ceil(math.log2(301)) + 1, builds
+        assert builds[-1] >= 301
+
+    def test_cold_table_is_built_once(self, monkeypatch):
+        builds = self._count_builds(monkeypatch, lambda: euler_numbers(600))
+        assert builds == [300]
 
 
 class TestEulerPolynomial:
@@ -155,10 +189,23 @@ class TestSympyOracle:
 
 
 class TestFractionOracle:
-    """The Fraction recurrence that the zigzag table replaced."""
+    """The Fraction recurrence that the library's integer table replaced."""
 
     def test_euler_numbers(self):
         assert euler_numbers(400) == euler_numbers_by_recurrence(400)
+
+
+class TestBoustrophedonOracle:
+    """The zigzag numbers by the boustrophedon, an algorithm apart from the
+    tangent recurrence that the library and the CLI tests' oracle share."""
+
+    def test_euler_numbers(self):
+        zigzag = zigzag_numbers_by_boustrophedon(1200)
+        expected = [Fraction(1)] + [
+            Fraction((-1) ** ((n + 1) // 2) * zigzag[n], 2**n) if n % 2 else Fraction(0)
+            for n in range(1, 1201)
+        ]
+        assert euler_numbers(1200) == expected
 
 
 class TestEulerLayerMutants:

@@ -1,6 +1,6 @@
 """The int Horner loop of ``euler_polynomial_value`` against a Fraction
 Horner loop over Euler numbers from the exact recurrence in conftest, which
-shares no code with the library's zigzag table or its scaled coefficients."""
+shares no code with the library's tangent table or its scaled coefficients."""
 
 from fractions import Fraction
 from math import comb
