@@ -1,19 +1,18 @@
 """Dirichlet characters with values in Z_p: the powers omega^t of the
 Teichmuller character, the only characters the l-function is evaluated at.
-A character is its context and its exponent; chi(a) is an int residue mod
-p^N, a root of unity of order dividing p - 1, or 0.
+A character is an immutable value made of its context and its exponent
+alone; chi(a) is an int residue mod p^N, a root of unity of order dividing
+p - 1, or 0.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .padic import PadicContext, teichmuller
+from .padic import PadicContext, Value, _set, teichmuller
 
 
-@dataclass(frozen=True)
-class DirichletCharacter:
+class DirichletCharacter(Value):
     """The character omega^t in a context Z/p^N, t reduced mod p - 1.
 
     ``conductor`` and ``values`` are derived from (context, t), and equality
@@ -22,16 +21,15 @@ class DirichletCharacter:
     which case the character takes the value 1 at p too.
     """
 
-    context: PadicContext
-    t: int
-    conductor: int = field(init=False, compare=False, repr=False)
-    values: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    __slots__ = ("context", "t", "conductor", "values")
+    __match_args__ = ("context", "t")
 
-    def __post_init__(self):
-        t = self.t % (self.context.p - 1)
-        object.__setattr__(self, "t", t)
-        object.__setattr__(self, "conductor", self.context.p if t else 1)
-        object.__setattr__(self, "values", _values(t, self.context))
+    def __init__(self, context: PadicContext, t: int):
+        t %= context.p - 1
+        _set(self, "context", context)
+        _set(self, "t", t)
+        _set(self, "conductor", context.p if t else 1)
+        _set(self, "values", _values(t, context))
 
     def __call__(self, a: int) -> int:
         return self.values[a % self.conductor]

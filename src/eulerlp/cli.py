@@ -6,13 +6,15 @@ Subcommands:
   verify  run one named check and report both sides
   grid    run every check suite over a parameter grid
 
-Exit status: 0 when all reports match, 1 on any mismatch, 2 on usage error.
+Exit status: 0 when all reports match, 1 on any mismatch, 2 on usage error,
+141 when stdout is closed before the output is written (``| head``).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -153,10 +155,19 @@ def main(argv=None) -> int:
     if limit is not None:
         sys.set_int_max_str_digits(0)
     try:
-        return args.func(args)
+        status = args.func(args)
+        if sys.stdout is not None:  # None when started with stdout closed
+            sys.stdout.flush()  # a closed pipe raises here, not at exit
+        return status
     except (ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader is gone: quiet the exit-time flush, exit as for SIGPIPE
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141  # 128 + 13, as a shell reports it
     finally:
         if limit is not None:
             sys.set_int_max_str_digits(limit)

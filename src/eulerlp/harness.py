@@ -16,7 +16,6 @@ entry and ``grid`` runs every entry over a parameter grid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .characters import teichmuller_power
@@ -26,7 +25,7 @@ from .euler import (
     euler_polynomial_value,
 )
 from .lfunctions import _series_cutoff, interpolation_check, kummer_check, padic_l
-from .padic import PadicContext, PadicNumber, binomial, is_prime
+from .padic import PadicContext, PadicNumber, Value, _set, binomial, is_prime
 from .reports import CongruenceReport, format_rational, padic_report, rational_report
 
 
@@ -108,20 +107,17 @@ DISTRIBUTION_MODULI = (1, 3, 5, 7)
 POWER_SUM_EXPONENTS = tuple(range(9))
 
 
-@dataclass(frozen=True)
-class GridConfig:
+class GridConfig(Value):
     """Parameter grid for :func:`run_grid`; values are normalized to sorted
     deduplicated tuples so equal configs produce identical report streams."""
 
-    primes: tuple[int, ...]
-    r_values: tuple[int, ...]
-    n_values: tuple[int, ...]
-    precision: int
+    __slots__ = __match_args__ = ("primes", "r_values", "n_values", "precision")
 
-    def __post_init__(self):
-        object.__setattr__(self, "primes", tuple(sorted(set(self.primes))))
-        object.__setattr__(self, "r_values", tuple(sorted(set(self.r_values))))
-        object.__setattr__(self, "n_values", tuple(sorted(set(self.n_values))))
+    def __init__(self, primes, r_values, n_values, precision: int):
+        _set(self, "primes", tuple(sorted(set(primes))))
+        _set(self, "r_values", tuple(sorted(set(r_values))))
+        _set(self, "n_values", tuple(sorted(set(n_values))))
+        _set(self, "precision", precision)
         for p in self.primes:
             if p < 3 or not is_prime(p):
                 raise ValueError(f"primes must be odd primes, got {p}")
@@ -131,7 +127,7 @@ class GridConfig:
         for r in self.r_values:
             if r < 1:
                 raise ValueError(f"r values must be >= 1, got {r}")
-        if self.precision < 1:
+        if precision < 1:
             raise ValueError("precision must be >= 1")
 
 

@@ -8,13 +8,51 @@ p is a separate, explicit operation).
 
 Library code computes on plain int residues and wraps each value it returns
 once, at the precision it is known to; the operators are for callers.
+Both classes are immutable :class:`Value` objects, as are characters, grid
+configs and reports.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, isqrt
+from operator import attrgetter
+
+_set = object.__setattr__  # how __init__ writes the slots of a Value
+
+
+class Value:
+    """Immutable ``__slots__`` object compared by value.  ``__match_args__``
+    names its fields: the constructor arguments, in order, and what equality,
+    hash, repr and pickling read.  Instances of different classes are never
+    equal."""
+
+    __slots__ = ()
+    __match_args__: tuple[str, ...] = ()
+
+    def __init_subclass__(cls):
+        cls._key = attrgetter(*cls.__match_args__)  # _key(obj): field values
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or self._key(self) == other._key(other)
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.__match_args__)
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{type(self).__qualname__}({fields})"
 
 
 def is_prime(n: int) -> bool:
@@ -29,22 +67,20 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class PadicContext:
+class PadicContext(Value):
     """Working ring Z/p^N standing in for Z_p, for an odd prime p."""
 
-    p: int
-    precision: int
+    __slots__ = ("p", "precision", "modulus")
+    __match_args__ = ("p", "precision")
 
-    def __post_init__(self):
-        if self.p < 3 or not is_prime(self.p):
-            raise ValueError(f"p must be an odd prime, got {self.p}")
-        if self.precision < 1:
+    def __init__(self, p: int, precision: int):
+        if p < 3 or not is_prime(p):
+            raise ValueError(f"p must be an odd prime, got {p}")
+        if precision < 1:
             raise ValueError("precision must be >= 1")
-
-    @property
-    def modulus(self) -> int:
-        return self.p ** self.precision
+        _set(self, "p", p)
+        _set(self, "precision", precision)
+        _set(self, "modulus", p**precision)  # p^N, computed once
 
     def from_int(self, value: int) -> "PadicNumber":
         return PadicNumber(self, value, self.precision)
@@ -60,22 +96,19 @@ class PadicContext:
         return PadicNumber(self, residue, self.precision)
 
 
-@dataclass(frozen=True)
-class PadicNumber:
+class PadicNumber(Value):
     """An element of Z_p asserted only modulo p^precision."""
 
-    context: PadicContext
-    residue: int
-    precision: int
+    __slots__ = __match_args__ = ("context", "residue", "precision")
 
-    def __post_init__(self):
-        if not 1 <= self.precision <= self.context.precision:
+    def __init__(self, context: PadicContext, residue: int, precision: int):
+        if not 1 <= precision <= context.precision:
             raise ValueError(
-                f"precision must be in 1..{self.context.precision}, got {self.precision}"
+                f"precision must be in 1..{context.precision}, got {precision}"
             )
-        object.__setattr__(
-            self, "residue", self.residue % self.context.p ** self.precision
-        )
+        _set(self, "context", context)
+        _set(self, "residue", residue % context.p**precision)
+        _set(self, "precision", precision)
 
     # ------------------------------------------------------------- inspection
 

@@ -2,13 +2,10 @@
 
 from __future__ import annotations
 
-import csv
-import io
 import json
-from dataclasses import dataclass, fields
 from fractions import Fraction
 
-from .padic import PadicNumber
+from .padic import PadicNumber, Value, _set
 
 
 def format_rational(q: Fraction | int) -> str:
@@ -17,8 +14,7 @@ def format_rational(q: Fraction | int) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-@dataclass(frozen=True)
-class CongruenceReport:
+class CongruenceReport(Value):
     """Outcome of one check: both sides in serialized form plus a match flag.
 
     For p-adic checks lhs/rhs are PadicNumber dicts and ``precision`` gives
@@ -27,17 +23,21 @@ class CongruenceReport:
     field order is the key order of the JSON form and the CSV columns.
     """
 
-    check: str
-    p: int | None
-    params: dict
-    lhs: object
-    rhs: object
-    precision: int | None
-    match: bool
-    lhs_valuation: int | None
+    __slots__ = __match_args__ = ("check", "p", "params", "lhs", "rhs",
+                                  "precision", "match", "lhs_valuation")
+
+    def __init__(self, check, p, params, lhs, rhs, precision, match, lhs_valuation):
+        _set(self, "check", check)
+        _set(self, "p", p)
+        _set(self, "params", params)
+        _set(self, "lhs", lhs)
+        _set(self, "rhs", rhs)
+        _set(self, "precision", precision)
+        _set(self, "match", match)
+        _set(self, "lhs_valuation", lhs_valuation)
 
     def as_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return {name: getattr(self, name) for name in self.__match_args__}
 
     def to_json(self) -> str:
         return json.dumps(self.as_dict(), separators=(",", ":"))
@@ -81,7 +81,7 @@ def rational_report(
     )
 
 
-CSV_COLUMNS = tuple(f.name for f in fields(CongruenceReport))
+CSV_COLUMNS = CongruenceReport.__match_args__
 
 
 def _csv_cell(value) -> str:
@@ -99,6 +99,9 @@ def reports_to_jsonl(reports) -> str:
 
 
 def reports_to_csv(reports) -> str:
+    import csv  # only --format csv writes it: not loaded at start-up
+    import io
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)

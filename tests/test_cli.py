@@ -455,3 +455,51 @@ def test_verify_prints_sides_past_the_digit_limit():
     assert report["match"] is True
     assert '"match":true' in proc.stdout
     assert max(len(part) for part in report["lhs"].lstrip("-").split("/")) > 4300
+
+
+def test_closed_stdout_exits_141_without_a_traceback():
+    # the reader of `eulerlp euler --nmax 3000 | head -1` goes away after
+    # one line, while megabytes are still to be written
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    with subprocess.Popen(
+        [sys.executable, "-m", "eulerlp", "euler", "--nmax", "3000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    ) as proc:
+        assert proc.stdout.readline() == b'{"n":0,"value":"1/1"}\n'
+        proc.stdout.close()
+        stderr = proc.stderr.read().decode()
+        assert proc.wait(timeout=60) == 141
+    assert "Traceback" not in stderr
+    assert stderr == ""
+
+
+def test_stdout_closed_at_start_is_not_an_error(capsys, monkeypatch):
+    # a process started with stdout closed (`eulerlp ... >&-`) has
+    # sys.stdout None, and print writes nothing
+    monkeypatch.setattr(sys, "stdout", None)
+    assert main(["euler", "--nmax", "3"]) == 0
+
+
+def test_import_loads_no_dataclasses_inspect_or_csv():
+    # -S: no .pth file of the site packages can load a module first and
+    # hide its import by eulerlp
+    probe = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import eulerlp.cli\n"
+        "print(' '.join(sorted(set(sys.modules) - before)))\n"
+        "eulerlp.cli.reports_to_csv([])\n"
+        "print('csv' in sys.modules)"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", probe],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    imported, csv_after = proc.stdout.splitlines()
+    assert "eulerlp.cli" in imported.split()
+    assert not {"dataclasses", "inspect", "ast", "dis", "tokenize", "csv"} & set(
+        imported.split()
+    )
+    assert csv_after == "True"
