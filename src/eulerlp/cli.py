@@ -6,8 +6,8 @@ Subcommands:
   verify  run one named check and report both sides
   grid    run every check suite over a parameter grid
 
-Exit status: 0 when all reports match, 1 on any mismatch, 2 on usage error,
-141 when stdout is closed before the output is written (``| head``).
+Exit status: 0 when all reports match, 1 on any mismatch, 2 on a usage or
+write error, 141 when stdout is closed before the output is written (``| head``).
 """
 
 from __future__ import annotations
@@ -162,12 +162,15 @@ def main(argv=None) -> int:
     except (ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except BrokenPipeError:
-        # the reader is gone: quiet the exit-time flush, exit as for SIGPIPE
+    except OSError as exc:
+        # a closed pipe or a full disk: quiet the exit-time flush of the buffer
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
-        return 141  # 128 + 13, as a shell reports it
+        if isinstance(exc, BrokenPipeError):
+            return 141  # 128 + 13, as a shell reports SIGPIPE
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return 2
     finally:
         if limit is not None:
             sys.set_int_max_str_digits(limit)

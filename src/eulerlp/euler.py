@@ -97,28 +97,30 @@ def euler_polynomial(n: int) -> tuple[Fraction, ...]:
     )
 
 
-def euler_polynomial_value(n: int, x: Rational) -> Fraction:
-    """E_n evaluated at a rational point, exactly.
-
-    For x = u/v, a homogeneous Horner loop on ints gives
-    (2v)^n E_n(u/v) = sum_i C(n, i) 2^(n-i) E_(n-i) (2u)^i v^(n-i), and one
-    ``Fraction`` is built at the end.
-    """
-    x = Fraction(x)
-    two_u, v = 2 * x.numerator, x.denominator
+def _euler_form(n: int, u: int, v: int) -> int:
+    """H(n, u, v) = (2v)^n E_n(u/v) = sum_i C(n, i) 2^(n-i) E_(n-i) (2u)^i
+    v^(n-i) for ints u and v != 0, by a homogeneous Horner loop on ints."""
+    two_u = 2 * u
     coefficients = _scaled_euler_polynomial(n)
     acc, v_power = coefficients[n], 1
     for c in reversed(coefficients[:n]):
         v_power *= v
         acc = acc * two_u + c * v_power
-    return Fraction(acc, (2 * v) ** n)
+    return acc
+
+
+def euler_polynomial_value(n: int, x: Rational) -> Fraction:
+    """E_n evaluated at a rational point x = u/v, exactly: H(n, u, v) on
+    ints, and one ``Fraction`` built at the end."""
+    x = Fraction(x)
+    return Fraction(_euler_form(n, x.numerator, x.denominator), (2 * x.denominator) ** n)
 
 
 def alternating_power_sum(n: int, m: int) -> Fraction:
-    """2 sum_{l=0}^{n-1} (-1)^l l^m by direct summation (0^0 counts as 1)."""
+    """2 sum_{l=0}^{n-1} (-1)^l l^m, summed on ints (0^0 counts as 1)."""
     if n < 0 or m < 0:
         raise ValueError("n and m must be >= 0")
-    return 2 * sum((((-1) ** l) * Fraction(l) ** m for l in range(n)), Fraction(0))
+    return Fraction(2 * sum(-(l**m) if l % 2 else l**m for l in range(n)))
 
 
 def alternating_power_sum_closed(n: int, m: int) -> Fraction:

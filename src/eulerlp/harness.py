@@ -17,13 +17,10 @@ entry and ``grid`` runs every entry over a parameter grid.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 from .characters import teichmuller_power
-from .euler import (
-    alternating_power_sum,
-    alternating_power_sum_closed,
-    euler_polynomial_value,
-)
+from .euler import _euler_form, alternating_power_sum, alternating_power_sum_closed
 from .lfunctions import _series_cutoff, interpolation_check, kummer_check, padic_l
 from .padic import PadicContext, PadicNumber, Value, _set, binomial, is_prime
 from .reports import CongruenceReport, format_rational, padic_report, rational_report
@@ -69,13 +66,18 @@ def main_congruence_series(
     K = N + margin; since (pn)^k has valuation >= k and l_p values lie in
     Z_p, any K >= N gives the same residue.
     """
+    pn = ctx.p * n
     total = sum(
-        binomial(-r, k)
-        * (ctx.p * n) ** k
-        * padic_l(r + k, teichmuller_power(-(k + r), ctx), margin=margin).residue
+        binomial(-r, k) * pn**k * _diagonal_l(r + k, ctx, margin)
         for k in range(1, _series_cutoff(ctx, margin) + 1)
     )
     return ctx.from_int(-total)
+
+
+@lru_cache(maxsize=None)
+def _diagonal_l(s: int, ctx: PadicContext, margin: int) -> int:
+    """The residue of l_p(s, w^(-s)) in ctx, from N + margin terms."""
+    return padic_l(s, teichmuller_power(-s, ctx), margin=margin).residue
 
 
 def verify_main_congruence(
@@ -141,10 +143,12 @@ def distribution_report(n: int, f: int, x: Fraction) -> CongruenceReport:
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     x = Fraction(x)
-    lhs = euler_polynomial_value(n, x)
-    rhs = Fraction(f) ** n * sum(
-        ((-1) ** a) * euler_polynomial_value(n, (x + a) / f) for a in range(f)
-    )
+    u, v = x.numerator, x.denominator
+    # both sides over (2v)^n: f^n E_n((u + av) / fv) = H(n, u + av, fv) / (2v)^n
+    scale = (2 * v) ** n
+    lhs = Fraction(_euler_form(n, u, v), scale)
+    terms = ((-1) ** a * _euler_form(n, u + a * v, f * v) for a in range(f))
+    rhs = Fraction(sum(terms), scale)
     params = {"n": n, "f": f, "x": format_rational(x)}
     return rational_report("distribution", params, lhs, rhs)
 

@@ -24,8 +24,10 @@ only the type of the results.  The series is Washington's ("p-adic
 L-functions and sums of powers", J. Number Theory 69, 1998), adapted to
 Euler numbers.
 
-A value depends on (s, chi, margin) only, so ``padic_l`` is an lru cache
-on those arguments: the main congruence asks for the same l_p(r+k,
+A character only weights the partial zeta values, so l_p(s, chi) is a
+dot product of ``chi.values`` with the cached row ``_l_series_row`` of
+H_p(s, a | p), one per (s, context, cutoff).  ``padic_l`` is an lru cache
+on (s, chi, margin): the main congruence asks for the same l_p(r+k,
 w^(-r-k)) at every n and r.  The interpolation oracle embeds each exact
 partial zeta value z(n, a) = ``partial_zeta_neg(n, a, p)`` once per
 (n, context), in the cached tuple ``_partial_zeta_residues``; each
@@ -154,23 +156,29 @@ def padic_partial_zeta_at_neg(
 
 
 @lru_cache(maxsize=None)
+def _l_series_row(s: int, ctx: PadicContext, cutoff: int) -> tuple[int, ...]:
+    """Indexed by a < p: the residue of H_p(s, a | p) in ctx from cutoff
+    terms for a >= 1, and 0 at a = 0, where chi(0) = 0 for conductor p."""
+    table = _series_table(ctx.p, ctx.p, ctx.precision, cutoff)
+    binomials, m = _binomial_row(s, cutoff), ctx.modulus
+    return (0,) + tuple(
+        _partial_zeta_residue(s, table[a], binomials, m) for a in range(1, ctx.p)
+    )
+
+
+@lru_cache(maxsize=None)
 def padic_l(s: int, chi: DirichletCharacter, *, margin: int = 0) -> PadicNumber:
     """l_p(s, chi) = 2 sum over units a mod p of chi(a) H_p(s, a | p) mod
     p^N, with N the precision of chi's context, from N + margin terms.
 
-    The summation modulus is p, the modulus of every Teichmuller power.
-    The value depends on (s, chi, margin) only, and is computed once per
-    distinct triple.
+    The summation modulus is p, the modulus of every Teichmuller power, so
+    the value is twice ``chi.values`` dotted with the shared row
+    ``_l_series_row(s, ctx, N + margin)``, or twice the row's sum for
+    conductor 1 (values (1,)).  It is computed once per (s, chi, margin).
     """
     ctx = chi.context
-    cutoff = _series_cutoff(ctx, margin)
-    m = ctx.modulus
-    table = _series_table(ctx.p, ctx.p, ctx.precision, cutoff)
-    binomials = _binomial_row(s, cutoff)
-    total = sum(
-        chi(a) * _partial_zeta_residue(s, table[a], binomials, m)
-        for a in range(1, ctx.p)
-    )
+    row = _l_series_row(s, ctx, _series_cutoff(ctx, margin))
+    total = sum(map(mul, chi.values, row)) if chi.conductor > 1 else sum(row)
     return ctx.from_int(2 * total)
 
 

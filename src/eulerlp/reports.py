@@ -7,6 +7,8 @@ from fractions import Fraction
 
 from .padic import PadicNumber, Value, _set
 
+_encode = json.JSONEncoder(separators=(",", ":")).encode
+
 
 def format_rational(q: Fraction | int) -> str:
     """Serialize a rational as an explicit "num/den" string."""
@@ -40,7 +42,7 @@ class CongruenceReport(Value):
         return {name: getattr(self, name) for name in self.__match_args__}
 
     def to_json(self) -> str:
-        return json.dumps(self.as_dict(), separators=(",", ":"))
+        return _encode(self.as_dict())
 
 
 def padic_report(
@@ -90,7 +92,7 @@ def _csv_cell(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, (dict, list)):
-        return json.dumps(value, separators=(",", ":"))
+        return _encode(value)
     return str(value)
 
 

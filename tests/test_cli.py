@@ -473,6 +473,23 @@ def test_closed_stdout_exits_141_without_a_traceback():
     assert stderr == ""
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_write_error_on_stdout_is_a_one_line_error():
+    # every write to /dev/full fails with ENOSPC; the output is lost, which
+    # is neither a mismatch (exit 1) nor a closed pipe (exit 141)
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "eulerlp", "euler", "--nmax", "5"],
+            stdout=full, stderr=subprocess.PIPE, text=True, env=env, timeout=60,
+        )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1, proc.stderr
+    assert lines[0].startswith("error: cannot write output: ")
+
+
 def test_stdout_closed_at_start_is_not_an_error(capsys, monkeypatch):
     # a process started with stdout closed (`eulerlp ... >&-`) has
     # sys.stdout None, and print writes nothing

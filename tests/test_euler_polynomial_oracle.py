@@ -1,6 +1,9 @@
-"""The int Horner loop of ``euler_polynomial_value`` against a Fraction
-Horner loop over Euler numbers from the exact recurrence in conftest, which
-shares no code with the library's tangent table or its scaled coefficients."""
+"""The integer kernels of the euler layer against Fractions: the homogeneous
+Horner loop behind ``euler_polynomial_value`` and ``distribution_report``
+against a Fraction Horner loop over Euler numbers from the exact recurrence
+in conftest, which shares no code with the library's tangent table or its
+scaled coefficients, and the int alternating power sum against a Fraction
+sum."""
 
 from fractions import Fraction
 from math import comb
@@ -12,7 +15,8 @@ from conftest import euler_numbers_by_recurrence
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from eulerlp import euler_polynomial_value
+from eulerlp import alternating_power_sum, euler_polynomial_value
+from eulerlp.harness import distribution_report
 
 NMAX = 40
 EULER = euler_numbers_by_recurrence(NMAX)
@@ -43,3 +47,37 @@ def test_int_horner_matches_fraction_horner(n, x):
 @given(st.integers(0, NMAX), st.integers(-(10**6), 10**6))
 def test_integer_points(n, x):
     assert euler_polynomial_value(n, x) == fraction_horner(n, Fraction(x))
+
+
+def fraction_string(q):
+    return f"{q.numerator}/{q.denominator}"
+
+
+@given(
+    st.integers(0, 30),
+    st.sampled_from((1, 3, 5, 7, 9)),
+    st.builds(Fraction, st.integers(-(10**12), 10**12), st.integers(1, 10**12)),
+)
+@example(0, 1, Fraction(0))
+@example(30, 9, Fraction(-(10**12), 10**12 - 1))
+@example(7, 3, Fraction(-2, 7))
+def test_distribution_sides_match_fraction_sides(n, f, x):
+    # E_n(x) and f^n sum_a (-1)^a E_n((x + a) / f), each side on Fractions
+    report = distribution_report(n, f, x)
+    lhs = fraction_horner(n, x)
+    rhs = f**n * sum((-1) ** a * fraction_horner(n, (x + a) / f) for a in range(f))
+    assert report.lhs == fraction_string(lhs)
+    assert report.rhs == fraction_string(rhs)
+    assert report.match
+
+
+def test_alternating_power_sum_matches_fraction_sum():
+    # includes 0^0 = 1 at (n, m) = (1, 0) and the empty sum at (0, 0)
+    assert alternating_power_sum(0, 0) == 0
+    assert alternating_power_sum(1, 0) == 2
+    for n in range(41):
+        for m in range(13):
+            expected = 2 * sum((-1) ** l * Fraction(l) ** m for l in range(n))
+            value = alternating_power_sum(n, m)
+            assert isinstance(value, Fraction)
+            assert value == expected, (n, m)

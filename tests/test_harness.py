@@ -1,5 +1,7 @@
+import inspect
 import json
 import pickle
+import textwrap
 from fractions import Fraction
 
 import pytest
@@ -177,6 +179,37 @@ class TestOneEvaluationPerValue:
         assert len(reports) == 102 and all(r.match for r in reports)
         assert len(calls) == len(set(calls)) == 102
 
+    def test_interpolation_builds_one_row_per_argument_and_prime(self):
+        # l_p(-n, w^t) for every t reads the row of H_p(-n, a | p): one row
+        # per n in 2, 4, 6 at each of the 5 primes serves all 102 reports
+        clear_library_caches()
+        try:
+            reports = grid_mixed_reports("interpolation")
+            rows = lfunctions._l_series_row.cache_info().misses
+        finally:
+            clear_library_caches()
+        assert len(reports) == 102 and all(r.match for r in reports)
+        assert rows == 15
+
+    def test_grid_builds_one_row_per_argument_and_context(self):
+        # distinct (s, context, cutoff): theorem6 s = r + k in 2..14 at 10
+        # digits (65), interpolation s = -n (15), and kummer k and k + p in
+        # the 1-digit context (39: at p = 3, k = 4 and k2 = 1 + 3 coincide)
+        M = GRID_MIXED.precision
+        keys = set()
+        for p in GRID_MIXED.primes:
+            keys |= {(r + k, p, M) for r in GRID_MIXED.r_values for k in range(1, M + 1)}
+            keys |= {(-n, p, M) for n in GRID_MIXED.n_values}
+            keys |= {(s, p, 1) for k in GRID_MIXED.r_values for s in (k, k + p)}
+        clear_library_caches()
+        try:
+            reports = run_grid(GRID_MIXED)
+            rows = lfunctions._l_series_row.cache_info().misses
+        finally:
+            clear_library_caches()
+        assert len(reports) == 349 and all(r.match for r in reports)
+        assert rows == len(keys) == 119
+
 
 class TestGridConfig:
     def test_normalizes_to_sorted_tuples(self):
@@ -282,6 +315,22 @@ class TestSuiteMutants:
             return (original(p, n, r, m) - 2 * (-1) ** j * pow(j, -r, m)) % m
 
         self._assert_caught(monkeypatch, "theorem6", "_alt_harmonic_residue", mutant)
+
+    @pytest.mark.parametrize(
+        "fault, mutation",
+        [("f * v)", "v)"), ("(-1) ** a * _euler_form", "_euler_form")],
+        ids=["kernel-at-v-for-f-v", "sign-dropped"],
+    )
+    def test_distribution_kernel_call_mutated(self, monkeypatch, fault, mutation):
+        # distribution_report's own source with the right side's kernel
+        # called at denominator v instead of f*v, or without (-1)^a; f = 1
+        # cannot see either, f = 3, 5, 7 must
+        source = textwrap.dedent(inspect.getsource(harness.distribution_report))
+        assert source.count(fault) == 1
+        namespace = {}
+        exec(source.replace(fault, mutation), vars(harness), namespace)
+        mutant = namespace["distribution_report"]
+        self._assert_caught(monkeypatch, "distribution", "distribution_report", mutant)
 
 
 class TestSerializationFormats:

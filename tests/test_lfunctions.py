@@ -256,6 +256,24 @@ class TestPadicL:
                 wide = padic_l(s, chi, margin=4)
                 assert tight == wide
 
+    @pytest.mark.parametrize("p, digits", [(3, 6), (5, 4), (7, 3), (13, 2)])
+    def test_shared_row_matches_the_per_class_sum(self, p, digits):
+        # padic_l reads one row of H_p(s, a | p) per (s, context, cutoff);
+        # the public partial zeta builds each class a on its own, with no row
+        ctx = PadicContext(p, digits)
+        # t = 0 is conductor 1, values (1,); there, and at every even t, both
+        # sides are 0 by parity, so only odd t can tell a wrong row apart
+        for t in range(p - 1):
+            chi = teichmuller_power(t, ctx)
+            for s in range(-6, 9):
+                for margin in (0, 2):
+                    per_class = sum(
+                        chi(a) * padic_partial_zeta(s, a, p, ctx, margin=margin).residue
+                        for a in range(1, p)
+                    )
+                    expected = ctx.from_int(2 * per_class)
+                    assert padic_l(s, chi, margin=margin) == expected, (t, s, margin)
+
 
 class TestInterpolation:
     def test_diagonal_twists_give_euler_numbers(self):
