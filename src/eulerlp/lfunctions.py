@@ -26,12 +26,13 @@ Euler numbers.
 
 A character only weights the partial zeta values, so l_p(s, chi) is a
 dot product of ``chi.values`` with the cached row ``_l_series_row`` of
-H_p(s, a | p), one per (s, context, cutoff).  ``padic_l`` is an lru cache
-on (s, chi, margin): the main congruence asks for the same l_p(r+k,
-w^(-r-k)) at every n and r.  The interpolation oracle embeds each exact
-partial zeta value z(n, a) = ``partial_zeta_neg(n, a, p)`` once per
-(n, context), in the cached tuple ``_partial_zeta_residues``; each
-E_{n,chi} is then one dot product with ``chi.values``.
+H_p(s, a | p), one per (s, context, cutoff).  ``padic_l`` itself holds no
+state: a repeated value is held by that row, and the main congruence's
+l_p(r+k, w^(-r-k)), asked for at every n and r, by ``harness._diagonal_l``.
+The interpolation oracle embeds each exact partial zeta value z(n, a) =
+``partial_zeta_neg(n, a, p)`` once per (n, context), in the cached tuple
+``_partial_zeta_residues``; each E_{n,chi} is then one dot product with
+``chi.values``.
 """
 
 from __future__ import annotations
@@ -115,7 +116,6 @@ def _series_table(
     return tuple(table)
 
 
-@lru_cache(maxsize=None)
 def _binomial_row(s: int, cutoff: int) -> tuple[int, ...]:
     """C(-s, j) for j < cutoff."""
     return tuple(binomial(-s, j) for j in range(cutoff))
@@ -166,7 +166,6 @@ def _l_series_row(s: int, ctx: PadicContext, cutoff: int) -> tuple[int, ...]:
     )
 
 
-@lru_cache(maxsize=None)
 def padic_l(s: int, chi: DirichletCharacter, *, margin: int = 0) -> PadicNumber:
     """l_p(s, chi) = 2 sum over units a mod p of chi(a) H_p(s, a | p) mod
     p^N, with N the precision of chi's context, from N + margin terms.
@@ -174,7 +173,8 @@ def padic_l(s: int, chi: DirichletCharacter, *, margin: int = 0) -> PadicNumber:
     The summation modulus is p, the modulus of every Teichmuller power, so
     the value is twice ``chi.values`` dotted with the shared row
     ``_l_series_row(s, ctx, N + margin)``, or twice the row's sum for
-    conductor 1 (values (1,)).  It is computed once per (s, chi, margin).
+    conductor 1 (values (1,)).  Nothing is cached here: repeated values
+    are held by that row and by ``harness._diagonal_l``.
     """
     ctx = chi.context
     row = _l_series_row(s, ctx, _series_cutoff(ctx, margin))

@@ -1,22 +1,31 @@
 """Shared test oracles and helpers.  The oracles are kept independent of the
-library code; ``clear_library_caches`` is the one helper that touches it."""
+library code; ``library_caches`` and ``clear_library_caches`` are the only
+helpers that touch it."""
 
 import sys
 from fractions import Fraction
 from math import comb
 
 
-def clear_library_caches():
-    """cache_clear() every functools.lru_cache bound in an imported eulerlp
-    module.  A mutant test calls this before patching and again after
-    ``monkeypatch.undo()``, so that no cached value can hide the mutant or
-    carry it on into later tests."""
+def library_caches():
+    """Every functools.lru_cache bound in an imported eulerlp module, once
+    each, keyed by the module and name of the function it wraps."""
+    caches = {}
     for name, module in list(sys.modules.items()):
         if name == "eulerlp" or name.startswith("eulerlp."):
             for value in vars(module).values():
-                clear = getattr(value, "cache_clear", None)
-                if callable(clear):
-                    clear()
+                if callable(getattr(value, "cache_clear", None)):
+                    caches[f"{value.__module__}.{value.__qualname__}"] = value
+    return caches
+
+
+def clear_library_caches():
+    """cache_clear() every cache of :func:`library_caches`.  A mutant test
+    calls this before patching and again after ``monkeypatch.undo()``, so
+    that no cached value can hide the mutant or carry it on into later
+    tests."""
+    for cache in library_caches().values():
+        cache.cache_clear()
 
 
 def bernoulli_numbers(nmax):
