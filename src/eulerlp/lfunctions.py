@@ -30,20 +30,20 @@ H_p(s, a | p), one per (s, context, cutoff).  ``padic_l`` itself holds no
 state: a repeated value is held by that row, and the main congruence's
 l_p(r+k, w^(-r-k)), asked for at every n and r, by ``harness._diagonal_l``.
 The interpolation oracle embeds each exact partial zeta value z(n, a) =
-``partial_zeta_neg(n, a, p)`` once per (n, context), in the cached tuple
-``_partial_zeta_residues``; each E_{n,chi} is then one dot product with
-``chi.values``.
+``partial_zeta_neg(n, a, p)`` once per (n, context), on ints, in the cached
+tuple ``_partial_zeta_residues``; each E_{n,chi} is then one dot product
+with ``chi.values``.  <a> = a omega^(-1)(a) comes, like every
+``chi.values``, from the context's one Teichmuller table in ``characters``.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from operator import mul
 
 from .characters import DirichletCharacter, teichmuller_power
-from .euler import euler_number, partial_zeta_neg
-from .padic import PadicContext, PadicNumber, angle, binomial, teichmuller
+from .euler import _euler_form, euler_number, partial_zeta_neg
+from .padic import PadicContext, PadicNumber, binomial, teichmuller
 from .reports import CongruenceReport, padic_report
 
 
@@ -64,13 +64,11 @@ def generalized_euler_number(n: int, chi: DirichletCharacter) -> PadicNumber:
 
 @lru_cache(maxsize=None)
 def _partial_zeta_residues(n: int, ctx: PadicContext) -> tuple[int, ...]:
-    """Indexed by a < p: the residue of partial_zeta_neg(n, a, p) in ctx
-    for a >= 1, and 0 at a = 0, where every character of conductor p
-    vanishes."""
-    p = ctx.p
-    return (0,) + tuple(
-        ctx.from_rational(partial_zeta_neg(n, a, p)).residue for a in range(1, p)
-    )
+    """Indexed by a < p: z(n, a) = partial_zeta_neg(n, a, p) mod p^N for
+    a >= 1, exactly (-1)^a H(n, a, p) / 2^(n+1) on ints, and 0 at a = 0,
+    where every character of conductor p vanishes."""
+    p, m, scale = ctx.p, ctx.modulus, pow(2, -n - 1, ctx.modulus)
+    return (0,) + tuple((-1) ** a * _euler_form(n, a, p) * scale % m for a in range(1, p))
 
 
 def _check_class_args(a: int, modulus: int, ctx: PadicContext) -> None:
@@ -94,13 +92,15 @@ def _series_table(
     p: int, modulus: int, digits: int, cutoff: int
 ) -> tuple[tuple[int, int, tuple[int, ...]] | None, ...]:
     """Indexed by a < modulus, for every unit a: the residues mod p^digits
-    of (-1)^a / 2, of <a>, and of (modulus/a)^j E_j for j < cutoff.
+    of (-1)^a / 2, of <a> = a omega^(-1)(a) with omega^(-1) read as a
+    character, and of (modulus/a)^j E_j for j < cutoff.
 
     The library passes digits = N and cutoff = N + margin; a cutoff below
     digits gives a wrong value, and only the tests build such a table.
     """
     ctx = PadicContext(p, digits)
-    m = ctx.modulus
+    m, half = ctx.modulus, (ctx.modulus + 1) // 2  # 1/2 mod m
+    inverse = DirichletCharacter(ctx, -1).values  # omega(a)^-1 at a mod p
     euler = [ctx.from_rational(euler_number(j)).residue for j in range(cutoff)]
     table = [None] * modulus
     for a in range(1, modulus):
@@ -111,8 +111,7 @@ def _series_table(
         for e in euler:
             row.append(power * e % m)
             power = power * ratio % m
-        half = ctx.from_rational(Fraction(-1 if a % 2 else 1, 2)).residue
-        table[a] = (half, angle(a, ctx).residue, tuple(row))
+        table[a] = (m - half if a % 2 else half, a * inverse[a % p] % m, tuple(row))
     return tuple(table)
 
 

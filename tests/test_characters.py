@@ -1,12 +1,23 @@
+import inspect
+import textwrap
+from math import isqrt
+
 import pytest
+from conftest import clear_library_caches
 
 from eulerlp import (
     DirichletCharacter,
+    GridConfig,
     PadicContext,
+    angle,
     interpolation_check,
     padic_l,
+    run_grid,
+    teichmuller,
     teichmuller_power,
 )
+from eulerlp import characters, lfunctions
+from eulerlp.characters import _primitive_root
 
 PRIMES = (3, 5, 7, 11, 13)
 
@@ -190,3 +201,129 @@ class TestValuesAgainstHenselOracle:
         ctx = PadicContext(p, 4)
         for t in range(p - 1):
             assert DirichletCharacter(ctx, t)(p) == (1 if t == 0 else 0), t
+
+
+def odd_primes_below(bound):
+    """Odd primes below bound by trial division, independent of the library."""
+    return [p for p in range(3, bound, 2) if all(p % d for d in range(3, isqrt(p) + 1, 2))]
+
+
+def multiplicative_order(g, p):
+    """The least k >= 1 with g^k = 1 mod p, by repeated multiplication."""
+    x, k = g % p, 1
+    while x != 1:
+        x, k = x * g % p, k + 1
+    return k
+
+
+class TestTeichmullerTable:
+    """The per-context table (zeta^i, ind a) that characters and <a> are
+    read from, against the closed forms it replaces in the library:
+    teichmuller(a, ctx) = a^(p^(N-1)) and angle(a, ctx) = a / omega(a)."""
+
+    def test_primitive_root_is_the_least_element_of_full_order(self):
+        for p in odd_primes_below(2000):
+            least = next(g for g in range(2, p) if multiplicative_order(g, p) == p - 1)
+            assert _primitive_root(p) == least, p
+
+    @staticmethod
+    def _assert_values_are_powers_of_the_lift(ctx):
+        lifts = [teichmuller(a, ctx).residue for a in range(1, ctx.p)]
+        assert DirichletCharacter(ctx, 0).values == (1,)
+        for t in range(1, ctx.p - 1):
+            expected = (0,) + tuple(pow(w, t, ctx.modulus) for w in lifts)
+            assert DirichletCharacter(ctx, t).values == expected, (ctx, t)
+
+    @pytest.mark.parametrize("N", (1, 3, 10))
+    def test_values_below_200(self, N):
+        try:
+            for p in odd_primes_below(200):
+                self._assert_values_are_powers_of_the_lift(PadicContext(p, N))
+        finally:
+            clear_library_caches()
+
+    def test_values_at_1009(self):
+        try:
+            self._assert_values_are_powers_of_the_lift(PadicContext(1009, 2))
+        finally:
+            clear_library_caches()
+
+    @pytest.mark.parametrize("N", (1, 4))
+    def test_series_table_angle(self, N):
+        # the table's <a> at every unit a below the summation modulus F,
+        # for F = p and for F = 3p, where a and a mod p differ
+        for p in odd_primes_below(50):
+            ctx = PadicContext(p, N)
+            for F in (p, 3 * p):
+                table = lfunctions._series_table(p, F, N, N)
+                for a in range(1, F):
+                    if a % p:
+                        assert table[a][1] == angle(a, ctx).residue, (p, N, F, a)
+                    else:
+                        assert table[a] is None
+
+
+# grid-mixed: the benchmark's grid argv
+GRID_MIXED = GridConfig(
+    primes=(3, 5, 7, 11, 13), r_values=(1, 2, 3, 4), n_values=(2, 4, 6), precision=10
+)
+
+
+def _table_source_mutant(fault, mutation):
+    source = textwrap.dedent(inspect.getsource(characters._teichmuller_table))
+    assert source.count(fault) == 1
+    namespace = {}
+    exec(source.replace(fault, mutation), vars(characters), namespace)
+    return namespace["_teichmuller_table"]
+
+
+class TestTeichmullerTableMutants:
+    """A fault in the table must fail the Hensel oracle and turn at least
+    one grid-mixed report to a mismatch, and every report must match again
+    once it is undone.
+
+    Which suite sees it depends on the fault.  A wrong g or index gives
+    psi(a) = zeta'^(k(a)) with zeta' still a (p-1)-th root of unity, read
+    consistently by chi and by <a> = a / psi(a).  Interpolation cannot see
+    that: l_p(-n, psi^t) = 2 sum psi(a)^(t-n) z(n, a) for every such psi,
+    as theorem6 cannot, since psi(a)^(-s) <a>^(-s) = a^(-s).  kummer can:
+    it reads <a> mod p, which is 1 only for psi = omega.  A lift that is
+    not a root of unity (one digit short) breaks the exponent arithmetic
+    mod p - 1, which interpolation sees."""
+
+    @staticmethod
+    def _mismatched_suites():
+        return {report.check for report in run_grid(GRID_MIXED) if not report.match}
+
+    @pytest.mark.parametrize(
+        "attr, mutant, suite",
+        [
+            ("_primitive_root", lambda p: _primitive_root(p) ** 2 % p, "kummer"),
+            ("_primitive_root", lambda p: 2, "kummer"),  # 2 has order 3 mod 7
+            (
+                "_teichmuller_table",
+                _table_source_mutant("index[pow(g, i, p)] = i", "index[pow(g, i, p)] = i + 1"),
+                "kummer",
+            ),
+            (
+                "_teichmuller_table",
+                _table_source_mutant(
+                    "teichmuller(g, ctx).residue", "pow(g, p ** max(ctx.precision - 2, 0), m)"
+                ),
+                "interpolation",
+            ),
+        ],
+        ids=["g-squared", "2-at-7", "index-off-by-one", "lift-one-digit-short"],
+    )
+    def test_mutant_is_caught(self, monkeypatch, attr, mutant, suite):
+        clear_library_caches()
+        monkeypatch.setattr(characters, attr, mutant)
+        try:
+            with pytest.raises(AssertionError):
+                TestValuesAgainstHenselOracle().test_unit_values(7, 4)
+            mismatched = self._mismatched_suites()
+        finally:
+            monkeypatch.undo()
+            clear_library_caches()
+        assert suite in mismatched, mismatched
+        assert not self._mismatched_suites()

@@ -164,16 +164,17 @@ class TestOneEvaluationPerValue:
         assert misses == 65
 
     def test_interpolation_embeds_each_partial_zeta_value_once(self, monkeypatch):
-        # z(n, a) for n in 2, 4, 6 and 0 < a < p: 3 * (2 + 4 + 6 + 10 + 12)
-        original = lfunctions.partial_zeta_neg
+        # z(n, a) for n in 2, 4, 6 and 0 < a < p: 3 * (2 + 4 + 6 + 10 + 12),
+        # each from one integer kernel value H(n, a, p)
+        original = lfunctions._euler_form
         calls = []
 
-        def counted(n, a, modulus):
-            calls.append((n, a, modulus))
-            return original(n, a, modulus)
+        def counted(n, u, v):
+            calls.append((n, u, v))
+            return original(n, u, v)
 
         clear_library_caches()
-        monkeypatch.setattr(lfunctions, "partial_zeta_neg", counted)
+        monkeypatch.setattr(lfunctions, "_euler_form", counted)
         try:
             reports = grid_mixed_reports("interpolation")
         finally:
@@ -213,7 +214,7 @@ class TestOneEvaluationPerValue:
         assert len(reports) == 349 and all(r.match for r in reports)
         assert rows == len(keys) == 119
 
-    def test_library_caches_are_the_audited_seven(self):
+    def test_library_caches_are_the_audited_eight(self):
         # each of these paid in a measured audit of cold grid traffic (see
         # CHANGES.md); a new cache joins this set with its hits and misses
         for module in pkgutil.iter_modules(eulerlp.__path__):
@@ -222,6 +223,7 @@ class TestOneEvaluationPerValue:
         assert set(library_caches()) == {
             "eulerlp.euler.euler_number",
             "eulerlp.euler._scaled_euler_polynomial",
+            "eulerlp.characters._teichmuller_table",
             "eulerlp.characters._values",
             "eulerlp.lfunctions._partial_zeta_residues",
             "eulerlp.lfunctions._series_table",

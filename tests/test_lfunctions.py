@@ -15,6 +15,7 @@ from eulerlp import (
     padic_l,
     padic_partial_zeta,
     padic_partial_zeta_at_neg,
+    partial_zeta_neg,
     series_closed_check,
     teichmuller_power,
     verify_main_congruence,
@@ -220,6 +221,21 @@ class TestPartialZetaClosedForm:
             monkeypatch.undo()
         assert not all(mutated), mutated
         assert all(matches())
+
+
+class TestPartialZetaResidues:
+    def test_integer_kernel_against_the_fraction_oracle(self):
+        # (-1)^a H(n, a, p) / 2^(n+1) on ints against partial_zeta_neg's
+        # Fraction embedded by from_rational
+        for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
+            for N in (1, 5):
+                ctx = PadicContext(p, N)
+                for n in range(13):
+                    expected = (0,) + tuple(
+                        ctx.from_rational(partial_zeta_neg(n, a, p)).residue
+                        for a in range(1, p)
+                    )
+                    assert lfunctions._partial_zeta_residues(n, ctx) == expected, (p, N, n)
 
 
 class TestPadicL:
