@@ -1,18 +1,24 @@
 """Command line interface.
 
-Subcommands:
-  euler   print Euler numbers E_0..E_nmax as "num/den" strings
-  lp      evaluate l_p(s, w^t) mod p^M
-  verify  run one named check and report both sides
-  grid    run every check suite over a parameter grid
+``COMMANDS`` is the one description of the command line (euler, lp, verify,
+grid): command -> (handler name, summary, {option: (parse, default)}).
+``parse`` is a function of the option's text, or a tuple of the accepted
+words; ``default`` is ``REQUIRED`` for an option that must be given.
+``_parse`` reads argv against it and ``_help`` prints ``-h`` from it.
+
+Options take ``--opt value`` or ``--opt=value``, values may be negative
+(``--s -3``), the last repeat of an option wins, and a unique prefix of an
+option names it (``--prec``) unless it is itself an option (``--k``, not
+``--k2``).
 
 Exit status: 0 when all reports match, 1 on any mismatch, 2 on a usage or
 write error, 141 when stdout is closed before the output is written (``| head``).
+A usage error in argv prints a ``usage:`` line and an ``eulerlp: error:`` line
+on stderr and raises ``SystemExit(2)``; ``-h`` prints help to stdout and exits 0.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
@@ -25,7 +31,111 @@ from .lfunctions import padic_l
 from .padic import PadicContext
 from .reports import format_rational, reports_to_csv, reports_to_jsonl
 
-CHECK_CHOICES = tuple(CHECKS)
+REQUIRED = object()
+_FORMAT = (("json", "csv"), "json")
+_PRECISION = (int, 6)
+
+# Handlers are named, not held: main looks each one up in this module's
+# globals at call time, so a tracer that rebinds ``cmd_*`` sees every call.
+COMMANDS = {
+    "euler": ("cmd_euler", 'print Euler numbers E_0..E_nmax as "num/den"', {
+        "nmax": (int, REQUIRED),
+    }),
+    "lp": ("cmd_lp", "evaluate l_p(s, w^t) mod p^precision", {
+        "p": (int, REQUIRED), "s": (int, REQUIRED), "t": (int, 0), "precision": _PRECISION,
+    }),
+    "verify": ("cmd_verify", "run one named check and report both sides", {
+        "check": (tuple(CHECKS), REQUIRED),
+        **dict.fromkeys(("p", "n", "r", "k", "k2"), (int, None)),
+        "t": (int, 0),
+        **dict.fromkeys(("f", "m", "j"), (int, None)),
+        "x": (Fraction, Fraction(0)),
+        "precision": _PRECISION,
+        "format": _FORMAT,
+    }),
+    "grid": ("cmd_grid", "run every check suite over a parameter grid", {
+        "primes": (str, REQUIRED), "r": (str, REQUIRED), "n": (str, REQUIRED),
+        "precision": _PRECISION, "format": _FORMAT,
+    }),
+}
+
+# How help names the value each parse function reads; a grid axis is a
+# comma list ("2,4,6") or a range ("1..4").
+_METAVARS = {int: "INT", Fraction: "NUM/DEN", str: "LIST"}
+
+
+def _metavar(parse) -> str:
+    return "{" + ",".join(parse) + "}" if isinstance(parse, tuple) else _METAVARS[parse]
+
+
+def _usage(command) -> str:
+    if command is None:
+        return f"usage: eulerlp [-h] {_metavar(tuple(COMMANDS))} ..."
+    words = [f"usage: eulerlp {command} [-h]"]
+    for name, (parse, default) in COMMANDS[command][2].items():
+        word = f"--{name} {_metavar(parse)}"
+        words.append(word if default is REQUIRED else f"[{word}]")
+    return " ".join(words)
+
+
+def _help(command) -> str:
+    if command is None:
+        lines = ["Exact Euler numbers, p-adic l-values, and congruence checks.", ""]
+        lines += ["commands:"] + [f"  {c:<8}{about}" for c, (_, about, _) in COMMANDS.items()]
+        lines += ["", "eulerlp COMMAND -h lists the options of COMMAND."]
+    else:
+        lines = [COMMANDS[command][1], "", "options:", "  -h, --help"]
+        for name, (parse, default) in COMMANDS[command][2].items():
+            note = f"  (default {default})" if default is not REQUIRED else "  (required)"
+            lines.append(f"  --{name} {_metavar(parse)}" + ("" if default is None else note))
+    return "\n".join([_usage(command), "", *lines])
+
+
+def _usage_error(command, message: str):
+    print(_usage(command), f"eulerlp: error: {message}", sep="\n", file=sys.stderr)
+    raise SystemExit(2)
+
+
+def _parse(argv: list[str]) -> tuple[str, dict]:
+    """(handler name, {option: value}) from argv; every option of the command
+    is in the dict, at its default when argv does not give it."""
+    command = argv[0] if argv and not argv[0].startswith("-") else None
+    if command is not None and command not in COMMANDS:
+        _usage_error(None, f"unknown command {command!r} (choose from {', '.join(COMMANDS)})")
+    table = COMMANDS[command][2] if command else {}
+    values = {}
+    rest = iter(argv[1:] if command else argv)
+    for arg in rest:
+        key, has_value, text = arg[2:].partition("=")
+        is_option = key and arg[:2] == "--"
+        names = [n for n in (*table, "help") if n.startswith(key)] if is_option else []
+        name = key if key in names else names[0] if len(names) == 1 else None
+        if arg == "-h" or name == "help":
+            return "_print_help", {"command": command}
+        if name is None:
+            wrong = f"ambiguous option --{key}: could match --{', --'.join(names)}"
+            _usage_error(command, wrong if names else f"unrecognized argument {arg!r}")
+        if not has_value:
+            text = next(rest, None)  # an option, never a value, starts with "--"
+            if text is None or text.startswith("--"):
+                _usage_error(command, f"--{name} expects a value")
+        parse = table[name][0]
+        try:
+            # a word that is not in a tuple of words raises ValueError too
+            values[name] = parse(text) if callable(parse) else parse[parse.index(text)]
+        except (ValueError, ZeroDivisionError):
+            _usage_error(command, f"--{name} expects {_metavar(parse)}, got {text!r}")
+    if command is None:
+        _usage_error(None, f"missing command (choose from {', '.join(COMMANDS)})")
+    missing = [f"--{n}" for n, (_, d) in table.items() if d is REQUIRED and n not in values]
+    if missing:
+        _usage_error(command, f"missing required option {', '.join(missing)}")
+    return COMMANDS[command][0], {n: values.get(n, d) for n, (_, d) in table.items()}
+
+
+def _print_help(args: dict) -> int:
+    print(_help(args["command"]))
+    return 0
 
 
 def _int_list(flag: str, text: str) -> tuple[int, ...]:
@@ -44,16 +154,6 @@ def _int_list(flag: str, text: str) -> tuple[int, ...]:
     return values
 
 
-def _rational(text: str) -> Fraction:
-    """argparse type for "num/den" (or an integer) with a nonzero denominator."""
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(
-            f"expected num/den with a nonzero denominator, got {text!r}"
-        ) from None
-
-
 def _emit(reports, fmt: str) -> int:
     if fmt == "csv":
         print(reports_to_csv(reports))
@@ -62,18 +162,18 @@ def _emit(reports, fmt: str) -> int:
     return 0 if all(r.match for r in reports) else 1
 
 
-def cmd_euler(args) -> int:
+def cmd_euler(args: dict) -> int:
     # JSON lines written by hand: "num/den" holds no character JSON escapes
-    values = enumerate(euler_numbers(args.nmax))
+    values = enumerate(euler_numbers(args["nmax"]))
     print("\n".join(f'{{"n":{i},"value":"{format_rational(v)}"}}' for i, v in values))
     return 0
 
 
-def cmd_lp(args) -> int:
-    chi = teichmuller_power(args.t, PadicContext(args.p, args.precision))
-    value = padic_l(args.s, chi)
+def cmd_lp(args: dict) -> int:
+    chi = teichmuller_power(args["t"], PadicContext(args["p"], args["precision"]))
+    value = padic_l(args["s"], chi)
     out = {
-        "s": args.s,
+        "s": args["s"],
         "character": chi.descriptor(),
         "value": value.as_json_dict(),
     }
@@ -81,72 +181,26 @@ def cmd_lp(args) -> int:
     return 0
 
 
-def cmd_verify(args) -> int:
-    required, run = CHECKS[args.check]
-    missing = [f"--{name}" for name in required if getattr(args, name) is None]
+def cmd_verify(args: dict) -> int:
+    required, run = CHECKS[args["check"]]
+    missing = [f"--{name}" for name in required if args[name] is None]
     if missing:
-        raise ValueError(f"check {args.check!r} needs {', '.join(missing)}")
-    return _emit(run(vars(args)), args.format)
+        raise ValueError(f"check {args['check']!r} needs {', '.join(missing)}")
+    return _emit(run(args), args["format"])
 
 
-def cmd_grid(args) -> int:
+def cmd_grid(args: dict) -> int:
     config = GridConfig(
-        primes=_int_list("--primes", args.primes),
-        r_values=_int_list("--r", args.r),
-        n_values=_int_list("--n", args.n),
-        precision=args.precision,
+        primes=_int_list("--primes", args["primes"]),
+        r_values=_int_list("--r", args["r"]),
+        n_values=_int_list("--n", args["n"]),
+        precision=args["precision"],
     )
-    return _emit(run_grid(config), args.format)
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="eulerlp",
-        description="Exact Euler numbers, p-adic l-values, and congruence checks.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_euler = sub.add_parser("euler", help="print Euler numbers")
-    p_euler.add_argument("--nmax", type=int, required=True)
-    p_euler.set_defaults(func=cmd_euler)
-
-    p_lp = sub.add_parser("lp", help="evaluate l_p(s, w^t)")
-    p_lp.add_argument("--p", type=int, required=True)
-    p_lp.add_argument("--s", type=int, required=True)
-    p_lp.add_argument("--t", type=int, default=0)
-    p_lp.add_argument("--precision", type=int, default=6)
-    p_lp.set_defaults(func=cmd_lp)
-
-    p_verify = sub.add_parser("verify", help="run one check")
-    p_verify.add_argument("--check", choices=CHECK_CHOICES, required=True)
-    p_verify.add_argument("--p", type=int)
-    p_verify.add_argument("--n", type=int)
-    p_verify.add_argument("--r", type=int)
-    p_verify.add_argument("--k", type=int)
-    p_verify.add_argument("--k2", type=int)
-    p_verify.add_argument("--t", type=int, default=0)
-    p_verify.add_argument("--f", type=int)
-    p_verify.add_argument("--m", type=int)
-    p_verify.add_argument("--j", type=int)
-    p_verify.add_argument("--x", type=_rational, default="0/1", help='rational point "num/den"')
-    p_verify.add_argument("--precision", type=int, default=6)
-    p_verify.add_argument("--format", choices=("json", "csv"), default="json")
-    p_verify.set_defaults(func=cmd_verify)
-
-    p_grid = sub.add_parser("grid", help="run all suites over a grid")
-    p_grid.add_argument("--primes", required=True, help='e.g. "3,5,7"')
-    p_grid.add_argument("--r", required=True, help='e.g. "1..4"')
-    p_grid.add_argument("--n", required=True, help='e.g. "2,4,6"')
-    p_grid.add_argument("--precision", type=int, default=6)
-    p_grid.add_argument("--format", choices=("json", "csv"), default="json")
-    p_grid.set_defaults(func=cmd_grid)
-
-    return parser
+    return _emit(run_grid(config), args["format"])
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    handler, args = _parse(sys.argv[1:] if argv is None else list(argv))
     # Exact values pass Python's int-to-str digit limit (Euler numbers from
     # n = 1843 on, distribution and power-sum sides at large n), so every
     # command prints with the limit lifted.  Pythons before 3.10.7 have no
@@ -155,7 +209,7 @@ def main(argv=None) -> int:
     if limit is not None:
         sys.set_int_max_str_digits(0)
     try:
-        status = args.func(args)
+        status = globals()[handler](args)
         if sys.stdout is not None:  # None when started with stdout closed
             sys.stdout.flush()  # a closed pipe raises here, not at exit
         return status

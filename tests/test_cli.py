@@ -1,6 +1,11 @@
+import argparse
+import ast
 import hashlib
+import itertools
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from fractions import Fraction
@@ -9,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from eulerlp import cli
-from eulerlp.cli import main
+from eulerlp.cli import COMMANDS, main
 from eulerlp.harness import CHECKS
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -497,7 +502,7 @@ def test_stdout_closed_at_start_is_not_an_error(capsys, monkeypatch):
     assert main(["euler", "--nmax", "3"]) == 0
 
 
-def test_import_loads_no_dataclasses_inspect_or_csv():
+def test_import_loads_no_argparse_gettext_locale_dataclasses_inspect_or_csv():
     # -S: no .pth file of the site packages can load a module first and
     # hide its import by eulerlp
     probe = (
@@ -516,7 +521,217 @@ def test_import_loads_no_dataclasses_inspect_or_csv():
     assert proc.returncode == 0, proc.stderr
     imported, csv_after = proc.stdout.splitlines()
     assert "eulerlp.cli" in imported.split()
-    assert not {"dataclasses", "inspect", "ast", "dis", "tokenize", "csv"} & set(
-        imported.split()
-    )
+    assert not {
+        "argparse", "gettext", "locale", "dataclasses", "inspect", "ast", "dis", "tokenize",
+        "csv",
+    } & set(imported.split())
     assert csv_after == "True"
+
+
+# The argparse parser the option table replaced, kept as the oracle the table
+# is compared against.
+def _rational(text: str) -> Fraction:
+    """argparse type for "num/den" (or an integer) with a nonzero denominator."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(
+            f"expected num/den with a nonzero denominator, got {text!r}"
+        ) from None
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="eulerlp",
+        description="Exact Euler numbers, p-adic l-values, and congruence checks.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p_euler = sub.add_parser("euler", help="print Euler numbers")
+    p_euler.add_argument("--nmax", type=int, required=True)
+    p_euler.set_defaults(func=cli.cmd_euler)
+
+    p_lp = sub.add_parser("lp", help="evaluate l_p(s, w^t)")
+    p_lp.add_argument("--p", type=int, required=True)
+    p_lp.add_argument("--s", type=int, required=True)
+    p_lp.add_argument("--t", type=int, default=0)
+    p_lp.add_argument("--precision", type=int, default=6)
+    p_lp.set_defaults(func=cli.cmd_lp)
+
+    p_verify = sub.add_parser("verify", help="run one check")
+    p_verify.add_argument("--check", choices=tuple(CHECKS), required=True)
+    p_verify.add_argument("--p", type=int)
+    p_verify.add_argument("--n", type=int)
+    p_verify.add_argument("--r", type=int)
+    p_verify.add_argument("--k", type=int)
+    p_verify.add_argument("--k2", type=int)
+    p_verify.add_argument("--t", type=int, default=0)
+    p_verify.add_argument("--f", type=int)
+    p_verify.add_argument("--m", type=int)
+    p_verify.add_argument("--j", type=int)
+    p_verify.add_argument("--x", type=_rational, default="0/1", help='rational point "num/den"')
+    p_verify.add_argument("--precision", type=int, default=6)
+    p_verify.add_argument("--format", choices=("json", "csv"), default="json")
+    p_verify.set_defaults(func=cli.cmd_verify)
+
+    p_grid = sub.add_parser("grid", help="run all suites over a grid")
+    p_grid.add_argument("--primes", required=True, help='e.g. "3,5,7"')
+    p_grid.add_argument("--r", required=True, help='e.g. "1..4"')
+    p_grid.add_argument("--n", required=True, help='e.g. "2,4,6"')
+    p_grid.add_argument("--precision", type=int, default=6)
+    p_grid.add_argument("--format", choices=("json", "csv"), default="json")
+    p_grid.set_defaults(func=cli.cmd_grid)
+
+    return parser
+
+
+def _oracle_parse(argv):
+    """(handler name, {option: value}) from the argparse oracle."""
+    namespace = build_parser().parse_args(argv)
+    options = vars(namespace)
+    handler = options.pop("func")
+    assert handler is getattr(cli, COMMANDS[options.pop("command")][0])
+    return handler.__name__, options
+
+
+def _readme_argv():
+    text = (ROOT / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    return [shlex.split(line, comments=True)[1:] for line in block.splitlines() if line]
+
+
+def _workload_argv():
+    for spec in json.loads(WORKLOADS.read_text()).values():
+        yield spec["default_argv"]
+        keys = list(spec["choices"])
+        for values in itertools.product(*(spec["choices"][key] for key in keys)):
+            fill = dict(zip(keys, values))
+            yield [word.format(**fill) for word in spec["template"]]
+
+
+def _ci_argv():
+    text = (ROOT / ".github" / "workflows" / "tests.yml").read_text()
+    for line in text.splitlines():
+        if line.strip().startswith(("#", "- name")):
+            continue
+        for match in re.finditer(r"(?<![\w/.-])eulerlp (.*)", line):
+            # the argv ends at a redirection, a pipe or a command substitution
+            yield re.split(r"\s+\d*>|\s*[|)]", match.group(1))[0].split()
+
+
+def _argv_in_this_file():
+    """Every all-literal argv this module passes to main, run_cli or
+    _run_module."""
+    for node in ast.walk(ast.parse(Path(__file__).read_text())):
+        name = getattr(getattr(node, "func", None), "id", None)
+        if name not in ("main", "run_cli", "_run_module"):
+            continue
+        args = node.args[1:] if name == "run_cli" else node.args
+        if name == "main" and args and isinstance(args[0], ast.List):
+            args = args[0].elts
+        if args and all(isinstance(a, ast.Constant) and isinstance(a.value, str) for a in args):
+            yield [a.value for a in args]
+
+
+# Each form the table promises: --opt=value, negative values, the last repeat
+# winning, a unique prefix, and an exact name beating a longer one.
+FORM_ARGV = [
+    ["lp", "--p=7", "--s=-3", "--t", "5", "--precision=8"],
+    ["lp", "--p", "3", "--p", "5", "--s", "1", "--s", "-2"],
+    ["euler", "--nmax", "-1"],
+    ["grid", "--prim", "3", "--r", "1", "--n=2", "--prec", "3", "--form", "csv"],
+    ["verify", "--check", "kummer", "--p", "7", "--k", "2", "--k2", "9"],
+    ["verify", "--che=kummer", "--k2=9", "--k=2", "--p=-7"],
+    ["verify", "--check", "distribution", "--n", "3", "--f", "5", "--x=-2/7", "--x", "3"],
+]
+
+PARITY_CORPUS = {
+    "readme": list(_readme_argv()),
+    "workloads": list(_workload_argv()),
+    "ci": list(_ci_argv()),
+    "test_cli": list(_argv_in_this_file())
+    + [GRID_ARGV]
+    + [["verify", "--check", c, *argv] for c, argv in VERIFY_ARGV.items()],
+    "forms": FORM_ARGV,
+}
+
+
+def _outcome(parse, argv):
+    """(handler name, {option: (type, value)}), or the exit status of a
+    rejected argv or of -h."""
+    try:
+        handler, options = parse(list(argv))
+    except SystemExit as exc:
+        return exc.code
+    if handler == "_print_help":
+        return 0
+    return handler, {name: (type(value), value) for name, value in options.items()}
+
+
+@pytest.mark.parametrize("source", sorted(PARITY_CORPUS))
+def test_option_table_parses_as_argparse_did(capsys, source):
+    corpus = PARITY_CORPUS[source]
+    assert len(corpus) >= 5, corpus
+    for argv in corpus:
+        assert _outcome(cli._parse, argv) == _outcome(_oracle_parse, argv), argv
+    capsys.readouterr()
+
+
+# argv that both parsers reject, and the option or command the error names
+BAD_ARGV = [
+    ([], "command"),
+    (["frobnicate", "--nmax", "3"], "frobnicate"),
+    (["euler", "--nmax", "3", "--bogus", "1"], "--bogus"),
+    (["euler", "--nmax"], "--nmax"),
+    (["grid", "--primes", "--r", "1", "--n", "2"], "--primes"),
+    (["grid", "--primes", "3", "--r", "1"], "--n"),
+    (["lp", "--p", "x", "--s", "1"], "--p"),
+    (["grid", "--primes", "3", "--r", "1", "--n", "2", "--format", "xml"], "--format"),
+    (["verify", "--check", "frobnicate"], "--check"),
+    (["verify", "--check", "distribution", "--n", "3", "--f", "5", "--x", "1/0"], "--x"),
+    (["euler", "--nmax", "3", "stray"], "stray"),
+    (["grid", "--pr", "3", "--primes", "3", "--r", "1", "--n", "2"], "--pr"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, named", BAD_ARGV, ids=[" ".join(argv) or "empty" for argv, _ in BAD_ARGV]
+)
+def test_bad_argv_exits_2_naming_the_offender(capsys, argv, named):
+    for parse in (build_parser().parse_args, main):
+        with pytest.raises(SystemExit) as exc:
+            parse(list(argv))
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("usage: eulerlp")
+        error = err.splitlines()[-1]
+        assert ": error: " in error and named in error, err
+    assert err.count("\n") == 2
+    assert error.startswith("eulerlp: error: ")
+
+
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+@pytest.mark.parametrize("command", [None, *COMMANDS])
+def test_help_lists_every_command_option_and_check(capsys, command, flag):
+    argv = [flag] if command is None else [command, flag]
+    assert main(argv) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert out.startswith("usage: eulerlp")
+    subparsers = build_parser()._subparsers._group_actions[0].choices
+    if command is None:
+        assert all(name in out for name in subparsers)
+        return
+    for action in subparsers[command]._actions:
+        assert all(option in out for option in action.option_strings), action
+        assert all(choice in out for choice in action.choices or ()), action
+    if command == "verify":
+        assert all(check in out for check in CHECKS)
+
+
+def test_help_exits_0_from_the_module():
+    proc = _run_module("grid", "--help")
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert "--primes" in proc.stdout
