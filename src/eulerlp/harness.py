@@ -21,7 +21,7 @@ from functools import lru_cache
 
 from .characters import teichmuller_power
 from .euler import _euler_form, alternating_power_sum, alternating_power_sum_closed
-from .lfunctions import _series_cutoff, interpolation_check, kummer_check, padic_l
+from .lfunctions import interpolation_check, kummer_check, padic_l
 from .padic import PadicContext, PadicNumber, Value, _set, binomial, is_prime
 from .reports import CongruenceReport, format_rational, padic_report, rational_report
 
@@ -57,32 +57,28 @@ def _alt_harmonic_residue(p: int, n: int, r: int, m: int) -> int:
     return 2 * total % m
 
 
-def main_congruence_series(
-    n: int, r: int, ctx: PadicContext, *, margin: int = 0
-) -> PadicNumber:
-    """-sum_{k=1}^{K} C(-r, k) (pn)^k l_p(r+k, w^{-k-r}) mod p^N, with p
+def main_congruence_series(n: int, r: int, ctx: PadicContext) -> PadicNumber:
+    """-sum_{k=1}^{N} C(-r, k) (pn)^k l_p(r+k, w^{-k-r}) mod p^N, with p
     and N the prime and precision of ctx.
 
-    K = N + margin; since (pn)^k has valuation >= k and l_p values lie in
-    Z_p, any K >= N gives the same residue.
+    Since (pn)^k has valuation >= k and l_p values lie in Z_p, the terms
+    past k = N vanish mod p^N.
     """
     pn = ctx.p * n
     total = sum(
-        binomial(-r, k) * pn**k * _diagonal_l(r + k, ctx, margin)
-        for k in range(1, _series_cutoff(ctx, margin) + 1)
+        binomial(-r, k) * pn**k * _diagonal_l(r + k, ctx)
+        for k in range(1, ctx.precision + 1)
     )
     return ctx.from_int(-total)
 
 
 @lru_cache(maxsize=None)
-def _diagonal_l(s: int, ctx: PadicContext, margin: int) -> int:
-    """The residue of l_p(s, w^(-s)) in ctx, from N + margin terms."""
-    return padic_l(s, teichmuller_power(-s, ctx), margin=margin).residue
+def _diagonal_l(s: int, ctx: PadicContext) -> int:
+    """The residue of l_p(s, w^(-s)) in ctx."""
+    return padic_l(s, teichmuller_power(-s, ctx)).residue
 
 
-def verify_main_congruence(
-    p: int, n: int, r: int, digits: int, *, margin: int = 0
-) -> CongruenceReport:
+def verify_main_congruence(p: int, n: int, r: int, digits: int) -> CongruenceReport:
     """Compare twice the alternating harmonic sum, summed on residues mod
     p^digits (the value of 2 * alt_harmonic_sum(p, n, r) there), with the
     series side; the report is labeled "theorem6" in CLI vocabulary."""
@@ -92,7 +88,7 @@ def verify_main_congruence(
     if r < 1:
         raise ValueError("r must be >= 1")
     lhs = ctx.from_int(_alt_harmonic_residue(p, n, r, ctx.modulus))
-    rhs = main_congruence_series(n, r, ctx, margin=margin)
+    rhs = main_congruence_series(n, r, ctx)
     params = {"p": p, "n": n, "r": r, "M": digits}
     return padic_report("theorem6", params, lhs, rhs)
 

@@ -12,21 +12,20 @@ for an odd multiple F of p and a unit a, and the l-function is
 Because p divides F and every E_j is p-integral, the j-th series term has
 valuation at least j, so truncating after N terms is exact mod p^N.  Every
 value is computed mod p^N, with N the precision of its context, from
-N + margin series terms; a margin > 0 must never change a residue.  Only
-integer s is supported: unit powers <a>^{-s} are then exact and no
-Mahler-series precision bookkeeping is needed.
+exactly N series terms.  Only integer s is supported: unit powers
+<a>^{-s} are then exact and no Mahler-series precision bookkeeping is
+needed.
 
-Both series run on plain int residues mod p^N.  For each
-(p, F, N, N + margin), a table holding (-1)^a / 2, <a> and the row
-(F/a)^j E_j (j < N + margin) for every unit a is built once; a value is
-then one dot product with the binomial row C(-s, j).  ``PadicNumber`` is
-only the type of the results.  The series is Washington's ("p-adic
-L-functions and sums of powers", J. Number Theory 69, 1998), adapted to
-Euler numbers.
+Both series run on plain int residues mod p^N.  For each (F, context), a
+table holding (-1)^a / 2, <a> and the row (F/a)^j E_j (j < N) for every
+unit a is built once; a value is then one dot product with the binomial
+row C(-s, j).  ``PadicNumber`` is only the type of the results.  The
+series is Washington's ("p-adic L-functions and sums of powers",
+J. Number Theory 69, 1998), adapted to Euler numbers.
 
 A character only weights the partial zeta values, so l_p(s, chi) is a
 dot product of ``chi.values`` with the cached row ``_l_series_row`` of
-H_p(s, a | p), one per (s, context, cutoff).  ``padic_l`` itself holds no
+H_p(s, a | p), one per (s, context).  ``padic_l`` itself holds no
 state: a repeated value is held by that row, and the main congruence's
 l_p(r+k, w^(-r-k)), asked for at every n and r, by ``harness._diagonal_l``.
 The interpolation oracle embeds each exact partial zeta value z(n, a) =
@@ -80,28 +79,16 @@ def _check_class_args(a: int, modulus: int, ctx: PadicContext) -> None:
         raise ValueError("a must be a unit mod p")
 
 
-def _series_cutoff(ctx: PadicContext, margin: int) -> int:
-    """N + margin, the number of series terms summed for a value mod p^N."""
-    if margin < 0:
-        raise ValueError(f"margin must be >= 0, got {margin}")
-    return ctx.precision + margin
-
-
 @lru_cache(maxsize=None)
 def _series_table(
-    p: int, modulus: int, digits: int, cutoff: int
+    modulus: int, ctx: PadicContext
 ) -> tuple[tuple[int, int, tuple[int, ...]] | None, ...]:
-    """Indexed by a < modulus, for every unit a: the residues mod p^digits
-    of (-1)^a / 2, of <a> = a omega^(-1)(a) with omega^(-1) read as a
-    character, and of (modulus/a)^j E_j for j < cutoff.
-
-    The library passes digits = N and cutoff = N + margin; a cutoff below
-    digits gives a wrong value, and only the tests build such a table.
-    """
-    ctx = PadicContext(p, digits)
-    m, half = ctx.modulus, (ctx.modulus + 1) // 2  # 1/2 mod m
+    """Indexed by a < modulus, for every unit a: the residues mod p^N of
+    (-1)^a / 2, of <a> = a omega^(-1)(a) with omega^(-1) read as a
+    character, and of (modulus/a)^j E_j for j < N, N the precision of ctx."""
+    p, m, half = ctx.p, ctx.modulus, (ctx.modulus + 1) // 2  # 1/2 mod m
     inverse = DirichletCharacter(ctx, -1).values  # omega(a)^-1 at a mod p
-    euler = [ctx.from_rational(euler_number(j)).residue for j in range(cutoff)]
+    euler = [ctx.from_rational(euler_number(j)).residue for j in range(ctx.precision)]
     table = [None] * modulus
     for a in range(1, modulus):
         if a % p == 0:
@@ -115,9 +102,9 @@ def _series_table(
     return tuple(table)
 
 
-def _binomial_row(s: int, cutoff: int) -> tuple[int, ...]:
-    """C(-s, j) for j < cutoff."""
-    return tuple(binomial(-s, j) for j in range(cutoff))
+def _binomial_row(s: int, terms: int) -> tuple[int, ...]:
+    """C(-s, j) for j < terms."""
+    return tuple(binomial(-s, j) for j in range(terms))
 
 
 def _partial_zeta_residue(
@@ -129,16 +116,13 @@ def _partial_zeta_residue(
     return half * pow(unit, -s, m) * sum(map(mul, binomials, row)) % m
 
 
-def padic_partial_zeta(
-    s: int, a: int, modulus: int, ctx: PadicContext, *, margin: int = 0
-) -> PadicNumber:
+def padic_partial_zeta(s: int, a: int, modulus: int, ctx: PadicContext) -> PadicNumber:
     """Series evaluation of the p-adic partial zeta H_p(s, a | modulus) mod
-    p^N, with N the precision of ctx, from N + margin terms."""
+    p^N, with N the precision of ctx, from N terms."""
     _check_class_args(a, modulus, ctx)
-    cutoff = _series_cutoff(ctx, margin)
-    entry = _series_table(ctx.p, modulus, ctx.precision, cutoff)[a]
-    residue = _partial_zeta_residue(s, entry, _binomial_row(s, cutoff), ctx.modulus)
-    return ctx.from_int(residue)
+    entry = _series_table(modulus, ctx)[a]
+    binomials = _binomial_row(s, ctx.precision)
+    return ctx.from_int(_partial_zeta_residue(s, entry, binomials, ctx.modulus))
 
 
 def padic_partial_zeta_at_neg(
@@ -155,46 +139,42 @@ def padic_partial_zeta_at_neg(
 
 
 @lru_cache(maxsize=None)
-def _l_series_row(s: int, ctx: PadicContext, cutoff: int) -> tuple[int, ...]:
-    """Indexed by a < p: the residue of H_p(s, a | p) in ctx from cutoff
-    terms for a >= 1, and 0 at a = 0, where chi(0) = 0 for conductor p."""
-    table = _series_table(ctx.p, ctx.p, ctx.precision, cutoff)
-    binomials, m = _binomial_row(s, cutoff), ctx.modulus
+def _l_series_row(s: int, ctx: PadicContext) -> tuple[int, ...]:
+    """Indexed by a < p: the residue of H_p(s, a | p) in ctx for a >= 1,
+    and 0 at a = 0, where chi(0) = 0 for conductor p."""
+    table = _series_table(ctx.p, ctx)
+    binomials, m = _binomial_row(s, ctx.precision), ctx.modulus
     return (0,) + tuple(
         _partial_zeta_residue(s, table[a], binomials, m) for a in range(1, ctx.p)
     )
 
 
-def padic_l(s: int, chi: DirichletCharacter, *, margin: int = 0) -> PadicNumber:
+def padic_l(s: int, chi: DirichletCharacter) -> PadicNumber:
     """l_p(s, chi) = 2 sum over units a mod p of chi(a) H_p(s, a | p) mod
-    p^N, with N the precision of chi's context, from N + margin terms.
+    p^N, with N the precision of chi's context, from N terms.
 
     The summation modulus is p, the modulus of every Teichmuller power, so
     the value is twice ``chi.values`` dotted with the shared row
-    ``_l_series_row(s, ctx, N + margin)``, or twice the row's sum for
-    conductor 1 (values (1,)).  Nothing is cached here: repeated values
-    are held by that row and by ``harness._diagonal_l``.
+    ``_l_series_row(s, ctx)``, or twice the row's sum for conductor 1
+    (values (1,)).  Nothing is cached here: repeated values are held by
+    that row and by ``harness._diagonal_l``.
     """
     ctx = chi.context
-    row = _l_series_row(s, ctx, _series_cutoff(ctx, margin))
+    row = _l_series_row(s, ctx)
     total = sum(map(mul, chi.values, row)) if chi.conductor > 1 else sum(row)
     return ctx.from_int(2 * total)
 
 
-def series_closed_check(
-    n: int, a: int, ctx: PadicContext, *, margin: int = 0
-) -> CongruenceReport:
+def series_closed_check(n: int, a: int, ctx: PadicContext) -> CongruenceReport:
     """Series evaluation at s = -n against the closed form, mod p^N with N
     the precision of ctx."""
-    lhs = padic_partial_zeta(-n, a, ctx.p, ctx, margin=margin)
+    lhs = padic_partial_zeta(-n, a, ctx.p, ctx)
     rhs = padic_partial_zeta_at_neg(n, a, ctx.p, ctx)
     params = {"p": ctx.p, "n": n, "a": a, "F": ctx.p, "M": ctx.precision}
     return padic_report("series_closed", params, lhs, rhs)
 
 
-def interpolation_check(
-    n: int, chi: DirichletCharacter, *, margin: int = 0
-) -> CongruenceReport:
+def interpolation_check(n: int, chi: DirichletCharacter) -> CongruenceReport:
     """Compare l_p(-n, chi) against (1 - p^n chi_n(p)) E_{n, chi_n} mod p^N,
     where chi_n is chi twisted by omega^{-n} and N is the precision of chi's
     context.
@@ -206,7 +186,7 @@ def interpolation_check(
     if n < 1:
         raise ValueError("n must be >= 1")
     ctx = chi.context
-    lhs = padic_l(-n, chi, margin=margin)
+    lhs = padic_l(-n, chi)
     chi_n = chi.twist(-n)
     factor = 1 - ctx.p**n * chi_n(ctx.p)
     rhs = ctx.from_int(factor * generalized_euler_number(n, chi_n).residue)
@@ -215,7 +195,7 @@ def interpolation_check(
 
 
 def kummer_check(
-    k: int, t: int, ctx: PadicContext, k2: int | None = None, *, margin: int = 0
+    k: int, t: int, ctx: PadicContext, k2: int | None = None
 ) -> CongruenceReport:
     """l_p(k, w^t) against l_p(k2, w^t) mod p, for t = 0 mod p-1; both
     values are computed in the 1-digit context of ctx's prime.
@@ -229,7 +209,7 @@ def kummer_check(
     if k2 is None:
         k2 = k + p
     chi = teichmuller_power(t, PadicContext(p, 1))
-    lhs = padic_l(k, chi, margin=margin)
-    rhs = padic_l(k2, chi, margin=margin)
+    lhs = padic_l(k, chi)
+    rhs = padic_l(k2, chi)
     params = {"p": p, "k": k, "k2": k2, "t": t, "M": 1}
     return padic_report("kummer", params, lhs, rhs)

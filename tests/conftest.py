@@ -1,10 +1,13 @@
 """Shared test oracles and helpers.  The oracles are kept independent of the
-library code; ``library_caches`` and ``clear_library_caches`` are the only
-helpers that touch it."""
+library code; ``library_caches``, ``clear_library_caches`` and the two
+truncation mutants ``short_l_series`` and ``short_main_congruence`` are the
+only helpers that touch it."""
 
 import sys
 from fractions import Fraction
 from math import comb
+
+import pytest
 
 
 def library_caches():
@@ -26,6 +29,52 @@ def clear_library_caches():
     tests."""
     for cache in library_caches().values():
         cache.cache_clear()
+
+
+def leading_digits(report, digits):
+    """The lhs and rhs digits of a p-adic report below p^digits, and its
+    match flag: what a report at more digits, reduced to digits, must give."""
+    return report.lhs["digits"][:digits], report.rhs["digits"][:digits], report.match
+
+
+def _mutant(monkeypatch, module, name, replacement):
+    clear_library_caches()
+    monkeypatch.setattr(module, name, replacement)
+    yield
+    monkeypatch.undo()
+    clear_library_caches()
+
+
+@pytest.fixture
+def short_l_series(monkeypatch):
+    """Every partial zeta and l-series sums one term short: the last entry
+    of ``lfunctions._binomial_row`` is 0, so a value mod p^N drops its
+    j = N - 1 term."""
+    from eulerlp import lfunctions
+
+    original = lfunctions._binomial_row
+
+    def mutant(s, terms):
+        return original(s, terms)[:-1] + (0,)
+
+    yield from _mutant(monkeypatch, lfunctions, "_binomial_row", mutant)
+
+
+@pytest.fixture
+def short_main_congruence(monkeypatch):
+    """The main congruence series stops before s = r + k reaches N: its
+    diagonal l-values are 0 from s = N on, so at r = 1 it drops k = N - 1,
+    the last term that can be nonzero mod p^N.  ``short_l_series`` cannot
+    stand in: each l-value is multiplied by (pn)^k with k >= 1, so its last
+    digit never reaches the residue."""
+    from eulerlp import harness
+
+    original = harness._diagonal_l
+
+    def mutant(s, ctx):
+        return 0 if s >= ctx.precision else original(s, ctx)
+
+    yield from _mutant(monkeypatch, harness, "_diagonal_l", mutant)
 
 
 def bernoulli_numbers(nmax):

@@ -7,7 +7,7 @@ import time
 from contextlib import contextmanager
 from fractions import Fraction
 
-from conftest import bernoulli_numbers, random_rationals
+from conftest import bernoulli_numbers, leading_digits, random_rationals
 
 from eulerlp import (
     PadicContext,
@@ -21,7 +21,6 @@ from eulerlp import (
     interpolation_check,
     kummer_check,
     padic_l,
-    reports_to_jsonl,
     series_closed_check,
     teichmuller_power,
     verify_main_congruence,
@@ -86,41 +85,41 @@ def test_criterion_3_distribution():
                     assert distribution_report(n, f, x).match
 
 
-def _series_closed_reports(margin=0):
+def _series_closed_reports(M=6):
     reports = []
     for p in PRIMES:
-        ctx = PadicContext(p, 6)
+        ctx = PadicContext(p, M)
         for n in range(1, 9):
             for a in range(1, p):
-                reports.append(series_closed_check(n, a, ctx, margin=margin))
+                reports.append(series_closed_check(n, a, ctx))
     return reports
 
 
-def _interpolation_reports(margin=0):
+def _interpolation_reports(M=6):
     reports = []
     for p in PRIMES:
-        ctx = PadicContext(p, 6)
+        ctx = PadicContext(p, M)
         for n in range(1, 9):
             chi = teichmuller_power(n % (p - 1), ctx)
-            reports.append(interpolation_check(n, chi, margin=margin))
+            reports.append(interpolation_check(n, chi))
     return reports
 
 
-def _kummer_reports(margin=0):
+def _kummer_reports():
     reports = []
     for p in PRIMES:
         ctx = PadicContext(p, 6)
         for k in range(1, 9):
-            reports.append(kummer_check(k, 0, ctx, margin=margin))
+            reports.append(kummer_check(k, 0, ctx))
     return reports
 
 
-def _main_congruence_reports(margin=0):
+def _main_congruence_reports(M=6):
     reports = []
     for p in PRIMES:
         for r in (1, 2, 3, 4):
             for n in (2, 4, 6):
-                reports.append(verify_main_congruence(p, n, r, 6, margin=margin))
+                reports.append(verify_main_congruence(p, n, r, M))
     return reports
 
 
@@ -181,38 +180,64 @@ def test_criterion_8_binomial_identities():
                     assert lhs == binomial(-r, k + j) * binomial(k + j, j)
 
 
+def _truncation_mismatches(M=6, extra=4):
+    """Per check, where its values at M + extra digits, and so from extra
+    more series terms, reduced to M digits, differ from those at M digits:
+    report positions for the builds, (p, s) for kummer."""
+    wrong = {}
+    builds = (_series_closed_reports, _interpolation_reports, _main_congruence_reports)
+    for build in builds:
+        tight = [leading_digits(r, M) for r in build(M)]
+        wide = [leading_digits(r, M) for r in build(M + extra)]
+        wrong[build.__name__] = [i for i, key in enumerate(tight) if key != wide[i]]
+    # kummer_check works in the 1-digit context whatever context it is
+    # given, so its build cannot vary; compare the values it reads instead
+    wrong["kummer"] = []
+    for p in PRIMES:
+        one, wide = (teichmuller_power(0, PadicContext(p, d)) for d in (1, 1 + extra))
+        for k in range(1, 9):
+            for s in (k, k + p):
+                if padic_l(s, wide).reduce(1).residue != padic_l(s, one).residue:
+                    wrong["kummer"].append((p, s))
+    return wrong
+
+
 def test_criterion_9_truncation_robustness():
     with criterion(9, "truncation robustness", 60.0):
-        for build in (
-            _series_closed_reports,
-            _interpolation_reports,
-            _kummer_reports,
-            _main_congruence_reports,
-        ):
-            tight = reports_to_jsonl(build(margin=0))
-            wide = reports_to_jsonl(build(margin=4))
-            assert tight == wide, build.__name__
+        wrong = _truncation_mismatches()
+        assert len(wrong) == 4 and not any(wrong.values()), wrong
+
+
+def test_criterion_9_sees_a_short_l_series(short_l_series):
+    # theorem6 cannot see an l-series one term short: each l-value is
+    # multiplied by (pn)^k, k >= 1.  Nor can kummer: l_p(s, w^0) is 0 mod p
+    # from one term and from none
+    wrong = _truncation_mismatches()
+    assert wrong["_series_closed_reports"] and wrong["_interpolation_reports"], wrong
+
+
+def test_criterion_9_sees_a_short_main_congruence(short_main_congruence):
+    assert _truncation_mismatches()["_main_congruence_reports"]
 
 
 def test_criterion_9_negative_control():
-    # The cutoffs criterion 9 compares differ only by terms that vanish mod
-    # p^M by construction; a table one term short (J = M - 1, the negative
-    # margin that every entry point refuses) must change residues, or the
-    # criterion could not fail.
+    # The values criterion 9 compares differ only by terms that vanish mod
+    # p^M by construction; a table row one term short (J = M - 1) must
+    # change residues, or the criterion could not fail.
     M = 6
     for p in PRIMES:
         m = p**M
-        tables = {J: lfunctions._series_table(p, p, M, J) for J in (M - 1, M, M + 4)}
+        table = lfunctions._series_table(p, PadicContext(p, M))
+        wide = lfunctions._series_table(p, PadicContext(p, M + 4))
         changed = set()
         for s in range(-8, 9):
+            binomials = lfunctions._binomial_row(s, M + 4)
             for a in range(1, p):
-                residues = {
-                    J: lfunctions._partial_zeta_residue(
-                        s, table[a], lfunctions._binomial_row(s, J), m
-                    )
-                    for J, table in tables.items()
-                }
-                assert residues[M] == residues[M + 4], (p, s, a)
-                if residues[M - 1] != residues[M]:
+                value = lfunctions._partial_zeta_residue(s, table[a], binomials, m)
+                longer = lfunctions._partial_zeta_residue(s, wide[a], binomials, m)
+                assert value == longer, (p, s, a)
+                half, unit, row = table[a]
+                short = (half, unit, row[:-1])
+                if lfunctions._partial_zeta_residue(s, short, binomials, m) != value:
                     changed.add((s, a))
         assert changed, p

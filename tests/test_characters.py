@@ -255,7 +255,7 @@ class TestTeichmullerTable:
         for p in odd_primes_below(50):
             ctx = PadicContext(p, N)
             for F in (p, 3 * p):
-                table = lfunctions._series_table(p, F, N, N)
+                table = lfunctions._series_table(F, ctx)
                 for a in range(1, F):
                     if a % p:
                         assert table[a][1] == angle(a, ctx).residue, (p, N, F, a)

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from conftest import clear_library_caches, euler_numbers_by_recurrence
+from conftest import clear_library_caches, euler_numbers_by_recurrence, leading_digits
 
 from eulerlp import (
     PadicContext,
@@ -11,7 +11,6 @@ from eulerlp import (
     generalized_euler_number,
     interpolation_check,
     kummer_check,
-    main_congruence_series,
     padic_l,
     padic_partial_zeta,
     padic_partial_zeta_at_neg,
@@ -45,28 +44,6 @@ def reference_l(s, chi):
     for a in range(1, ctx.p):
         total = total + chi(a) * reference_partial_zeta(s, a, ctx.p, ctx, ctx.precision)
     return 2 * total
-
-
-# Every series sums N + margin terms.  A negative margin sums fewer than N,
-# which gives a wrong value mod p^N (main_congruence_series at margin -4 and
-# N = 4 sums no term and would return 0), so each entry point refuses it.
-_CTX = PadicContext(5, 4)
-_CHI = teichmuller_power(1, _CTX)
-NEGATIVE_MARGIN_CALLS = {
-    "padic_l": lambda: padic_l(2, _CHI, margin=-1),
-    "padic_partial_zeta": lambda: padic_partial_zeta(2, 1, 5, _CTX, margin=-1),
-    "main_congruence_series": lambda: main_congruence_series(2, 1, _CTX, margin=-4),
-    "interpolation_check": lambda: interpolation_check(1, _CHI, margin=-1),
-    "series_closed_check": lambda: series_closed_check(1, 1, _CTX, margin=-1),
-    "kummer_check": lambda: kummer_check(1, 0, _CTX, margin=-1),
-    "verify_main_congruence": lambda: verify_main_congruence(5, 2, 1, 4, margin=-1),
-}
-
-
-@pytest.mark.parametrize("name", NEGATIVE_MARGIN_CALLS)
-def test_negative_margin_raises(name):
-    with pytest.raises(ValueError, match="margin"):
-        NEGATIVE_MARGIN_CALLS[name]()
 
 
 class TestGeneralizedEulerNumbers:
@@ -132,17 +109,19 @@ class TestKernelAgainstReference:
         "p, modulus", [(3, 3), (5, 5), (7, 7), (11, 11), (13, 13), (3, 15), (5, 15)]
     )
     def test_partial_zeta_matches_padic_series(self, p, modulus):
+        # the kernel sums N terms; the reference from N + 3 terms, whose
+        # extra terms vanish mod p^N, must give the same value
         for digits in (1, 4, 10):
             ctx = PadicContext(p, digits)
-            for margin in (0, 3):
-                for a in range(1, modulus):
-                    if a % p == 0:
-                        continue
-                    for s in range(-4, 5):
-                        value = padic_partial_zeta(s, a, modulus, ctx, margin=margin)
-                        expected = reference_partial_zeta(s, a, modulus, ctx, digits + margin)
-                        assert value == expected, (p, modulus, digits, margin, a, s)
-                        assert value.precision == digits
+            for a in range(1, modulus):
+                if a % p == 0:
+                    continue
+                for s in range(-4, 5):
+                    value = padic_partial_zeta(s, a, modulus, ctx)
+                    for terms in (digits, digits + 3):
+                        expected = reference_partial_zeta(s, a, modulus, ctx, terms)
+                        assert value == expected, (p, modulus, digits, terms, a, s)
+                    assert value.precision == digits
 
     @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
     def test_l_matches_padic_series(self, p):
@@ -196,7 +175,7 @@ class TestPartialZetaClosedForm:
         ctx = PadicContext(5, 6)
         for n in (1, 2, 3):
             for a in (1, 2, 4, 7, 8, 11, 13, 14):
-                series = padic_partial_zeta(-n, a, 15, ctx, margin=6)
+                series = padic_partial_zeta(-n, a, 15, ctx)
                 closed = padic_partial_zeta_at_neg(n, a, 15, ctx)
                 assert series == closed
 
@@ -238,6 +217,63 @@ class TestPartialZetaResidues:
                     assert lfunctions._partial_zeta_residues(n, ctx) == expected, (p, N, n)
 
 
+# A value mod p^N sums N series terms; more digits sum more terms, and
+# reduced to N digits must give the same value.  Each helper lists where it
+# does not; the short_l_series mutant, one term short, must make it list
+# some.  Only even t at even N can show a dropped last term: E_(N-1) = 0 at
+# odd N, and at odd t the j = N - 1 terms of a and p - a cancel mod p^N.
+
+
+def _truncation_mismatches():
+    """(p, N, t, s) where l_p(s, w^t) at N + 4 digits, reduced to N digits,
+    is not its value at N digits."""
+    wrong = []
+    for p in (3, 5):
+        for digits in (5, 6):
+            short, long = PadicContext(p, digits), PadicContext(p, digits + 4)
+            for t in range(p - 1):
+                for s in (-4, -1, 1, 3, 6):
+                    value = padic_l(s, teichmuller_power(t, long)).reduce(digits)
+                    if value.residue != padic_l(s, teichmuller_power(t, short)).residue:
+                        wrong.append((p, digits, t, s))
+    return wrong
+
+
+def _shared_row_mismatches(p, digits):
+    """(t, s, extra) where l_p(s, w^t) from the shared row, at digits + extra
+    digits and reduced to digits, is not twice the sum of chi(a) H_p(s, a | p)
+    over the classes a, each from the public partial zeta at digits."""
+    ctx = PadicContext(p, digits)
+    wrong = []
+    for t in range(p - 1):
+        chi = teichmuller_power(t, ctx)
+        for s in range(-6, 9):
+            per_class = sum(
+                chi(a) * padic_partial_zeta(s, a, p, ctx).residue for a in range(1, p)
+            )
+            expected = 2 * per_class % ctx.modulus
+            for extra in (0, 2):
+                wide = teichmuller_power(t, PadicContext(p, digits + extra))
+                if padic_l(s, wide).reduce(digits).residue != expected:
+                    wrong.append((t, s, extra))
+    return wrong
+
+
+def _interpolation_report_mismatches():
+    """(N, t, n) where the interpolation report at N + 4 digits, reduced to
+    N digits, is not the report at N digits."""
+    wrong = []
+    for digits in (5, 6):
+        short, long = PadicContext(5, digits), PadicContext(5, digits + 4)
+        for t in range(4):
+            for n in range(1, 9):
+                tight = interpolation_check(n, teichmuller_power(t, short))
+                wide = interpolation_check(n, teichmuller_power(t, long))
+                if leading_digits(tight, digits) != leading_digits(wide, digits):
+                    wrong.append((digits, t, n))
+    return wrong
+
+
 class TestPadicL:
     def test_value_at_minus_one(self):
         ctx = PadicContext(3, 6)
@@ -263,32 +299,24 @@ class TestPadicL:
                     assert padic_l(s, chi).valuation >= 0
 
     def test_truncation_soundness(self):
-        # a larger cutoff never changes the reported residue
-        for p in (3, 5):
-            ctx = PadicContext(p, 5)
-            chi = teichmuller_power(1, ctx)
-            for s in (-4, -1, 1, 3, 6):
-                tight = padic_l(s, chi)
-                wide = padic_l(s, chi, margin=4)
-                assert tight == wide
+        # more series terms never change the reported residue
+        assert not _truncation_mismatches()
+
+    def test_truncation_soundness_sees_a_short_series(self, short_l_series):
+        assert _truncation_mismatches()
 
     @pytest.mark.parametrize("p, digits", [(3, 6), (5, 4), (7, 3), (13, 2)])
     def test_shared_row_matches_the_per_class_sum(self, p, digits):
-        # padic_l reads one row of H_p(s, a | p) per (s, context, cutoff);
-        # the public partial zeta builds each class a on its own, with no row
-        ctx = PadicContext(p, digits)
-        # t = 0 is conductor 1, values (1,); there, and at every even t, both
-        # sides are 0 by parity, so only odd t can tell a wrong row apart
-        for t in range(p - 1):
-            chi = teichmuller_power(t, ctx)
-            for s in range(-6, 9):
-                for margin in (0, 2):
-                    per_class = sum(
-                        chi(a) * padic_partial_zeta(s, a, p, ctx, margin=margin).residue
-                        for a in range(1, p)
-                    )
-                    expected = ctx.from_int(2 * per_class)
-                    assert padic_l(s, chi, margin=margin) == expected, (t, s, margin)
+        # padic_l reads one row of H_p(s, a | p) per (s, context); the public
+        # partial zeta builds each class a on its own, with no row.  t = 0 is
+        # conductor 1, values (1,); there, and at every even t, both sides
+        # are 0 by parity, so only odd t can tell a wrong row apart
+        assert not _shared_row_mismatches(p, digits)
+
+    @pytest.mark.parametrize("p, digits", [(3, 6), (5, 4), (13, 2)])
+    def test_shared_row_sees_a_short_series(self, p, digits, short_l_series):
+        # the row at digits + 2 is right mod p^digits, the short classes not
+        assert {extra for _, _, extra in _shared_row_mismatches(p, digits)} == {2}
 
 
 class TestInterpolation:
@@ -326,11 +354,11 @@ class TestInterpolation:
                     assert interpolation_check(n, chi).match, (p, n, t)
 
     def test_margin_does_not_change_reports(self):
-        ctx = PadicContext(5, 5)
-        chi = teichmuller_power(3, ctx)
-        base = interpolation_check(4, chi)
-        wide = interpolation_check(4, chi, margin=4)
-        assert base == wide
+        # four more digits, and so four more series terms, reduced away
+        assert not _interpolation_report_mismatches()
+
+    def test_margin_sees_a_short_series(self, short_l_series):
+        assert _interpolation_report_mismatches()
 
 
 class TestKummer:

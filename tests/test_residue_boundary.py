@@ -65,17 +65,36 @@ def reference_interpolation_rhs(n, chi, ctx):
     return factor * reference_generalized_euler_number(n, chi_n, ctx)
 
 
-def reference_main_congruence_series(n, r, ctx, margin=0):
+def reference_main_congruence_series(n, r, ctx):
     pn = ctx.from_int(ctx.p * n)
     pn_power = ctx.from_int(1)
     total = ctx.from_int(0)
-    for k in range(1, ctx.precision + margin + 1):
+    for k in range(1, ctx.precision + 1):
         pn_power = pn_power * pn
         chi = teichmuller_power(-(k + r), ctx)
-        total = total + ctx.from_int(binomial(-r, k)) * pn_power * padic_l(
-            r + k, chi, margin=margin
-        )
+        total = total + ctx.from_int(binomial(-r, k)) * pn_power * padic_l(r + k, chi)
     return -total
+
+
+def main_congruence_mismatches(ctx):
+    """(N, extra, n, r), for N in 1 and the precision of ctx, where the
+    series at N + extra digits does not carry N + extra digits or, reduced to
+    N digits, is not the reference at N digits."""
+    wrong = []
+    for digits in sorted({1, ctx.precision}):
+        expected_ctx = PadicContext(ctx.p, digits)
+        for extra in (0, 2):
+            wide = PadicContext(ctx.p, digits + extra)
+            for n in range(9):
+                for r in (1, 2, 3):
+                    value = main_congruence_series(n, r, wide)
+                    expected = reference_main_congruence_series(n, r, expected_ctx)
+                    if (
+                        value.precision != wide.precision
+                        or value.reduce(digits).residue != expected.residue
+                    ):
+                        wrong.append((digits, extra, n, r))
+    return wrong
 
 
 @pytest.mark.parametrize("ctx", CONTEXTS, ids=_label)
@@ -122,12 +141,8 @@ class TestResiduesMatchPadicReferences:
                     assert report == expected, (digits, t, n)
 
     def test_main_congruence_series(self, ctx):
-        for digits in sorted({1, ctx.precision}):
-            ctx_d = PadicContext(ctx.p, digits)
-            for margin in (0, 2):
-                for n in range(9):
-                    for r in (1, 2, 3):
-                        value = main_congruence_series(n, r, ctx_d, margin=margin)
-                        expected = reference_main_congruence_series(n, r, ctx_d, margin)
-                        assert value == expected, (digits, margin, n, r)
+        assert not main_congruence_mismatches(ctx)
 
+
+def test_main_congruence_series_sees_a_short_series(short_main_congruence):
+    assert main_congruence_mismatches(PadicContext(5, 4))

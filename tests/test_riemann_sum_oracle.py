@@ -94,9 +94,9 @@ def test_series_mutant_is_caught_at_positive_s(monkeypatch):
     p, M = 5, 5
     original = lfunctions._binomial_row
 
-    def mutant(s, cutoff):
-        row = original(s, cutoff)
-        return row[:1] + (-row[1],) + row[2:] if cutoff > 1 else row
+    def mutant(s, terms):
+        row = original(s, terms)
+        return row[:1] + (-row[1],) + row[2:] if terms > 1 else row
 
     # padic_l caches its values: clear them so that neither a value cached
     # by an earlier test hides the mutant nor a mutated one outlives it

@@ -1,8 +1,8 @@
 """Value semantics of the five immutable types: equality and hash on their
 fields, no equality with other types or plain tuples, no assignment, the
 repr strings, keyword construction, and copy/pickle round-trips.  The
-lru caches ``_values``, ``_partial_zeta_residues``, ``_l_series_row`` and
-``_diagonal_l`` key on the hash of ``PadicContext``."""
+lru caches ``_values``, ``_partial_zeta_residues``, ``_series_table``,
+``_l_series_row`` and ``_diagonal_l`` key on the hash of ``PadicContext``."""
 
 import copy
 import pickle
