@@ -7,7 +7,7 @@ twice the alternating harmonic sum over units j <= np satisfies
 
 as p-adic numbers.  The left side is a rational with denominator prime to
 p (``alt_harmonic_sum`` gives it exactly); the check sums it on int residues
-mod p^M.  The right side is truncated at k = M since term k has valuation
+mod p^M.  The right side stops at k = M - 1, since term k has valuation
 >= k.
 
 ``CHECKS`` is the one registry of named checks; the CLI's ``verify`` runs one
@@ -58,16 +58,16 @@ def _alt_harmonic_residue(p: int, n: int, r: int, m: int) -> int:
 
 
 def main_congruence_series(n: int, r: int, ctx: PadicContext) -> PadicNumber:
-    """-sum_{k=1}^{N} C(-r, k) (pn)^k l_p(r+k, w^{-k-r}) mod p^N, with p
+    """-sum_{k=1}^{N-1} C(-r, k) (pn)^k l_p(r+k, w^{-k-r}) mod p^N, with p
     and N the prime and precision of ctx.
 
     Since (pn)^k has valuation >= k and l_p values lie in Z_p, the terms
-    past k = N vanish mod p^N.
+    from k = N on vanish mod p^N.
     """
     pn = ctx.p * n
     total = sum(
         binomial(-r, k) * pn**k * _diagonal_l(r + k, ctx)
-        for k in range(1, ctx.precision + 1)
+        for k in range(1, ctx.precision)
     )
     return ctx.from_int(-total)
 

@@ -70,7 +70,7 @@ def is_prime(n: int) -> bool:
 class PadicContext(Value):
     """Working ring Z/p^N standing in for Z_p, for an odd prime p."""
 
-    __slots__ = ("p", "precision", "modulus")
+    __slots__ = ("p", "precision", "modulus", "_hash")
     __match_args__ = ("p", "precision")
 
     def __init__(self, p: int, precision: int):
@@ -81,6 +81,15 @@ class PadicContext(Value):
         _set(self, "p", p)
         _set(self, "precision", precision)
         _set(self, "modulus", p**precision)  # p^N, computed once
+        _set(self, "_hash", hash((p, precision)))  # lru caches key on contexts
+
+    def __hash__(self):
+        return self._hash
+
+    def __eq__(self, other):
+        if other.__class__ is not PadicContext:
+            return NotImplemented
+        return self is other or (self.p == other.p and self.precision == other.precision)
 
     def from_int(self, value: int) -> "PadicNumber":
         return PadicNumber(self, value, self.precision)
@@ -107,7 +116,8 @@ class PadicNumber(Value):
                 f"precision must be in 1..{context.precision}, got {precision}"
             )
         _set(self, "context", context)
-        _set(self, "residue", residue % context.p**precision)
+        full = precision == context.precision
+        _set(self, "residue", residue % (context.modulus if full else context.p**precision))
         _set(self, "precision", precision)
 
     # ------------------------------------------------------------- inspection
@@ -136,20 +146,10 @@ class PadicNumber(Value):
 
     def digits(self) -> list[int]:
         """Little-endian base-p digits, one per known digit."""
-        out = []
-        r = self.residue
-        for _ in range(self.precision):
-            r, d = divmod(r, self.context.p)
-            out.append(d)
-        return out
+        return self.as_json_dict()["digits"]
 
     def as_json_dict(self) -> dict:
-        return {
-            "p": self.context.p,
-            "precision": self.precision,
-            "digits": self.digits(),
-            "valuation": self.valuation,
-        }
+        return _wire_dict(self.context.p, self.precision, self.residue)
 
     def __repr__(self) -> str:
         return f"{self.residue} + O({self.context.p}^{self.precision})"
@@ -252,6 +252,19 @@ class PadicNumber(Value):
         return PadicNumber(
             self.context, self.residue // self.context.p ** k, self.precision - k
         )
+
+
+def _wire_dict(p: int, precision: int, residue: int) -> dict:
+    """The JSON form of any int residue mod p^precision: its little-endian
+    base-p digits, and the valuation read off them (precision if all are 0)."""
+    digits = []
+    for _ in range(precision):
+        residue, d = divmod(residue, p)
+        digits.append(d)
+    valuation = 0
+    while valuation < precision and not digits[valuation]:
+        valuation += 1
+    return {"p": p, "precision": precision, "digits": digits, "valuation": valuation}
 
 
 def teichmuller(a: int, ctx: PadicContext) -> PadicNumber:

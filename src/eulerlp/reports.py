@@ -1,18 +1,21 @@
-"""Congruence check reports and their JSON/CSV serialization."""
+"""Congruence check reports and their JSON/CSV serialization.
+
+Each side is put in wire form straight from what the check computed: a
+p-adic side from its residue by ``padic._wire_dict``, an exact side (int or
+Fraction) from its numerator and denominator, with no re-wrapping."""
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
 
-from .padic import PadicNumber, Value, _set
+from .padic import PadicNumber, Value, _set, _wire_dict
 
 _encode = json.JSONEncoder(separators=(",", ":")).encode
 
 
 def format_rational(q: Fraction | int) -> str:
-    """Serialize a rational as an explicit "num/den" string."""
-    q = Fraction(q)
+    """Serialize an int or Fraction as an explicit "num/den" string."""
     return f"{q.numerator}/{q.denominator}"
 
 
@@ -39,7 +42,7 @@ class CongruenceReport(Value):
         _set(self, "lhs_valuation", lhs_valuation)
 
     def as_dict(self) -> dict:
-        return {name: getattr(self, name) for name in self.__match_args__}
+        return dict(zip(self.__match_args__, self._key(self)))
 
     def to_json(self) -> str:
         return _encode(self.as_dict())
@@ -48,38 +51,24 @@ class CongruenceReport(Value):
 def padic_report(
     check: str, params: dict, lhs: PadicNumber, rhs: PadicNumber
 ) -> CongruenceReport:
-    """Report comparing two p-adic values mod p^N, with N the precision of
-    lhs's context; a side known to fewer digits raises ValueError."""
-    digits = lhs.context.precision
-    lhs = lhs.reduce(digits)
-    rhs = rhs.reduce(digits)
-    return CongruenceReport(
-        check=check,
-        p=lhs.context.p,
-        params=params,
-        lhs=lhs.as_json_dict(),
-        rhs=rhs.as_json_dict(),
-        precision=digits,
-        match=lhs.residue == rhs.residue,
-        lhs_valuation=lhs.valuation,
-    )
+    """Report comparing two p-adic values of one prime mod p^N, N the precision
+    of lhs's context; a side known to fewer digits raises ValueError."""
+    ctx, a, b = lhs.context, lhs.residue, rhs.residue
+    digits, known = ctx.precision, min(lhs.precision, rhs.precision)
+    if known < digits:
+        raise ValueError(f"cannot raise precision from {known} to {digits}")
+    left, right = _wire_dict(ctx.p, digits, a), _wire_dict(ctx.p, digits, b)
+    match = (a - b) % ctx.modulus == 0
+    return CongruenceReport(check, ctx.p, params, left, right, digits, match, left["valuation"])
 
 
 def rational_report(
     check: str, params: dict, lhs: Fraction | int, rhs: Fraction | int
 ) -> CongruenceReport:
-    """Report comparing two exact rationals."""
-    lhs = Fraction(lhs)
-    rhs = Fraction(rhs)
+    """Report comparing two exact rationals, each an int or a Fraction."""
     return CongruenceReport(
-        check=check,
-        p=None,
-        params=params,
-        lhs=format_rational(lhs),
-        rhs=format_rational(rhs),
-        precision=None,
-        match=lhs == rhs,
-        lhs_valuation=None,
+        check, None, params, format_rational(lhs), format_rational(rhs), None,
+        lhs == rhs, None,
     )
 
 
@@ -107,7 +96,5 @@ def reports_to_csv(reports) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
-    for r in reports:
-        d = r.as_dict()
-        writer.writerow([_csv_cell(d[col]) for col in CSV_COLUMNS])
+    writer.writerows([_csv_cell(v) for v in r.as_dict().values()] for r in reports)
     return buf.getvalue().rstrip("\n")

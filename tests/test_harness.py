@@ -15,10 +15,13 @@ from eulerlp import (
     PadicContext,
     PadicNumber,
     alt_harmonic_sum,
+    binomial,
     main_congruence_series,
+    padic_l,
     reports_to_csv,
     reports_to_jsonl,
     run_grid,
+    teichmuller_power,
     verify_main_congruence,
 )
 from eulerlp import harness, lfunctions
@@ -104,8 +107,25 @@ class TestMainCongruenceSeries:
     def test_margin_stability(self):
         assert not _precision_mismatches()
 
+    def test_the_dropped_k_equals_n_term_is_zero_mod_p_to_the_n(self):
+        # the series stops at k = N - 1: term N, C(-r, N) (pn)^N l_p(r+N,
+        # w^(-r-N)), carries p^N, so summing it too would change no value
+        for p in (3, 5, 7, 13):
+            for N in (1, 2, 5, 9):
+                ctx = PadicContext(p, N)
+                for n in (2, 4, 6, 10):
+                    for r in (1, 2, 3, 7):
+                        chi = teichmuller_power(-r - N, ctx)
+                        term = binomial(-r, N) * (p * n) ** N * padic_l(r + N, chi).residue
+                        assert term % ctx.modulus == 0, (p, N, n, r)
+
     def test_margin_stability_sees_a_short_series(self, short_main_congruence):
         assert _precision_mismatches()
+
+    def test_a_short_series_fails_grid_mixed_reports(self, short_main_congruence):
+        # the series loses its terms from s = r + k = N on, k = N - 1 the
+        # last it sums: some theorem6 reports must turn match:false
+        assert not all(r.match for r in grid_mixed_reports("theorem6"))
 
 
 class TestVerifyMainCongruence:
@@ -168,7 +188,8 @@ class TestOneEvaluationPerValue:
     zeta value once; these counts fail if that structure regresses."""
 
     def test_theorem6_evaluates_each_l_value_once(self):
-        # l_p(s, w^-s) for s = r + k in 2..14 at each of the 5 primes
+        # l_p(s, w^-s) for s = r + k in 2..13 (k < N = 10) at each of the 5
+        # primes
         clear_library_caches()
         try:
             reports = grid_mixed_reports("theorem6")
@@ -176,7 +197,7 @@ class TestOneEvaluationPerValue:
         finally:
             clear_library_caches()
         assert len(reports) == 60 and all(r.match for r in reports)
-        assert misses == 65
+        assert misses == 60
 
     def test_interpolation_embeds_each_partial_zeta_value_once(self, monkeypatch):
         # z(n, a) for n in 2, 4, 6 and 0 < a < p: 3 * (2 + 4 + 6 + 10 + 12),
@@ -211,13 +232,13 @@ class TestOneEvaluationPerValue:
         assert rows == 15
 
     def test_grid_builds_one_row_per_argument_and_context(self):
-        # distinct (s, context): theorem6 s = r + k in 2..14 at 10
-        # digits (65), interpolation s = -n (15), and kummer k and k + p in
+        # distinct (s, context): theorem6 s = r + k in 2..13 (k < N) at 10
+        # digits (60), interpolation s = -n (15), and kummer k and k + p in
         # the 1-digit context (39: at p = 3, k = 4 and k2 = 1 + 3 coincide)
         M = GRID_MIXED.precision
         keys = set()
         for p in GRID_MIXED.primes:
-            keys |= {(r + k, p, M) for r in GRID_MIXED.r_values for k in range(1, M + 1)}
+            keys |= {(r + k, p, M) for r in GRID_MIXED.r_values for k in range(1, M)}
             keys |= {(-n, p, M) for n in GRID_MIXED.n_values}
             keys |= {(s, p, 1) for k in GRID_MIXED.r_values for s in (k, k + p)}
         clear_library_caches()
@@ -227,7 +248,7 @@ class TestOneEvaluationPerValue:
         finally:
             clear_library_caches()
         assert len(reports) == 349 and all(r.match for r in reports)
-        assert rows == len(keys) == 119
+        assert rows == len(keys) == 114
 
     def test_library_caches_are_the_audited_eight(self):
         # each of these paid in a measured audit of cold grid traffic (see
