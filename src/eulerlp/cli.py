@@ -182,7 +182,7 @@ def cmd_lp(args: dict) -> int:
 
 
 def cmd_verify(args: dict) -> int:
-    required, run = CHECKS[args["check"]]
+    required, run, _ = CHECKS[args["check"]]
     missing = [f"--{name}" for name in required if args[name] is None]
     if missing:
         raise ValueError(f"check {args['check']!r} needs {', '.join(missing)}")

@@ -10,8 +10,8 @@ p (``alt_harmonic_sum`` gives it exactly); the check sums it on int residues
 mod p^M.  The right side stops at k = M - 1, since term k has valuation
 >= k.
 
-``CHECKS`` is the one registry of named checks; the CLI's ``verify`` runs one
-entry and ``grid`` runs every entry over a parameter grid.
+``CHECKS`` is the one registry of named checks, each with its grid rows; the
+CLI's ``verify`` runs one check and ``grid`` runs every check on its rows.
 """
 
 from __future__ import annotations
@@ -210,45 +210,36 @@ def _binomial(params: dict) -> list[CongruenceReport]:
     return [binomial_ratio_report(r, k)] + [binomial_product_report(r, k, j) for j in js]
 
 
-# check name -> (parameters without a default, function of a params dict).
-# The functions call the report builders through this module's globals, so
-# a tracer that rebinds those names sees every call.
+# check name -> (parameters without a default, function of a params dict
+# giving the check's reports, function of a GridConfig giving the params of
+# its grid rows in order).  ``verify`` runs the second on its options and
+# ``grid`` runs it on every row, whose keys are ``verify`` options too.  The
+# functions call the report builders through this module's globals, so a
+# tracer that rebinds those names sees every call.
 CHECKS = {
-    "theorem6": (("p", "n", "r"), _theorem6),
-    "interpolation": (("p", "n"), _interpolation),
-    "kummer": (("p", "k"), _kummer),
-    "distribution": (("n", "f"), _distribution),
-    "powersum": (("n", "m"), _power_sum),
-    "binomial": (("r", "k", "j"), _binomial),
+    "theorem6": (("p", "n", "r"), _theorem6, lambda c: [
+        {"p": p, "n": n, "r": r, "precision": c.precision}
+        for p in c.primes for r in c.r_values for n in c.n_values
+    ]),
+    "interpolation": (("p", "n"), _interpolation, lambda c: [
+        {"p": p, "n": n, "t": t, "precision": c.precision}
+        for p in c.primes for n in c.n_values for t in range(p - 1)
+    ]),
+    "kummer": (("p", "k"), _kummer, lambda c: [
+        {"p": p, "k": k, "t": 0, "k2": None, "precision": c.precision}
+        for p in c.primes for k in c.r_values
+    ]),
+    "distribution": (("n", "f"), _distribution, lambda c: [
+        {"n": n, "f": f, "x": x}
+        for n in c.n_values for f in DISTRIBUTION_MODULI for x in DISTRIBUTION_POINTS
+    ]),
+    "powersum": (("n", "m"), _power_sum, lambda c: [
+        {"n": n, "m": m} for n in c.n_values for m in POWER_SUM_EXPONENTS
+    ]),
+    "binomial": (("r", "k", "j"), _binomial, lambda c: [
+        {"r": r, "k": k, "j": c.r_values} for r in c.r_values for k in c.r_values
+    ]),
 }
-
-
-def _grid_jobs(config: GridConfig) -> list[tuple[str, dict]]:
-    """(check name, params) specs for every grid point, in canonical order."""
-    M = config.precision
-    jobs = []
-    for p in config.primes:
-        for r in config.r_values:
-            for n in config.n_values:
-                jobs.append(("theorem6", {"p": p, "n": n, "r": r, "precision": M}))
-    for p in config.primes:
-        for n in config.n_values:
-            for t in range(p - 1):
-                jobs.append(("interpolation", {"p": p, "n": n, "t": t, "precision": M}))
-    for p in config.primes:
-        for k in config.r_values:
-            jobs.append(("kummer", {"p": p, "k": k, "t": 0, "k2": None, "precision": M}))
-    for n in config.n_values:
-        for f in DISTRIBUTION_MODULI:
-            for x in DISTRIBUTION_POINTS:
-                jobs.append(("distribution", {"n": n, "f": f, "x": x}))
-    for n in config.n_values:
-        for m in POWER_SUM_EXPONENTS:
-            jobs.append(("powersum", {"n": n, "m": m}))
-    for r in config.r_values:
-        for k in config.r_values:
-            jobs.append(("binomial", {"r": r, "k": k, "j": config.r_values}))
-    return jobs
 
 
 def run_grid(config: GridConfig) -> list[CongruenceReport]:
@@ -256,6 +247,7 @@ def run_grid(config: GridConfig) -> list[CongruenceReport]:
     order, so equal configs give identical report streams."""
     return [
         report
-        for name, params in _grid_jobs(config)
-        for report in CHECKS[name][1](params)
+        for _, run, rows in CHECKS.values()
+        for params in rows(config)
+        for report in run(params)
     ]

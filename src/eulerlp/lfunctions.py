@@ -42,7 +42,7 @@ from operator import mul
 
 from .characters import DirichletCharacter, teichmuller_power
 from .euler import _euler_form, euler_number, partial_zeta_neg
-from .padic import PadicContext, PadicNumber, binomial, teichmuller
+from .padic import PadicContext, PadicNumber, binomial
 from .reports import CongruenceReport, padic_report
 
 
@@ -128,14 +128,14 @@ def padic_partial_zeta(s: int, a: int, modulus: int, ctx: PadicContext) -> Padic
 def padic_partial_zeta_at_neg(
     n: int, a: int, modulus: int, ctx: PadicContext
 ) -> PadicNumber:
-    """Closed form at s = -n: omega(a)^{-n} times the exact rational partial
-    zeta value (-1)^a (modulus^n / 2) E_n(a/modulus), at full precision."""
+    """Closed form at s = -n: omega^(-n)(a), read from the context's one
+    Teichmuller table, times the exact rational partial zeta value
+    (-1)^a (modulus^n / 2) E_n(a/modulus), at full precision."""
     if n < 1:
         raise ValueError("n must be >= 1")
     _check_class_args(a, modulus, ctx)
-    lift = pow(teichmuller(a, ctx).residue, -n, ctx.modulus)
     value = ctx.from_rational(partial_zeta_neg(n, a, modulus))
-    return ctx.from_int(lift * value.residue)
+    return ctx.from_int(DirichletCharacter(ctx, -n)(a) * value.residue)
 
 
 @lru_cache(maxsize=None)

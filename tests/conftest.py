@@ -63,10 +63,12 @@ def short_l_series(monkeypatch):
 @pytest.fixture
 def short_main_congruence(monkeypatch):
     """The main congruence series stops before s = r + k reaches N: its
-    diagonal l-values are 0 from s = N on, so at r = 1 it drops k = N - 1,
-    the last term that can be nonzero mod p^N.  ``short_l_series`` cannot
-    stand in: each l-value is multiplied by (pn)^k with k >= 1, so its last
-    digit never reaches the residue."""
+    diagonal l-values are 0 from s = N on, so it drops every k >= N - r.
+    At even N the one term it drops at r = 1, k = N - 1, is 0 mod p^N
+    anyway: l_p(s, w^(-s)) = sum_{0<a<p} (-1)^a a^(-s) mod p, and at even s
+    the classes a and p - a cancel, so there only r >= 2 reports see it.
+    ``short_l_series`` cannot stand in: each l-value is multiplied by (pn)^k
+    with k >= 1, so its last digit never reaches the residue."""
     from eulerlp import harness
 
     original = harness._diagonal_l

@@ -1,7 +1,6 @@
 import importlib
 import inspect
 import json
-import pickle
 import pkgutil
 import textwrap
 from fractions import Fraction
@@ -25,7 +24,8 @@ from eulerlp import (
     verify_main_congruence,
 )
 from eulerlp import harness, lfunctions
-from eulerlp.harness import CHECKS, _grid_jobs
+from eulerlp.cli import COMMANDS
+from eulerlp.harness import CHECKS
 from eulerlp.reports import padic_report
 
 GRID_PRIMES = (3, 5, 7)
@@ -40,12 +40,8 @@ GRID_MIXED = GridConfig(
 
 def grid_mixed_reports(check):
     """The reports of one suite at the grid-mixed config."""
-    return [
-        report
-        for name, params in _grid_jobs(GRID_MIXED)
-        if name == check
-        for report in CHECKS[name][1](params)
-    ]
+    _, run, rows = CHECKS[check]
+    return [report for params in rows(GRID_MIXED) for report in run(params)]
 
 
 class TestAltHarmonicSum:
@@ -322,11 +318,16 @@ class TestRunGrid:
         assert reports_to_jsonl(run_grid(shuffled)) == first
         assert reports_to_jsonl(run_grid(config)) == first
 
-    def test_jobs_are_picklable_specs(self):
+    def test_runs_every_registered_check(self):
         config = GridConfig(primes=(3,), r_values=(1, 2), n_values=(2,), precision=3)
-        jobs = _grid_jobs(config)
-        assert pickle.loads(pickle.dumps(jobs)) == jobs
-        assert {name for name, _ in jobs} == set(CHECKS)
+        assert {r.check for r in run_grid(config)} == set(CHECKS)
+
+    def test_grid_rows_are_verify_options(self):
+        # so that the verify command can rerun any grid row
+        options = set(COMMANDS["verify"][2])
+        for name, (required, _, rows) in CHECKS.items():
+            for params in rows(GRID_MIXED):
+                assert set(required) <= set(params) <= options, (name, params)
 
     def test_reports_in_canonical_parameter_order(self):
         config = GridConfig(primes=(5, 3), r_values=(2, 1), n_values=(4, 2), precision=3)

@@ -1,8 +1,10 @@
+import inspect
 from fractions import Fraction
 
 import pytest
 from conftest import clear_library_caches, euler_numbers_by_recurrence, leading_digits
 
+import eulerlp
 from eulerlp import (
     PadicContext,
     angle,
@@ -169,6 +171,29 @@ class TestPartialZetaClosedForm:
             ctx = PadicContext(5, digits)
             for a in (1, 2, 3, 4):
                 assert series_closed_check(3, a, ctx).match
+
+    def test_one_teichmuller_lift_per_context(self, monkeypatch):
+        # the closed form reads omega^(-n)(a) from the context's table, like
+        # the series' <a>: the only lift is the table's zeta = omega(g)
+        original = eulerlp.teichmuller
+        lifts = []
+
+        def counted(a, ctx):
+            lifts.append((a, ctx))
+            return original(a, ctx)
+
+        clear_library_caches()
+        for module in [eulerlp, *(m for m in vars(eulerlp).values() if inspect.ismodule(m))]:
+            if getattr(module, "teichmuller", None) is original:
+                monkeypatch.setattr(module, "teichmuller", counted)
+        ctx = PadicContext(7, 5)
+        try:
+            reports = [series_closed_check(n, a, ctx) for a in range(1, 7) for n in range(1, 7)]
+        finally:
+            monkeypatch.undo()
+            clear_library_caches()
+        assert all(r.match for r in reports)
+        assert len(lifts) == 1, lifts
 
     def test_composite_odd_multiple_of_p(self):
         # F = 3p exercises the general modulus path of the series
