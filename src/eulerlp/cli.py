@@ -25,11 +25,11 @@ import sys
 from fractions import Fraction
 
 from .characters import teichmuller_power
-from .euler import euler_numbers
+from .euler import euler_number_pairs
 from .harness import CHECKS, GridConfig, run_grid
 from .lfunctions import padic_l
 from .padic import PadicContext
-from .reports import format_rational, reports_to_csv, reports_to_jsonl
+from .reports import reports_to_csv, reports_to_jsonl
 
 REQUIRED = object()
 _FORMAT = (("json", "csv"), "json")
@@ -163,9 +163,9 @@ def _emit(reports, fmt: str) -> int:
 
 
 def cmd_euler(args: dict) -> int:
-    # JSON lines written by hand: "num/den" holds no character JSON escapes
-    values = enumerate(euler_numbers(args["nmax"]))
-    print("\n".join(f'{{"n":{i},"value":"{format_rational(v)}"}}' for i, v in values))
+    # JSON lines by hand from (num, den) ints: "num/den" holds no JSON escapes
+    pairs = enumerate(euler_number_pairs(args["nmax"]))
+    print("\n".join(f'{{"n":{i},"value":"{a}/{b}"}}' for i, (a, b) in pairs))
     return 0
 
 

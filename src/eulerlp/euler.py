@@ -1,10 +1,9 @@
 """Euler numbers, Euler polynomials, alternating power sums, and partial
 zeta values at negative integers.
 
-The Euler numbers come from one integer table of tangent numbers, built by
-Brent and Harvey's recurrence and rebuilt at twice its size when a request
-passes its end; every value this module returns is exact (a ``Fraction`` at
-the API).
+The Euler numbers come from one integer table of tangent numbers, rebuilt
+at twice its size when a request passes its end; every value this module
+returns is exact (a ``Fraction``, or ints in lowest terms, at the API).
 
 Conventions: E_n(x) is the coefficient sequence of 2 e^{xt} / (e^t + 1) and
 E_n = E_n(0), so E_0 = 1, E_1 = -1/2, E_3 = 1/4, and every E_n has a power
@@ -15,7 +14,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from math import comb
+from operator import mul
 
 Rational = Fraction | int
 
@@ -25,18 +26,18 @@ _tangent = [0]
 
 
 def _tangent_numbers(m: int) -> list[int]:
-    """[0, T_1, ..., T_m] for m >= 1, by the integer recurrence of Knuth and
-    Buckholtz (Math. Comp. 21, 1967) in Brent and Harvey's form ("Fast
-    computation of Bernoulli, Tangent and Secant numbers", 2013): m^2/2
-    steps with small multipliers.  Its first pass depends on m, so the table
-    cannot grow in place."""
-    t = [0, 1]
+    """[0, T_1, ..., T_m] for m >= 1, by the recurrence of Knuth and Buckholtz
+    (Math. Comp. 21, 1967) in Brent and Harvey's form ("Fast computation of
+    Bernoulli, Tangent and Secant numbers", 2013), m^2/2 cells.  Pass k,
+    t[j] = (j-k) t[j-1] + (j-k+2) t[j] for j >= k, runs divided by (j-k)!:
+    x[j] = x[j-1] + (i+1)(i+2) x[j] with i = j-k, one prefix sum, after a
+    pass 1 that leaves every x[j] = 1; pass k leaves x[k] = T_k.  Entry j
+    depends on every pass up to j, so the table cannot grow in place."""
+    x = [0] + [1] * m
+    weights = [(i + 1) * (i + 2) for i in range(m)]
     for k in range(2, m + 1):
-        t.append((k - 1) * t[k - 1])
-    for k in range(2, m + 1):
-        for j in range(k, m + 1):
-            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
-    return t
+        x[k:] = accumulate(map(mul, weights, x[k:]))
+    return x
 
 
 def _tangent_number(k: int) -> int:
@@ -47,29 +48,36 @@ def _tangent_number(k: int) -> int:
     return _tangent[k]
 
 
-@lru_cache(maxsize=None)
-def euler_number(n: int) -> Fraction:
-    """The n-th Euler number E_n = E_n(0).
-
-    E_0 = 1 and E_n = 0 for even n >= 2 (2 / (e^t + 1) - 1 is odd); for odd
-    n = 2k - 1, E_n = (-1)^k T_k / 2^n with T_k the k-th tangent number.
-    """
+def _euler_parts(n: int) -> tuple[int, int]:
+    """E_n in lowest terms as (numerator, denominator): E_0 = 1, E_n = 0 at
+    even n >= 2 (2 / (e^t + 1) - 1 is odd), and (-1)^k T_k / 2^n at odd
+    n = 2k - 1, with the power of two dividing T_k (below 2^n) shifted out."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    if n == 0:
-        return Fraction(1)
     if n % 2 == 0:
-        return Fraction(0)
-    k = (n + 1) // 2
-    return Fraction((-1) ** k * _tangent_number(k), 1 << n)
+        return int(n == 0), 1
+    t = _tangent_number((n + 1) // 2)
+    shift = (t & -t).bit_length() - 1
+    return (t >> shift) * (1 if n % 4 == 3 else -1), 1 << (n - shift)
+
+
+@lru_cache(maxsize=None)
+def euler_number(n: int) -> Fraction:
+    """The n-th Euler number E_n = E_n(0)."""
+    return Fraction(*_euler_parts(n))
+
+
+def euler_number_pairs(nmax: int) -> list[tuple[int, int]]:
+    """(numerator, denominator) of E_0, ..., E_nmax in lowest terms; sizes the table once."""
+    if nmax < 0:
+        raise ValueError("nmax must be >= 0")
+    _tangent_number((nmax + 1) // 2)
+    return [_euler_parts(n) for n in range(nmax + 1)]
 
 
 def euler_numbers(nmax: int) -> list[Fraction]:
     """[E_0, E_1, ..., E_nmax], from a tangent table sized once."""
-    if nmax < 0:
-        raise ValueError("nmax must be >= 0")
-    _tangent_number((nmax + 1) // 2)
-    return [euler_number(k) for k in range(nmax + 1)]
+    return [Fraction(*pair) for pair in euler_number_pairs(nmax)]
 
 
 @lru_cache(maxsize=None)

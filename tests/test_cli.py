@@ -72,7 +72,7 @@ class TestEulerCommand:
     def test_prints_numerators_past_the_digit_limit(self, capsys, monkeypatch):
         # 4401 digits, past Python's default int-to-str limit of 4300
         numerator = 10**4400 + 1
-        monkeypatch.setattr(cli, "euler_numbers", lambda nmax: [Fraction(numerator, 2)])
+        monkeypatch.setattr(cli, "euler_number_pairs", lambda nmax: [(numerator, 2)])
         limit = sys.get_int_max_str_digits()
         code, out, _ = run_cli(capsys, "euler", "--nmax", "0")
         assert code == 0

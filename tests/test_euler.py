@@ -195,17 +195,39 @@ class TestFractionOracle:
         assert euler_numbers(400) == euler_numbers_by_recurrence(400)
 
 
+@pytest.fixture(scope="module")
+def zigzag():
+    """A_0..A_2000 by the boustrophedon, shared by the oracle tests below."""
+    return zigzag_numbers_by_boustrophedon(2000)
+
+
 class TestBoustrophedonOracle:
     """The zigzag numbers by the boustrophedon, an algorithm apart from the
     tangent recurrence that the library and the CLI tests' oracle share."""
 
-    def test_euler_numbers(self):
-        zigzag = zigzag_numbers_by_boustrophedon(1200)
+    def test_euler_numbers(self, zigzag):
         expected = [Fraction(1)] + [
             Fraction((-1) ** ((n + 1) // 2) * zigzag[n], 2**n) if n % 2 else Fraction(0)
             for n in range(1, 1201)
         ]
         assert euler_numbers(1200) == expected
+
+    def test_tangent_table(self, zigzag):
+        # the short tables (m = 1, 2) run no pass, or one on a slice of one
+        for m in [*range(1, 81), 301, 601]:
+            expected = [0] + [zigzag[2 * k - 1] for k in range(1, m + 1)]
+            assert euler._tangent_numbers(m) == expected, m
+
+    def test_pairs_in_lowest_terms(self, zigzag):
+        # on the ints themselves: a Fraction would reduce an unreduced pair
+        for n, (num, den) in enumerate(euler.euler_number_pairs(2000)):
+            assert math.gcd(num, den) == 1, n
+            assert den & (den - 1) == 0, n
+            if n % 2 == 0:
+                expected = Fraction(int(n == 0))
+            else:
+                expected = Fraction((-1) ** ((n + 1) // 2) * zigzag[n], 2**n)
+            assert (num, den) == (expected.numerator, expected.denominator), n
 
 
 class TestEulerLayerMutants:
