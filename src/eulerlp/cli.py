@@ -19,19 +19,26 @@ on stderr and raises ``SystemExit(2)``; ``-h`` prints help to stdout and exits 0
 
 from __future__ import annotations
 
-import json
 import os
 import sys
-from fractions import Fraction
 
 from .characters import teichmuller_power
 from .euler import euler_number_pairs
 from .harness import CHECKS, GridConfig, run_grid
 from .lfunctions import padic_l
 from .padic import PadicContext
-from .reports import reports_to_csv, reports_to_jsonl
+from .reports import _encode, reports_to_csv, reports_to_jsonl
 
 REQUIRED = object()
+
+
+def _rational(text: str) -> Fraction:
+    """--x in ``Fraction``'s grammar ("2/6", "0.5", "1e400"), loaded only when given."""
+    from fractions import Fraction
+
+    return Fraction(text)
+
+
 _FORMAT = (("json", "csv"), "json")
 _PRECISION = (int, 6)
 
@@ -49,7 +56,7 @@ COMMANDS = {
         **dict.fromkeys(("p", "n", "r", "k", "k2"), (int, None)),
         "t": (int, 0),
         **dict.fromkeys(("f", "m", "j"), (int, None)),
-        "x": (Fraction, Fraction(0)),
+        "x": (_rational, 0),
         "precision": _PRECISION,
         "format": _FORMAT,
     }),
@@ -61,7 +68,7 @@ COMMANDS = {
 
 # How help names the value each parse function reads; a grid axis is a
 # comma list ("2,4,6") or a range ("1..4").
-_METAVARS = {int: "INT", Fraction: "NUM/DEN", str: "LIST"}
+_METAVARS = {int: "INT", _rational: "NUM/DEN", str: "LIST"}
 
 
 def _metavar(parse) -> str:
@@ -155,10 +162,7 @@ def _int_list(flag: str, text: str) -> tuple[int, ...]:
 
 
 def _emit(reports, fmt: str) -> int:
-    if fmt == "csv":
-        print(reports_to_csv(reports))
-    else:
-        print(reports_to_jsonl(reports))
+    print(reports_to_csv(reports) if fmt == "csv" else reports_to_jsonl(reports))
     return 0 if all(r.match for r in reports) else 1
 
 
@@ -171,13 +175,8 @@ def cmd_euler(args: dict) -> int:
 
 def cmd_lp(args: dict) -> int:
     chi = teichmuller_power(args["t"], PadicContext(args["p"], args["precision"]))
-    value = padic_l(args["s"], chi)
-    out = {
-        "s": args["s"],
-        "character": chi.descriptor(),
-        "value": value.as_json_dict(),
-    }
-    print(json.dumps(out, separators=(",", ":")))
+    value = padic_l(args["s"], chi).as_json_dict()
+    print(_encode({"s": args["s"], "character": chi.descriptor(), "value": value}))
     return 0
 
 

@@ -3,7 +3,8 @@ zeta values at negative integers.
 
 The Euler numbers come from one integer table of tangent numbers, rebuilt
 at twice its size when a request passes its end; every value this module
-returns is exact (a ``Fraction``, or ints in lowest terms, at the API).
+returns is exact: (numerator, denominator) int pairs inside the library, and
+a ``Fraction``, built by ``_fraction``, from each public function.
 
 Conventions: E_n(x) is the coefficient sequence of 2 e^{xt} / (e^t + 1) and
 E_n = E_n(0), so E_0 = 1, E_1 = -1/2, E_3 = 1/4, and every E_n has a power
@@ -12,13 +13,18 @@ of two as denominator (making each one a p-adic integer for odd p).
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
 from math import comb
 from operator import mul
 
-Rational = Fraction | int
+
+def _fraction(*args) -> Fraction:
+    """``Fraction(*args)``; ``fractions`` (with ``decimal`` and ``numbers``)
+    loads on the first call, like ``csv`` in ``reports.reports_to_csv``."""
+    from fractions import Fraction
+
+    return Fraction(*args)
 
 
 # entry k is the tangent number T_k = A_(2k-1); unbuilt until a request
@@ -64,7 +70,7 @@ def _euler_parts(n: int) -> tuple[int, int]:
 @lru_cache(maxsize=None)
 def euler_number(n: int) -> Fraction:
     """The n-th Euler number E_n = E_n(0)."""
-    return Fraction(*_euler_parts(n))
+    return _fraction(*_euler_parts(n))
 
 
 def euler_number_pairs(nmax: int) -> list[tuple[int, int]]:
@@ -77,7 +83,7 @@ def euler_number_pairs(nmax: int) -> list[tuple[int, int]]:
 
 def euler_numbers(nmax: int) -> list[Fraction]:
     """[E_0, E_1, ..., E_nmax], from a tangent table sized once."""
-    return [Fraction(*pair) for pair in euler_number_pairs(nmax)]
+    return [_fraction(*pair) for pair in euler_number_pairs(nmax)]
 
 
 @lru_cache(maxsize=None)
@@ -88,8 +94,8 @@ def _scaled_euler_polynomial(n: int) -> tuple[int, ...]:
         raise ValueError("n must be >= 0")
     coefficients = []
     for i in range(n + 1):
-        e = euler_number(n - i)  # denominator a power of two up to 2^(n-i)
-        coefficients.append(comb(n, i) * e.numerator * ((1 << (n - i)) // e.denominator))
+        num, den = _euler_parts(n - i)  # den a power of two up to 2^(n-i)
+        coefficients.append(comb(n, i) * num * ((1 << (n - i)) // den))
     return tuple(coefficients)
 
 
@@ -101,7 +107,7 @@ def euler_polynomial(n: int) -> tuple[Fraction, ...]:
     -n/2 (the binomial expansion pins it to n * E_1).
     """
     return tuple(
-        Fraction(c, 1 << (n - i)) for i, c in enumerate(_scaled_euler_polynomial(n))
+        _fraction(c, 1 << (n - i)) for i, c in enumerate(_scaled_euler_polynomial(n))
     )
 
 
@@ -117,18 +123,31 @@ def _euler_form(n: int, u: int, v: int) -> int:
     return acc
 
 
-def euler_polynomial_value(n: int, x: Rational) -> Fraction:
+def euler_polynomial_value(n: int, x: Fraction | int) -> Fraction:
     """E_n evaluated at a rational point x = u/v, exactly: H(n, u, v) on
     ints, and one ``Fraction`` built at the end."""
-    x = Fraction(x)
-    return Fraction(_euler_form(n, x.numerator, x.denominator), (2 * x.denominator) ** n)
+    x = _fraction(x)
+    return _fraction(_euler_form(n, x.numerator, x.denominator), (2 * x.denominator) ** n)
+
+
+def _alternating_power_sum(n: int, m: int) -> int:
+    if n < 0 or m < 0:
+        raise ValueError("n and m must be >= 0")
+    return 2 * sum(-(l**m) if l % 2 else l**m for l in range(n))
 
 
 def alternating_power_sum(n: int, m: int) -> Fraction:
     """2 sum_{l=0}^{n-1} (-1)^l l^m, summed on ints (0^0 counts as 1)."""
-    if n < 0 or m < 0:
-        raise ValueError("n and m must be >= 0")
-    return Fraction(2 * sum(-(l**m) if l % 2 else l**m for l in range(n)))
+    return _fraction(_alternating_power_sum(n, m))
+
+
+def _alternating_power_sum_closed(n: int, m: int) -> tuple[int, int]:
+    """E_m - E_m(n) = (2^m E_m - H(m, n, 1)) / 2^m as an int pair."""
+    if n < 2 or n % 2:
+        raise ValueError("the closed form needs even n >= 2")
+    if m < 0:
+        raise ValueError("m must be >= 0")
+    return _scaled_euler_polynomial(m)[0] - _euler_form(m, n, 1), 1 << m
 
 
 def alternating_power_sum_closed(n: int, m: int) -> Fraction:
@@ -136,16 +155,13 @@ def alternating_power_sum_closed(n: int, m: int) -> Fraction:
 
         -sum_{l=0}^{m-1} C(m, l) E_l n^{m-l}  =  E_m - E_m(n)
     """
-    if n < 2 or n % 2:
-        raise ValueError("the closed form needs even n >= 2")
-    if m < 0:
-        raise ValueError("m must be >= 0")
-    return euler_number(m) - euler_polynomial_value(m, n)
+    return _fraction(*_alternating_power_sum_closed(n, m))
 
 
 def partial_zeta_neg(n: int, a: int, modulus: int) -> Fraction:
     """Value at -n of the alternating partial zeta restricted to the class
-    a mod modulus: (-1)^a (modulus^n / 2) E_n(a / modulus)."""
+    a mod modulus: (-1)^a (modulus^n / 2) E_n(a / modulus), which is
+    (-1)^a H(n, a, modulus) / 2^(n+1)."""
     if modulus < 1 or modulus % 2 == 0:
         raise ValueError("modulus must be odd")
     if not 0 < a < modulus:
@@ -153,5 +169,4 @@ def partial_zeta_neg(n: int, a: int, modulus: int) -> Fraction:
     if n < 0:
         raise ValueError("n must be >= 0")
     sign = -1 if a % 2 else 1
-    return Fraction(sign * modulus**n, 2) * euler_polynomial_value(n, Fraction(a, modulus))
-
+    return _fraction(sign * _euler_form(n, a, modulus), 2 ** (n + 1))

@@ -16,11 +16,10 @@ CLI's ``verify`` runs one check and ``grid`` runs every check on its rows.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 
 from .characters import teichmuller_power
-from .euler import _euler_form, alternating_power_sum, alternating_power_sum_closed
+from .euler import _alternating_power_sum, _alternating_power_sum_closed, _euler_form, _fraction
 from .lfunctions import interpolation_check, kummer_check, padic_l
 from .padic import PadicContext, PadicNumber, Value, _set, binomial, is_prime
 from .reports import CongruenceReport, format_rational, padic_report, rational_report
@@ -38,11 +37,8 @@ def alt_harmonic_sum(p: int, n: int, r: int) -> Fraction:
         raise ValueError("n must be even and >= 0")
     if r < 1:
         raise ValueError("r must be >= 1")
-    total = Fraction(0)
-    for j in range(1, n * p + 1):
-        if j % p:
-            total += Fraction((-1) ** j, j**r)
-    return total
+    terms = (_fraction((-1) ** j, j**r) for j in range(1, n * p + 1) if j % p)
+    return sum(terms, _fraction(0))
 
 
 def _alt_harmonic_residue(p: int, n: int, r: int, m: int) -> int:
@@ -93,14 +89,8 @@ def verify_main_congruence(p: int, n: int, r: int, digits: int) -> CongruenceRep
     return padic_report("theorem6", params, lhs, rhs)
 
 
-# Fixed evaluation points for the p-independent identity suites.
-DISTRIBUTION_POINTS = (
-    Fraction(0),
-    Fraction(1, 2),
-    Fraction(1, 3),
-    Fraction(-2, 7),
-    Fraction(5, 4),
-)
+# Fixed evaluation points, as (numerator, denominator), for the identity suites.
+DISTRIBUTION_POINTS = ((0, 1), (1, 2), (1, 3), (-2, 7), (5, 4))
 DISTRIBUTION_MODULI = (1, 3, 5, 7)
 POWER_SUM_EXPONENTS = tuple(range(9))
 
@@ -129,30 +119,29 @@ class GridConfig(Value):
             raise ValueError("precision must be >= 1")
 
 
-def distribution_report(n: int, f: int, x: Fraction) -> CongruenceReport:
-    """E_n(x) against f^n sum_{a=0}^{f-1} (-1)^a E_n((x + a) / f), exactly.
-
-    The identity holds for every odd f >= 1.
+def distribution_report(n: int, f: int, x) -> CongruenceReport:
+    """E_n(x) against f^n sum_{a=0}^{f-1} (-1)^a E_n((x + a) / f), exactly,
+    at x an int, a Fraction or a (numerator, denominator) int pair.  The
+    identity holds for every odd f >= 1.
     """
     if f < 1 or f % 2 == 0:
         raise ValueError(f"f must be odd and >= 1, got {f}")
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    x = Fraction(x)
-    u, v = x.numerator, x.denominator
+    u, v = x if isinstance(x, tuple) else (x.numerator, x.denominator)
     # both sides over (2v)^n: f^n E_n((u + av) / fv) = H(n, u + av, fv) / (2v)^n
     scale = (2 * v) ** n
-    lhs = Fraction(_euler_form(n, u, v), scale)
+    lhs = (_euler_form(n, u, v), scale)
     terms = ((-1) ** a * _euler_form(n, u + a * v, f * v) for a in range(f))
-    rhs = Fraction(sum(terms), scale)
+    rhs = (sum(terms), scale)
     params = {"n": n, "f": f, "x": format_rational(x)}
     return rational_report("distribution", params, lhs, rhs)
 
 
 def power_sum_report(n: int, m: int) -> CongruenceReport:
     """Direct alternating power sum against its closed form (even n)."""
-    lhs = alternating_power_sum(n, m)
-    rhs = alternating_power_sum_closed(n, m)
+    lhs = _alternating_power_sum(n, m)
+    rhs = _alternating_power_sum_closed(n, m)
     return rational_report("powersum", {"n": n, "m": m}, lhs, rhs)
 
 
@@ -162,8 +151,8 @@ def binomial_ratio_report(r: int, k: int) -> CongruenceReport:
         raise ValueError(f"the ratio identity needs k >= 0, got k={k}")
     if r + k == 0:
         raise ValueError(f"the ratio identity needs r + k != 0, got r={r}, k={k}")
-    lhs = Fraction(r, r + k) * binomial(-r - 1, k)
-    rhs = Fraction(binomial(-r, k))
+    lhs = (r * binomial(-r - 1, k), r + k)
+    rhs = binomial(-r, k)
     return rational_report("binomial", {"r": r, "k": k, "identity": "ratio"}, lhs, rhs)
 
 

@@ -41,7 +41,7 @@ from functools import lru_cache
 from operator import mul
 
 from .characters import DirichletCharacter, teichmuller_power
-from .euler import _euler_form, euler_number, partial_zeta_neg
+from .euler import _euler_form, _euler_parts, partial_zeta_neg
 from .padic import PadicContext, PadicNumber, binomial
 from .reports import CongruenceReport, padic_report
 
@@ -56,7 +56,8 @@ def generalized_euler_number(n: int, chi: DirichletCharacter) -> PadicNumber:
     """
     ctx = chi.context
     if chi.conductor == 1:
-        return ctx.from_rational(euler_number(n))
+        num, den = _euler_parts(n)  # den a power of two, a unit mod p
+        return ctx.from_int(num * pow(den, -1, ctx.modulus))
     total = sum(map(mul, chi.values, _partial_zeta_residues(n, ctx)))
     return ctx.from_int(2 * total)
 
@@ -88,7 +89,8 @@ def _series_table(
     character, and of (modulus/a)^j E_j for j < N, N the precision of ctx."""
     p, m, half = ctx.p, ctx.modulus, (ctx.modulus + 1) // 2  # 1/2 mod m
     inverse = DirichletCharacter(ctx, -1).values  # omega(a)^-1 at a mod p
-    euler = [ctx.from_rational(euler_number(j)).residue for j in range(ctx.precision)]
+    parts = map(_euler_parts, range(ctx.precision))  # each den a power of two
+    euler = [num * pow(den, -1, m) % m for num, den in parts]
     table = [None] * modulus
     for a in range(1, modulus):
         if a % p == 0:
@@ -125,9 +127,7 @@ def padic_partial_zeta(s: int, a: int, modulus: int, ctx: PadicContext) -> Padic
     return ctx.from_int(_partial_zeta_residue(s, entry, binomials, ctx.modulus))
 
 
-def padic_partial_zeta_at_neg(
-    n: int, a: int, modulus: int, ctx: PadicContext
-) -> PadicNumber:
+def padic_partial_zeta_at_neg(n: int, a: int, modulus: int, ctx: PadicContext) -> PadicNumber:
     """Closed form at s = -n: omega^(-n)(a), read from the context's one
     Teichmuller table, times the exact rational partial zeta value
     (-1)^a (modulus^n / 2) E_n(a/modulus), at full precision."""
@@ -194,9 +194,7 @@ def interpolation_check(n: int, chi: DirichletCharacter) -> CongruenceReport:
     return padic_report("interpolation", params, lhs, rhs)
 
 
-def kummer_check(
-    k: int, t: int, ctx: PadicContext, k2: int | None = None
-) -> CongruenceReport:
+def kummer_check(k: int, t: int, ctx: PadicContext, k2: int | None = None) -> CongruenceReport:
     """l_p(k, w^t) against l_p(k2, w^t) mod p, for t = 0 mod p-1; both
     values are computed in the 1-digit context of ctx's prime.
 

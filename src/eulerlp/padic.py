@@ -14,7 +14,6 @@ configs and reports.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import comb, isqrt
 from operator import attrgetter
 
@@ -95,14 +94,14 @@ class PadicContext(Value):
         return PadicNumber(self, value, self.precision)
 
     def from_rational(self, value: Fraction | int) -> "PadicNumber":
-        """Embed a rational whose denominator is prime to p, at full precision."""
-        q = Fraction(value)
-        if q.denominator % self.p == 0:
+        """Embed an int or a Fraction with denominator prime to p, at full precision;
+        the library embeds its own int pairs with ``pow``, without this."""
+        num, den = value.numerator, value.denominator
+        if den % self.p == 0:
             raise ValueError(
-                f"denominator of {q} is divisible by {self.p}; not a {self.p}-adic integer"
+                f"denominator of {value} is divisible by {self.p}; not a {self.p}-adic integer"
             )
-        residue = q.numerator * pow(q.denominator, -1, self.modulus)
-        return PadicNumber(self, residue, self.precision)
+        return PadicNumber(self, num * pow(den, -1, self.modulus), self.precision)
 
 
 class PadicNumber(Value):
@@ -112,9 +111,7 @@ class PadicNumber(Value):
 
     def __init__(self, context: PadicContext, residue: int, precision: int):
         if not 1 <= precision <= context.precision:
-            raise ValueError(
-                f"precision must be in 1..{context.precision}, got {precision}"
-            )
+            raise ValueError(f"precision must be in 1..{context.precision}, got {precision}")
         _set(self, "context", context)
         full = precision == context.precision
         _set(self, "residue", residue % (context.modulus if full else context.p**precision))
@@ -132,8 +129,7 @@ class PadicNumber(Value):
         """
         if self.residue == 0:
             return self.precision
-        v = 0
-        r = self.residue
+        v, r = 0, self.residue
         while r % self.context.p == 0:
             r //= self.context.p
             v += 1
@@ -217,8 +213,7 @@ class PadicNumber(Value):
         if exponent < 0:
             return self.inverse() ** (-exponent)
         result = PadicNumber(self.context, 1, self.precision)
-        base = self
-        e = exponent
+        base, e = self, exponent
         while True:
             if e & 1:
                 result = result * base
@@ -232,9 +227,7 @@ class PadicNumber(Value):
     def reduce(self, digits: int) -> "PadicNumber":
         """Forget digits beyond `digits`; cannot claim more than are known."""
         if digits > self.precision:
-            raise ValueError(
-                f"cannot raise precision from {self.precision} to {digits}"
-            )
+            raise ValueError(f"cannot raise precision from {self.precision} to {digits}")
         return PadicNumber(self.context, self.residue, digits)
 
     def div_p(self, k: int = 1) -> "PadicNumber":
@@ -244,14 +237,10 @@ class PadicNumber(Value):
         if k == 0:
             return self
         if self.valuation < k:
-            raise ValueError(
-                f"valuation {self.valuation} < {k}; quotient would leave Z_p"
-            )
+            raise ValueError(f"valuation {self.valuation} < {k}; quotient would leave Z_p")
         if self.precision - k < 1:
             raise ValueError("no known digits would remain after the shift")
-        return PadicNumber(
-            self.context, self.residue // self.context.p ** k, self.precision - k
-        )
+        return PadicNumber(self.context, self.residue // self.context.p**k, self.precision - k)
 
 
 def _wire_dict(p: int, precision: int, residue: int) -> dict:

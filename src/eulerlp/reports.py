@@ -1,22 +1,34 @@
 """Congruence check reports and their JSON/CSV serialization.
 
 Each side is put in wire form straight from what the check computed: a
-p-adic side from its residue by ``padic._wire_dict``, an exact side (int or
-Fraction) from its numerator and denominator, with no re-wrapping."""
+p-adic side from its residue by ``padic._wire_dict``, an exact side (an
+int, a Fraction or a (numerator, denominator) int pair) as "num/den" in
+lowest terms, with no re-wrapping."""
 
 from __future__ import annotations
 
-import json
-from fractions import Fraction
+from math import gcd
 
 from .padic import PadicNumber, Value, _set, _wire_dict
 
-_encode = json.JSONEncoder(separators=(",", ":")).encode
+
+_encoder = None  # the compact JSON encoder's encode, built on first use
 
 
-def format_rational(q: Fraction | int) -> str:
-    """Serialize an int or Fraction as an explicit "num/den" string."""
-    return f"{q.numerator}/{q.denominator}"
+def _encode(value) -> str:
+    global _encoder
+    if _encoder is None:
+        import json  # loads with the first report written, not at start-up
+
+        _encoder = json.JSONEncoder(separators=(",", ":")).encode
+    return _encoder(value)
+
+
+def format_rational(q: Fraction | int | tuple[int, int]) -> str:
+    """An int, a Fraction or an int pair as "num/den" in lowest terms, den > 0."""
+    num, den = q if isinstance(q, tuple) else (q.numerator, q.denominator)
+    g = gcd(num, den) if den > 0 else -gcd(num, den)
+    return f"{num // g}/{den // g}"
 
 
 class CongruenceReport(Value):
@@ -62,14 +74,11 @@ def padic_report(
     return CongruenceReport(check, ctx.p, params, left, right, digits, match, left["valuation"])
 
 
-def rational_report(
-    check: str, params: dict, lhs: Fraction | int, rhs: Fraction | int
-) -> CongruenceReport:
-    """Report comparing two exact rationals, each an int or a Fraction."""
-    return CongruenceReport(
-        check, None, params, format_rational(lhs), format_rational(rhs), None,
-        lhs == rhs, None,
-    )
+def rational_report(check: str, params: dict, lhs, rhs) -> CongruenceReport:
+    """Report comparing two exact rationals, each an int, a Fraction or an
+    int pair; equal in lowest terms, so equal as "num/den", is a match."""
+    left, right = format_rational(lhs), format_rational(rhs)
+    return CongruenceReport(check, None, params, left, right, None, left == right, None)
 
 
 CSV_COLUMNS = CongruenceReport.__match_args__

@@ -502,9 +502,9 @@ def test_stdout_closed_at_start_is_not_an_error(capsys, monkeypatch):
     assert main(["euler", "--nmax", "3"]) == 0
 
 
-def test_import_loads_no_argparse_gettext_locale_dataclasses_inspect_or_csv():
+def test_import_loads_no_argparse_gettext_locale_dataclasses_inspect_csv_fractions_or_json():
     # -S: no .pth file of the site packages can load a module first and
-    # hide its import by eulerlp
+    # hide its import by eulerlp; fractions brings decimal and numbers
     probe = (
         "import sys\n"
         "before = set(sys.modules)\n"
@@ -523,9 +523,39 @@ def test_import_loads_no_argparse_gettext_locale_dataclasses_inspect_or_csv():
     assert "eulerlp.cli" in imported.split()
     assert not {
         "argparse", "gettext", "locale", "dataclasses", "inspect", "ast", "dis", "tokenize",
-        "csv",
+        "csv", "fractions", "decimal", "numbers", "json",
     } & set(imported.split())
     assert csv_after == "True"
+
+
+def test_commands_load_no_fractions_and_euler_no_json():
+    # exact values are int pairs inside the library: no command loads
+    # fractions (nor decimal and numbers, which it imports) unless --x is
+    # given, and euler, which prints its lines by hand, loads no json
+    verify = [
+        ["verify", "--check", check, *(a for a in argv if not a.startswith("--x"))]
+        for check, argv in VERIFY_ARGV.items()
+    ]
+    grid = json.loads(WORKLOADS.read_text())["grid-mixed"]["default_argv"]
+    runs = [["euler", "--nmax", "7"], grid, [*grid, "--format", "csv"], *verify]
+    probe = (
+        "import contextlib, io, sys\n"
+        "import eulerlp.cli\n"
+        "for argv in %r:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert eulerlp.cli.main(argv) == 0, argv\n"
+        "    print(*sorted({'fractions', 'decimal', 'numbers', 'json'} & set(sys.modules)))\n"
+    ) % (runs,)
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", probe],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = proc.stdout.split("\n")[:-1]
+    assert len(loaded) == len(runs)
+    assert loaded[0] == ""  # euler: none of the four
+    assert all(line in ("", "json") for line in loaded), dict(zip(map(tuple, runs), loaded))
 
 
 # The argparse parser the option table replaced, kept as the oracle the table
@@ -569,7 +599,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--f", type=int)
     p_verify.add_argument("--m", type=int)
     p_verify.add_argument("--j", type=int)
-    p_verify.add_argument("--x", type=_rational, default="0/1", help='rational point "num/den"')
+    # the table's default is the int 0, which equals Fraction(0) and loads no
+    # fractions module; argparse applies no type to a non-string default
+    p_verify.add_argument("--x", type=_rational, default=0, help='rational point "num/den"')
     p_verify.add_argument("--precision", type=int, default=6)
     p_verify.add_argument("--format", choices=("json", "csv"), default="json")
     p_verify.set_defaults(func=cli.cmd_verify)
@@ -643,6 +675,13 @@ FORM_ARGV = [
     ["verify", "--check", "kummer", "--p", "7", "--k", "2", "--k2", "9"],
     ["verify", "--che=kummer", "--k2=9", "--k=2", "--p=-7"],
     ["verify", "--check", "distribution", "--n", "3", "--f", "5", "--x=-2/7", "--x", "3"],
+]
+# --x in Fraction's grammar: a decimal, a fraction not in lowest terms, a
+# negative one (argparse reads a separate "-2/7" as an option), an exponent
+# past the float range, and a zero denominator (exit 2)
+FORM_ARGV += [
+    ["verify", "--check", "distribution", "--n", "4", "--f", "3", *x]
+    for x in (["--x", "0.5"], ["--x", "2/6"], ["--x=-2/7"], ["--x", "1e400"], ["--x", "1/0"])
 ]
 
 PARITY_CORPUS = {

@@ -248,9 +248,15 @@ class TestEulerLayerMutants:
 
     @pytest.mark.parametrize("j", [1, 3])
     def test_perturbed_euler_number_is_reported(self, monkeypatch, j):
-        original = euler.euler_number
+        # E_j + 1 in the int kernel every exact path reads, as (num + den, den)
+        original = euler._euler_parts
+
+        def mutant(n):
+            num, den = original(n)
+            return (num + den, den) if n == j else (num, den)
+
         clear_library_caches()
-        monkeypatch.setattr(euler, "euler_number", lambda n: original(n) + (n == j))
+        monkeypatch.setattr(euler, "_euler_parts", mutant)
         try:
             powersum, distribution = self._matches()
         finally:

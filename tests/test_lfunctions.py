@@ -470,9 +470,15 @@ class TestEulerNumberMutants:
 
     @pytest.mark.parametrize("j", [0, 1, 3])
     def test_perturbed_euler_number_is_reported(self, monkeypatch, j):
-        original = lfunctions.euler_number
+        # E_j + 1 where the series table and E_{n,chi} at conductor 1 read it
+        original = lfunctions._euler_parts
+
+        def mutant(n):
+            num, den = original(n)
+            return (num + den, den) if n == j else (num, den)
+
         clear_library_caches()
-        monkeypatch.setattr(lfunctions, "euler_number", lambda n: original(n) + (n == j))
+        monkeypatch.setattr(lfunctions, "_euler_parts", mutant)
         try:
             interpolation, theorem6 = self._matches()
         finally:
