@@ -7,8 +7,6 @@ omega(a)^t = zeta^(t ind a mod p-1), with zeta = omega(g), g a primitive root;
 ``padic.teichmuller`` is the closed form the tests check the table against.
 """
 
-from __future__ import annotations
-
 from functools import lru_cache
 
 from .padic import PadicContext, Value, _set, is_prime, teichmuller

@@ -17,8 +17,6 @@ A usage error in argv prints a ``usage:`` line and an ``eulerlp: error:`` line
 on stderr and raises ``SystemExit(2)``; ``-h`` prints help to stdout and exits 0.
 """
 
-from __future__ import annotations
-
 import os
 import sys
 
@@ -27,12 +25,12 @@ from .euler import euler_number_pairs
 from .harness import CHECKS, GridConfig, run_grid
 from .lfunctions import padic_l
 from .padic import PadicContext
-from .reports import _encode, reports_to_csv, reports_to_jsonl
+from .reports import _json, reports_to_csv, reports_to_jsonl
 
 REQUIRED = object()
 
 
-def _rational(text: str) -> Fraction:
+def _rational(text: str) -> "Fraction":
     """--x in ``Fraction``'s grammar ("2/6", "0.5", "1e400"), loaded only when given."""
     from fractions import Fraction
 
@@ -176,7 +174,7 @@ def cmd_euler(args: dict) -> int:
 def cmd_lp(args: dict) -> int:
     chi = teichmuller_power(args["t"], PadicContext(args["p"], args["precision"]))
     value = padic_l(args["s"], chi).as_json_dict()
-    print(_encode({"s": args["s"], "character": chi.descriptor(), "value": value}))
+    print(_json({"s": args["s"], "character": chi.descriptor(), "value": value}))
     return 0
 
 

@@ -11,15 +11,13 @@ E_n = E_n(0), so E_0 = 1, E_1 = -1/2, E_3 = 1/4, and every E_n has a power
 of two as denominator (making each one a p-adic integer for odd p).
 """
 
-from __future__ import annotations
-
 from functools import lru_cache
 from itertools import accumulate
 from math import comb
 from operator import mul
 
 
-def _fraction(*args) -> Fraction:
+def _fraction(*args) -> "Fraction":
     """``Fraction(*args)``; ``fractions`` (with ``decimal`` and ``numbers``)
     loads on the first call, like ``csv`` in ``reports.reports_to_csv``."""
     from fractions import Fraction
@@ -68,7 +66,7 @@ def _euler_parts(n: int) -> tuple[int, int]:
 
 
 @lru_cache(maxsize=None)
-def euler_number(n: int) -> Fraction:
+def euler_number(n: int) -> "Fraction":
     """The n-th Euler number E_n = E_n(0)."""
     return _fraction(*_euler_parts(n))
 
@@ -81,7 +79,7 @@ def euler_number_pairs(nmax: int) -> list[tuple[int, int]]:
     return [_euler_parts(n) for n in range(nmax + 1)]
 
 
-def euler_numbers(nmax: int) -> list[Fraction]:
+def euler_numbers(nmax: int) -> "list[Fraction]":
     """[E_0, E_1, ..., E_nmax], from a tangent table sized once."""
     return [_fraction(*pair) for pair in euler_number_pairs(nmax)]
 
@@ -99,7 +97,7 @@ def _scaled_euler_polynomial(n: int) -> tuple[int, ...]:
     return tuple(coefficients)
 
 
-def euler_polynomial(n: int) -> tuple[Fraction, ...]:
+def euler_polynomial(n: int) -> "tuple[Fraction, ...]":
     """Coefficients of E_n(x) = sum_{k=0}^{n} C(n, k) E_k x^{n-k}; entry i
     multiplies x^i.
 
@@ -123,7 +121,7 @@ def _euler_form(n: int, u: int, v: int) -> int:
     return acc
 
 
-def euler_polynomial_value(n: int, x: Fraction | int) -> Fraction:
+def euler_polynomial_value(n: int, x: "Fraction | int") -> "Fraction":
     """E_n evaluated at a rational point x = u/v, exactly: H(n, u, v) on
     ints, and one ``Fraction`` built at the end."""
     x = _fraction(x)
@@ -136,7 +134,7 @@ def _alternating_power_sum(n: int, m: int) -> int:
     return 2 * sum(-(l**m) if l % 2 else l**m for l in range(n))
 
 
-def alternating_power_sum(n: int, m: int) -> Fraction:
+def alternating_power_sum(n: int, m: int) -> "Fraction":
     """2 sum_{l=0}^{n-1} (-1)^l l^m, summed on ints (0^0 counts as 1)."""
     return _fraction(_alternating_power_sum(n, m))
 
@@ -150,7 +148,7 @@ def _alternating_power_sum_closed(n: int, m: int) -> tuple[int, int]:
     return _scaled_euler_polynomial(m)[0] - _euler_form(m, n, 1), 1 << m
 
 
-def alternating_power_sum_closed(n: int, m: int) -> Fraction:
+def alternating_power_sum_closed(n: int, m: int) -> "Fraction":
     """Closed form of :func:`alternating_power_sum` for even n:
 
         -sum_{l=0}^{m-1} C(m, l) E_l n^{m-l}  =  E_m - E_m(n)
@@ -158,7 +156,7 @@ def alternating_power_sum_closed(n: int, m: int) -> Fraction:
     return _fraction(*_alternating_power_sum_closed(n, m))
 
 
-def partial_zeta_neg(n: int, a: int, modulus: int) -> Fraction:
+def partial_zeta_neg(n: int, a: int, modulus: int) -> "Fraction":
     """Value at -n of the alternating partial zeta restricted to the class
     a mod modulus: (-1)^a (modulus^n / 2) E_n(a / modulus), which is
     (-1)^a H(n, a, modulus) / 2^(n+1)."""

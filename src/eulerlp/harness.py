@@ -14,8 +14,6 @@ mod p^M.  The right side stops at k = M - 1, since term k has valuation
 CLI's ``verify`` runs one check and ``grid`` runs every check on its rows.
 """
 
-from __future__ import annotations
-
 from functools import lru_cache
 
 from .characters import teichmuller_power
@@ -25,7 +23,7 @@ from .padic import PadicContext, PadicNumber, Value, _set, binomial, is_prime
 from .reports import CongruenceReport, format_rational, padic_report, rational_report
 
 
-def alt_harmonic_sum(p: int, n: int, r: int) -> Fraction:
+def alt_harmonic_sum(p: int, n: int, r: int) -> "Fraction":
     """sum of (-1)^j / j^r over j = 1..n*p with p not dividing j, exactly.
 
     The denominator is automatically prime to p.  Note the sum itself is

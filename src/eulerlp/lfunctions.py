@@ -17,9 +17,9 @@ exactly N series terms.  Only integer s is supported: unit powers
 needed.
 
 Both series run on plain int residues mod p^N.  For each (F, context), a
-table holding (-1)^a / 2, <a> and the row (F/a)^j E_j (j < N) for every
-unit a is built once; a value is then one dot product with the binomial
-row C(-s, j).  ``PadicNumber`` is only the type of the results.  The
+table holding (-1)^a / 2, <a>, <a>^(-1) and the row (F/a)^j E_j (j < N)
+for every unit a is built once; a value is then one dot product with the
+binomial row C(-s, j).  ``PadicNumber`` is only the type of the results.  The
 series is Washington's ("p-adic L-functions and sums of powers",
 J. Number Theory 69, 1998), adapted to Euler numbers.
 
@@ -34,8 +34,6 @@ tuple ``_partial_zeta_residues``; each E_{n,chi} is then one dot product
 with ``chi.values``.  <a> = a omega^(-1)(a) comes, like every
 ``chi.values``, from the context's one Teichmuller table in ``characters``.
 """
-
-from __future__ import annotations
 
 from functools import lru_cache
 from operator import mul
@@ -83,24 +81,27 @@ def _check_class_args(a: int, modulus: int, ctx: PadicContext) -> None:
 @lru_cache(maxsize=None)
 def _series_table(
     modulus: int, ctx: PadicContext
-) -> tuple[tuple[int, int, tuple[int, ...]] | None, ...]:
+) -> tuple[tuple[int, int, int, tuple[int, ...]] | None, ...]:
     """Indexed by a < modulus, for every unit a: the residues mod p^N of
-    (-1)^a / 2, of <a> = a omega^(-1)(a) with omega^(-1) read as a
-    character, and of (modulus/a)^j E_j for j < N, N the precision of ctx."""
+    (-1)^a / 2, of <a> = a omega^(-1)(a) and <a>^(-1) = a^(-1) omega(a), with
+    omega^(+-1) read as characters, and of (modulus/a)^j E_j for j < N, N
+    the precision of ctx."""
     p, m, half = ctx.p, ctx.modulus, (ctx.modulus + 1) // 2  # 1/2 mod m
-    inverse = DirichletCharacter(ctx, -1).values  # omega(a)^-1 at a mod p
+    omega, inverse = DirichletCharacter(ctx, 1).values, DirichletCharacter(ctx, -1).values
     parts = map(_euler_parts, range(ctx.precision))  # each den a power of two
     euler = [num * pow(den, -1, m) % m for num, den in parts]
     table = [None] * modulus
     for a in range(1, modulus):
         if a % p == 0:
             continue
-        ratio = modulus * pow(a, -1, m)
+        a_inverse = pow(a, -1, m)
+        ratio = modulus * a_inverse
         row, power = [], 1
         for e in euler:
             row.append(power * e % m)
             power = power * ratio % m
-        table[a] = (m - half if a % 2 else half, a * inverse[a % p] % m, tuple(row))
+        unit, unit_inverse = a * inverse[a % p] % m, a_inverse * omega[a % p] % m
+        table[a] = (m - half if a % 2 else half, unit, unit_inverse, tuple(row))
     return tuple(table)
 
 
@@ -110,12 +111,14 @@ def _binomial_row(s: int, terms: int) -> tuple[int, ...]:
 
 
 def _partial_zeta_residue(
-    s: int, entry: tuple[int, int, tuple[int, ...]], binomials: tuple[int, ...], m: int
+    s: int, entry: tuple[int, int, int, tuple[int, ...]], binomials: tuple[int, ...], m: int
 ) -> int:
     """(-1)^a / 2 * <a>^{-s} * sum_j C(-s, j) (modulus/a)^j E_j mod m, from
-    one row of :func:`_series_table`."""
-    half, unit, row = entry
-    return half * pow(unit, -s, m) * sum(map(mul, binomials, row)) % m
+    one row of :func:`_series_table`; <a>^{-s} raises <a> or its stored
+    inverse to a non-negative power, so no value takes a modular inverse."""
+    half, unit, unit_inverse, row = entry
+    power = pow(unit_inverse, s, m) if s > 0 else pow(unit, -s, m)
+    return half * power * sum(map(mul, binomials, row)) % m
 
 
 def padic_partial_zeta(s: int, a: int, modulus: int, ctx: PadicContext) -> PadicNumber:

@@ -12,8 +12,6 @@ Both classes are immutable :class:`Value` objects, as are characters, grid
 configs and reports.
 """
 
-from __future__ import annotations
-
 from math import comb, isqrt
 from operator import attrgetter
 
@@ -93,7 +91,7 @@ class PadicContext(Value):
     def from_int(self, value: int) -> "PadicNumber":
         return PadicNumber(self, value, self.precision)
 
-    def from_rational(self, value: Fraction | int) -> "PadicNumber":
+    def from_rational(self, value: "Fraction | int") -> "PadicNumber":
         """Embed an int or a Fraction with denominator prime to p, at full precision;
         the library embeds its own int pairs with ``pow``, without this."""
         num, den = value.numerator, value.denominator

@@ -5,26 +5,33 @@ p-adic side from its residue by ``padic._wire_dict``, an exact side (an
 int, a Fraction or a (numerator, denominator) int pair) as "num/den" in
 lowest terms, with no re-wrapping."""
 
-from __future__ import annotations
-
 from math import gcd
 
 from .padic import PadicNumber, Value, _set, _wire_dict
 
 
-_encoder = None  # the compact JSON encoder's encode, built on first use
+def _json(value) -> str:
+    """Compact JSON, as ``json.dumps(value, separators=(",", ":"))`` writes it,
+    of a report field, an ``lp`` line or a part of either: None, a bool, an
+    int, a str, a ``padic._wire_dict`` side (the one dict with "digits") or
+    a dict of these.  Strings are written with no escaping: every string on
+    the wire is made by the library (check names, param labels, "num/den"
+    and "teichmuller") and is ASCII with no quote, backslash or control
+    character."""
+    if value is None or value is True or value is False:
+        return "null" if value is None else "true" if value else "false"
+    if isinstance(value, str):
+        return f'"{value}"'
+    if isinstance(value, int):
+        return str(value)
+    if "digits" in value:
+        digits = ",".join(map(str, value["digits"]))
+        return '{"p":%d,"precision":%d,"digits":[%s],"valuation":%d}' % (
+            value["p"], value["precision"], digits, value["valuation"])
+    return "{" + ",".join(f'"{k}":{_json(v)}' for k, v in value.items()) + "}"
 
 
-def _encode(value) -> str:
-    global _encoder
-    if _encoder is None:
-        import json  # loads with the first report written, not at start-up
-
-        _encoder = json.JSONEncoder(separators=(",", ":")).encode
-    return _encoder(value)
-
-
-def format_rational(q: Fraction | int | tuple[int, int]) -> str:
+def format_rational(q: "Fraction | int | tuple[int, int]") -> str:
     """An int, a Fraction or an int pair as "num/den" in lowest terms, den > 0."""
     num, den = q if isinstance(q, tuple) else (q.numerator, q.denominator)
     g = gcd(num, den) if den > 0 else -gcd(num, den)
@@ -57,7 +64,12 @@ class CongruenceReport(Value):
         return dict(zip(self.__match_args__, self._key(self)))
 
     def to_json(self) -> str:
-        return _encode(self.as_dict())
+        return (
+            f'{{"check":"{self.check}","p":{_json(self.p)},"params":{_json(self.params)},'
+            f'"lhs":{_json(self.lhs)},"rhs":{_json(self.rhs)},'
+            f'"precision":{_json(self.precision)},"match":{_json(self.match)},'
+            f'"lhs_valuation":{_json(self.lhs_valuation)}}}'
+        )
 
 
 def padic_report(
@@ -87,11 +99,7 @@ CSV_COLUMNS = CongruenceReport.__match_args__
 def _csv_cell(value) -> str:
     if value is None:
         return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (dict, list)):
-        return _encode(value)
-    return str(value)
+    return _json(value) if isinstance(value, (bool, dict)) else str(value)
 
 
 def reports_to_jsonl(reports) -> str:

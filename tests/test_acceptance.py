@@ -236,8 +236,8 @@ def test_criterion_9_negative_control():
                 value = lfunctions._partial_zeta_residue(s, table[a], binomials, m)
                 longer = lfunctions._partial_zeta_residue(s, wide[a], binomials, m)
                 assert value == longer, (p, s, a)
-                half, unit, row = table[a]
-                short = (half, unit, row[:-1])
+                *units, row = table[a]
+                short = (*units, row[:-1])
                 if lfunctions._partial_zeta_residue(s, short, binomials, m) != value:
                     changed.add((s, a))
         assert changed, p

@@ -250,15 +250,17 @@ class TestTeichmullerTable:
 
     @pytest.mark.parametrize("N", (1, 4))
     def test_series_table_angle(self, N):
-        # the table's <a> at every unit a below the summation modulus F,
-        # for F = p and for F = 3p, where a and a mod p differ
+        # the table's <a> and <a>^(-1) at every unit a below the summation
+        # modulus F, for F = p and for F = 3p, where a and a mod p differ
         for p in odd_primes_below(50):
             ctx = PadicContext(p, N)
             for F in (p, 3 * p):
                 table = lfunctions._series_table(F, ctx)
                 for a in range(1, F):
                     if a % p:
-                        assert table[a][1] == angle(a, ctx).residue, (p, N, F, a)
+                        unit = angle(a, ctx).residue
+                        expected = (unit, pow(unit, -1, ctx.modulus))
+                        assert table[a][1:3] == expected, (p, N, F, a)
                     else:
                         assert table[a] is None
 

@@ -1,6 +1,8 @@
 import argparse
 import ast
+import csv
 import hashlib
+import io
 import itertools
 import json
 import os
@@ -13,9 +15,10 @@ from pathlib import Path
 
 import pytest
 
-from eulerlp import cli
+from eulerlp import GridConfig, PadicContext, cli, padic_l, run_grid, teichmuller_power
 from eulerlp.cli import COMMANDS, main
 from eulerlp.harness import CHECKS
+from eulerlp.reports import CSV_COLUMNS, CongruenceReport, reports_to_csv, reports_to_jsonl
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ROOT / "perfbench" / "workloads.json"
@@ -403,6 +406,97 @@ def test_lp_at_p7_stdout_digest(capsys):
     )
 
 
+# The report writer against json as its oracle: every line it writes is
+# json.dumps of the same object in compact form.  The writer does not escape
+# strings, so every string a report carries must need no escaping.
+WIDE_GRID = GridConfig(
+    primes=(3, 5, 7, 11, 13, 17, 19, 23, 29, 31), r_values=range(1, 7),
+    n_values=(2, 4, 6, 8), precision=20,
+)
+
+
+def _compact(obj):
+    return json.dumps(obj, separators=(",", ":"))
+
+
+def _strings(value):
+    """Every str in a wire object, dict keys included."""
+    if isinstance(value, str):
+        yield value
+    elif isinstance(value, dict):
+        for key, item in value.items():
+            yield key
+            yield from _strings(item)
+
+
+def _assert_written_as_json(lines, objects):
+    assert len(lines) == len(objects)
+    for line, obj in zip(lines, objects):
+        assert line == _compact(obj), obj
+        for text in _strings(obj):
+            assert text.isascii() and text.isprintable(), text
+            assert '"' not in text and "\\" not in text, text
+
+
+def _csv_by_json(reports):
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(CSV_COLUMNS)
+    for report in reports:
+        writer.writerow(
+            "" if v is None else _compact(v) if isinstance(v, (bool, dict)) else str(v)
+            for v in report.as_dict().values()
+        )
+    return buf.getvalue().rstrip("\n")
+
+
+def test_wide_grid_written_as_json():
+    reports = run_grid(WIDE_GRID)
+    assert len(reports) == 1260
+    objects = [r.as_dict() for r in reports]
+    _assert_written_as_json(reports_to_jsonl(reports).split("\n"), objects)
+    assert reports_to_csv(reports) == _csv_by_json(reports)
+
+
+@pytest.mark.parametrize("check", sorted(CHECKS))
+def test_verify_written_as_json(capsys, check):
+    argv = ["verify", "--check", check, *VERIFY_ARGV[check]]
+    _, args = cli._parse(argv)
+    reports = CHECKS[check][1](args)
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    _assert_written_as_json(out.splitlines(), [r.as_dict() for r in reports])
+    assert reports_to_csv(reports) == _csv_by_json(reports)
+
+
+@pytest.mark.parametrize("s", [-5, 0, 5])
+def test_lp_written_as_json(capsys, s):
+    code, out, _ = run_cli(capsys, "lp", "--p", "7", "--s", str(s), "--t", "3")
+    assert code == 0
+    chi = teichmuller_power(3, PadicContext(7, 6))
+    value = padic_l(s, chi).as_json_dict()
+    obj = {"s": s, "character": chi.descriptor(), "value": value}
+    _assert_written_as_json(out.splitlines(), [obj])
+
+
+@pytest.mark.parametrize("label", ['ra"tio', "ra\\tio", "ra\ntio", "rati\u00f6"])
+def test_writer_check_sees_a_string_that_needs_escaping(label):
+    # a test-side mutant: a report whose param label json would escape
+    report = run_grid(GridConfig(primes=(3,), r_values=(1,), n_values=(2,), precision=2))[-1]
+    assert report.params["identity"] == "product"
+    fields = {**report.as_dict(), "params": {**report.params, "identity": label}}
+    mutant = CongruenceReport(*fields.values())
+    with pytest.raises(AssertionError):
+        _assert_written_as_json([mutant.to_json()], [mutant.as_dict()])
+
+
+def test_ci_grid_argv_is_in_the_parity_corpus():
+    # the dev-mode step writes grid-mixed's argv through a shell variable
+    grid = json.loads(WORKLOADS.read_text())["grid-mixed"]["default_argv"]
+    assert grid in PARITY_CORPUS["ci"]
+    assert [*grid, "--format", "csv"] in PARITY_CORPUS["ci"]
+
+
 def test_import_builds_no_euler_table():
     # A CLI call pays for the Euler table it uses; importing the CLI must not
     # build any of it (the benchmark refuses a warm cache after the import).
@@ -528,23 +622,26 @@ def test_import_loads_no_argparse_gettext_locale_dataclasses_inspect_csv_fractio
     assert csv_after == "True"
 
 
-def test_commands_load_no_fractions_and_euler_no_json():
+def test_commands_load_no_fractions_json_or_future():
     # exact values are int pairs inside the library: no command loads
     # fractions (nor decimal and numbers, which it imports) unless --x is
-    # given, and euler, which prints its lines by hand, loads no json
+    # given; every line is written by reports._json, not json; and no
+    # module defers its annotations through __future__
     verify = [
         ["verify", "--check", check, *(a for a in argv if not a.startswith("--x"))]
         for check, argv in VERIFY_ARGV.items()
     ]
     grid = json.loads(WORKLOADS.read_text())["grid-mixed"]["default_argv"]
-    runs = [["euler", "--nmax", "7"], grid, [*grid, "--format", "csv"], *verify]
+    lp = [["lp", "--p", "7", "--s", s, "--t", "3"] for s in ("-5", "0", "5")]
+    runs = [["euler", "--nmax", "7"], grid, [*grid, "--format", "csv"], *verify, *lp]
     probe = (
         "import contextlib, io, sys\n"
         "import eulerlp.cli\n"
         "for argv in %r:\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        assert eulerlp.cli.main(argv) == 0, argv\n"
-        "    print(*sorted({'fractions', 'decimal', 'numbers', 'json'} & set(sys.modules)))\n"
+        "    print(*sorted({'fractions', 'decimal', 'numbers', 'json', '__future__'}\n"
+        "                  & set(sys.modules)))\n"
     ) % (runs,)
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
@@ -554,8 +651,7 @@ def test_commands_load_no_fractions_and_euler_no_json():
     assert proc.returncode == 0, proc.stderr
     loaded = proc.stdout.split("\n")[:-1]
     assert len(loaded) == len(runs)
-    assert loaded[0] == ""  # euler: none of the four
-    assert all(line in ("", "json") for line in loaded), dict(zip(map(tuple, runs), loaded))
+    assert all(line == "" for line in loaded), dict(zip(map(tuple, runs), loaded))
 
 
 # The argparse parser the option table replaced, kept as the oracle the table
@@ -642,10 +738,19 @@ def _workload_argv():
 
 
 def _ci_argv():
+    """Every eulerlp argv of the CI workflow, with each variable set by a
+    simple shell assignment (name="words") expanded where a later line
+    reads it as $name."""
     text = (ROOT / ".github" / "workflows" / "tests.yml").read_text()
+    variables = {}
     for line in text.splitlines():
         if line.strip().startswith(("#", "- name")):
             continue
+        assignment = re.fullmatch(r'\s*(\w+)="([^"$`\\]*)"', line)
+        if assignment:
+            variables[assignment[1]] = assignment[2]
+            continue
+        line = re.sub(r"\$(\w+)", lambda m: variables.get(m[1], m[0]), line)
         for match in re.finditer(r"(?<![\w/.-])eulerlp (.*)", line):
             # the argv ends at a redirection, a pipe or a command substitution
             yield re.split(r"\s+\d*>|\s*[|)]", match.group(1))[0].split()

@@ -1,5 +1,7 @@
 import inspect
+import textwrap
 from fractions import Fraction
+from math import factorial, prod
 
 import pytest
 from conftest import clear_library_caches, euler_numbers_by_recurrence, leading_digits
@@ -148,6 +150,81 @@ class TestKernelAgainstReference:
                     for t in range(p - 1):
                         value = padic_l(s, teichmuller_power(t, long)).reduce(digits).residue
                         assert value == padic_l(s, teichmuller_power(t, short)).residue
+
+
+def direct_series_row(s, ctx):
+    """H_p(s, a | p) mod p^N for a < p, and 0 at a = 0, each a direct sum of
+    N terms on ints: <a>^(-s) from ``angle``, C(-s, j) as a falling
+    product over j!, and E_j from the Fraction recurrence."""
+    p, m, N = ctx.p, ctx.modulus, ctx.precision
+    euler = [e.numerator * pow(e.denominator, -1, m) for e in euler_numbers_by_recurrence(N)]
+    row = [0]
+    for a in range(1, p):
+        series = sum(
+            prod(range(-s, -s - j, -1)) // factorial(j) * p**j * pow(a, -j, m) * euler[j]
+            for j in range(N)
+        )
+        half = (-1) ** a * pow(2, -1, m)
+        row.append(half * pow(angle(a, ctx).residue, -s, m) * series % m)
+    return tuple(row)
+
+
+class TestSeriesRowUnits:
+    """``_l_series_row`` raises <a> for s <= 0 and the table's <a>^(-1) for
+    s > 0, so that no value takes a modular inverse.  At s = 0 both give
+    <a>^0 = 1, so where the switch sits cannot be wrong; which unit each
+    sign reads can, and at N = 1 every <a> is 1 mod p, so only N >= 2
+    sees it."""
+
+    S = range(-4, 7)
+
+    def _wrong_arguments(self):
+        wrong = set()
+        for p in (3, 5, 7, 11):
+            for N in range(1, 5):
+                ctx = PadicContext(p, N)
+                for s in self.S:
+                    if lfunctions._l_series_row(s, ctx) != direct_series_row(s, ctx):
+                        wrong.add(s)
+        return wrong
+
+    def _wrong_under(self, monkeypatch, name, mutant):
+        clear_library_caches()
+        monkeypatch.setattr(lfunctions, name, mutant)
+        try:
+            return self._wrong_arguments()
+        finally:
+            monkeypatch.undo()
+            clear_library_caches()
+
+    def test_rows_match_direct_sum(self):
+        assert self._wrong_arguments() == set()
+
+    def test_swapped_units_are_seen(self, monkeypatch):
+        original = lfunctions._series_table
+
+        def swapped(modulus, ctx):
+            return tuple(e and (e[0], e[2], e[1], e[3]) for e in original(modulus, ctx))
+
+        wrong = self._wrong_under(monkeypatch, "_series_table", swapped)
+        assert wrong == set(self.S) - {0}
+
+    @pytest.mark.parametrize(
+        "fault, mutation, signs",
+        [
+            ("pow(unit_inverse, s, m)", "pow(unit, s, m)", {1}),
+            ("pow(unit, -s, m)", "pow(unit_inverse, -s, m)", {-1}),
+        ],
+        ids=["unit-for-positive-s", "inverse-for-negative-s"],
+    )
+    def test_wrong_unit_for_one_sign_is_seen(self, monkeypatch, fault, mutation, signs):
+        source = textwrap.dedent(inspect.getsource(lfunctions._partial_zeta_residue))
+        assert source.count(fault) == 1
+        namespace = {}
+        exec(source.replace(fault, mutation), vars(lfunctions), namespace)
+        mutant = namespace["_partial_zeta_residue"]
+        wrong = self._wrong_under(monkeypatch, "_partial_zeta_residue", mutant)
+        assert wrong == {s for s in self.S if (s > 0) - (s < 0) in signs}
 
 
 class TestPartialZetaClosedForm:
