@@ -212,5 +212,5 @@ def kummer_check(k: int, t: int, ctx: PadicContext, k2: int | None = None) -> Co
     chi = teichmuller_power(t, PadicContext(p, 1))
     lhs = padic_l(k, chi)
     rhs = padic_l(k2, chi)
-    params = {"p": p, "k": k, "k2": k2, "t": t, "M": 1}
+    params = {"p": p, "k": k, "k2": k2, "t": chi.t, "M": 1}
     return padic_report("kummer", params, lhs, rhs)

@@ -230,6 +230,53 @@ class TestBoustrophedonOracle:
             assert (num, den) == (expected.numerator, expected.denominator), n
 
 
+def _euler_residue_classes(pairs, p, digits, period):
+    """The residues mod p^digits of (1 - p^n) E_n at odd n, one set for
+    each class of n mod period."""
+    m = p**digits
+    classes = {}
+    for n in range(1, len(pairs), 2):
+        num, den = pairs[n]
+        residue = (1 - pow(p, n, m)) * num * pow(den, -1, m) % m
+        classes.setdefault(n % period, set()).add(residue)
+    return classes.values()
+
+
+# every (p, M) whose period (p-1) p^(M-1) puts two odd n <= PERIOD_NMAX in
+# one class
+PERIOD_NMAX = 1500
+PERIOD_CASES = [
+    (p, digits)
+    for p in (3, 5, 7, 11, 13)
+    for digits in (1, 2, 3)
+    if (p - 1) * p ** (digits - 1) < PERIOD_NMAX
+]
+
+
+class TestEulerNumberPeriod:
+    """Kummer's congruence at conductor 1, the corollary of l_p's period:
+    (1 - p^n) E_n = (1 - p^n') E_n' mod p^M for odd n = n' mod
+    (p-1) p^(M-1).  It checks the large-n table with no second table and
+    no series: each class of n holding one residue checks every pair in it."""
+
+    @pytest.fixture(scope="class")
+    def pairs(self):
+        return euler.euler_number_pairs(PERIOD_NMAX)
+
+    @pytest.mark.parametrize("p, digits", PERIOD_CASES)
+    def test_one_residue_per_class(self, pairs, p, digits):
+        period = (p - 1) * p ** (digits - 1)
+        classes = _euler_residue_classes(pairs, p, digits, period)
+        assert all(len(residues) == 1 for residues in classes)
+
+    @pytest.mark.parametrize("p, digits", [case for case in PERIOD_CASES if case[1] >= 2])
+    def test_period_one_power_of_p_short_breaks(self, pairs, p, digits):
+        # negative control: at (p-1) p^(M-2) some class holds two residues
+        period = (p - 1) * p ** (digits - 2)
+        classes = _euler_residue_classes(pairs, p, digits, period)
+        assert any(len(residues) > 1 for residues in classes)
+
+
 class TestEulerLayerMutants:
     """One E_j off by one at the Euler layer must turn a power-sum and a
     distribution report to a mismatch; the library's caches are cleared on

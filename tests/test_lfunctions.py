@@ -20,6 +20,7 @@ from eulerlp import (
     padic_partial_zeta_at_neg,
     partial_zeta_neg,
     series_closed_check,
+    teichmuller,
     teichmuller_power,
     verify_main_congruence,
 )
@@ -492,7 +493,11 @@ class TestKummer:
 
     def test_nonzero_exponent_multiple_of_order_accepted(self):
         ctx = PadicContext(3, 4)
-        assert kummer_check(2, 4, ctx).match
+        report = kummer_check(2, 4, ctx)
+        assert report.match
+        # the report names the character w^4 = w^0 by its reduced exponent,
+        # as interpolation does
+        assert report.params["t"] == 0
 
 
 class TestStrongKummer:
@@ -521,6 +526,58 @@ class TestStrongKummer:
                     for k in range(1, 5)
                 ]
                 assert any(lhs != rhs for lhs, rhs in pairs), (p, m)
+
+
+def _rational_residue(q, m):
+    """A sympy Rational whose denominator is prime to m, mod m."""
+    return int(q.p) * pow(int(q.q), -1, m) % m
+
+
+def _euler_value_mismatches():
+    """(p, M, t, s) where l_p(s, w^t) mod p^M at s >= 1 is not
+    (1 - p^n chi_n(p)) E_(n, chi_n), with n = c p^(M-1) - s >= 1 and
+    chi_n = w^(t-n): s -> l_p(s, w^t) mod p^M has period p^(M-1), and at
+    s = -n the value interpolates.  The right side is exact, from sympy's
+    Euler polynomials and the closed-form Teichmuller lift, sharing no code
+    with the series table."""
+    sympy = pytest.importorskip("sympy")
+    wrong = []
+    for p in (3, 5, 7):
+        for digits in (2, 3):
+            ctx, m, period = PadicContext(p, digits), p**digits, p ** (digits - 1)
+            lifts = [teichmuller(a, ctx).residue for a in range(1, p)]
+            for s in range(1, 7):
+                n = (s // period + 1) * period - s
+                # E_n = E_n(0); sympy's euler(n) is the sech convention
+                euler_n = _rational_residue(sympy.euler(n, 0), m)
+                scaled = [
+                    _rational_residue(p**n * sympy.euler(n, sympy.Rational(a, p)), m)
+                    for a in range(1, p)
+                ]
+                for t in range(p - 1):
+                    u = (t - n) % (p - 1)
+                    if u == 0:  # conductor 1: chi_n(p) = 1 and E_(n, chi_n) = E_n
+                        expected = (1 - p**n) * euler_n
+                    else:  # conductor p: p^n sum_a w(a)^u (-1)^a E_n(a/p)
+                        expected = sum(
+                            (-1) ** a * pow(lift, u, m) * value
+                            for a, lift, value in zip(range(1, p), lifts, scaled)
+                        )
+                    if padic_l(s, teichmuller_power(t, ctx)).residue != expected % m:
+                        wrong.append((p, digits, t, s))
+    return wrong
+
+
+class TestPositiveArgumentAgainstEulerNumbers:
+    """The series at s >= 1, where the main congruence reads it, against an
+    exact value; interpolation reads it only at s = -n, where the terms
+    j > n vanish."""
+
+    def test_values_match(self):
+        assert not _euler_value_mismatches()
+
+    def test_sees_a_short_series(self, short_l_series):
+        assert _euler_value_mismatches()
 
 
 class TestEulerNumberMutants:
