@@ -187,13 +187,8 @@ def cmd_verify(args: dict) -> int:
 
 
 def cmd_grid(args: dict) -> int:
-    config = GridConfig(
-        primes=_int_list("--primes", args["primes"]),
-        r_values=_int_list("--r", args["r"]),
-        n_values=_int_list("--n", args["n"]),
-        precision=args["precision"],
-    )
-    return _emit(run_grid(config), args["format"])
+    axes = [_int_list(f"--{name}", args[name]) for name in ("primes", "r", "n")]
+    return _emit(run_grid(GridConfig(*axes, args["precision"])), args["format"])
 
 
 def main(argv=None) -> int:

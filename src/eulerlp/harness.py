@@ -7,11 +7,12 @@ twice the alternating harmonic sum over units j <= np satisfies
 
 as p-adic numbers.  The left side is a rational with denominator prime to
 p (``alt_harmonic_sum`` gives it exactly); the check sums it on int residues
-mod p^M.  The right side stops at k = M - 1, since term k has valuation
->= k.
+mod p^M, in one pass per (p, r) read off at every n.  The right side stops
+at k = M - 1, since term k has valuation >= k.
 
 ``CHECKS`` is the one registry of named checks, each with its grid rows; the
-CLI's ``verify`` runs one check and ``grid`` runs every check on its rows.
+CLI's ``verify`` runs one check and ``grid`` runs every check on its rows,
+where a row carries its inner axis (theorem6's n, interpolation's t, binomial's j).
 """
 
 from functools import lru_cache
@@ -39,16 +40,18 @@ def alt_harmonic_sum(p: int, n: int, r: int) -> "Fraction":
     return sum(terms, _fraction(0))
 
 
-def _alt_harmonic_residue(p: int, n: int, r: int, m: int) -> int:
-    """2 * alt_harmonic_sum(p, n, r) mod m for a power m of p, summed on
-    int residues: 2 sum of (-1)^j j^(-r) mod m over j = 1..n*p with p not
-    dividing j."""
-    total = 0
-    for j in range(1, n * p + 1):
-        if j % p:
-            term = pow(j, -r, m)
-            total += -term if j % 2 else term
-    return 2 * total % m
+def _alt_harmonic_residues(p: int, ns: tuple[int, ...], r: int, m: int) -> list[int]:
+    """2 * alt_harmonic_sum(p, n, r) mod a power m of p at each n of the ascending
+    tuple ns: one pass of 2 (-1)^j j^(-r) over units j, read off at each j = n*p."""
+    residues, total, start = [], 0, 1
+    for n in ns:
+        for j in range(start, n * p):
+            if j % p:
+                term = pow(j, -r, m)
+                total += -term if j % 2 else term
+        residues.append(2 * total % m)
+        start = n * p + 1  # starting at n*p changes nothing: p divides it
+    return residues
 
 
 def main_congruence_series(n: int, r: int, ctx: PadicContext) -> PadicNumber:
@@ -59,11 +62,8 @@ def main_congruence_series(n: int, r: int, ctx: PadicContext) -> PadicNumber:
     from k = N on vanish mod p^N.
     """
     pn = ctx.p * n
-    total = sum(
-        binomial(-r, k) * pn**k * _diagonal_l(r + k, ctx)
-        for k in range(1, ctx.precision)
-    )
-    return ctx.from_int(-total)
+    terms = (binomial(-r, k) * pn**k * _diagonal_l(r + k, ctx) for k in range(1, ctx.precision))
+    return ctx.from_int(-sum(terms))
 
 
 @lru_cache(maxsize=None)
@@ -73,18 +73,9 @@ def _diagonal_l(s: int, ctx: PadicContext) -> int:
 
 
 def verify_main_congruence(p: int, n: int, r: int, digits: int) -> CongruenceReport:
-    """Compare twice the alternating harmonic sum, summed on residues mod
-    p^digits (the value of 2 * alt_harmonic_sum(p, n, r) there), with the
-    series side; the report is labeled "theorem6" in CLI vocabulary."""
-    if n < 2 or n % 2:
-        raise ValueError("n must be even and >= 2")
-    ctx = PadicContext(p, digits)
-    if r < 1:
-        raise ValueError("r must be >= 1")
-    lhs = ctx.from_int(_alt_harmonic_residue(p, n, r, ctx.modulus))
-    rhs = main_congruence_series(n, r, ctx)
-    params = {"p": p, "n": n, "r": r, "M": digits}
-    return padic_report("theorem6", params, lhs, rhs)
+    """The "theorem6" report at one n: 2 * alt_harmonic_sum(p, n, r), summed
+    on residues mod p^digits, against the series side."""
+    return _theorem6({"p": p, "n": n, "r": r, "precision": digits})[0]
 
 
 # Fixed evaluation points, as (numerator, denominator), for the identity suites.
@@ -164,15 +155,26 @@ def binomial_product_report(r: int, k: int, j: int) -> CongruenceReport:
     return rational_report("binomial", params, lhs, rhs)
 
 
+def _axis(value) -> tuple:
+    """A grid row's tuple of values, or one verify option's value as a tuple."""
+    return value if isinstance(value, tuple) else (value,)
+
+
 def _theorem6(params: dict) -> list[CongruenceReport]:
-    p, n, r, M = params["p"], params["n"], params["r"], params["precision"]
-    return [verify_main_congruence(p, n, r, M)]
+    p, r, M, ns = params["p"], params["r"], params["precision"], _axis(params["n"])
+    if any(n < 2 or n % 2 for n in ns):
+        raise ValueError("n must be even and >= 2")
+    ctx = PadicContext(p, M)
+    if r < 1:
+        raise ValueError("r must be >= 1")
+    lhs = _alt_harmonic_residues(p, ns, r, ctx.modulus)
+    return [padic_report("theorem6", {"p": p, "n": n, "r": r, "M": M}, ctx.from_int(a),
+                         main_congruence_series(n, r, ctx)) for n, a in zip(ns, lhs)]
 
 
 def _interpolation(params: dict) -> list[CongruenceReport]:
-    ctx = PadicContext(params["p"], params["precision"])
-    chi = teichmuller_power(params["t"], ctx)
-    return [interpolation_check(params["n"], chi)]
+    ctx, n = PadicContext(params["p"], params["precision"]), params["n"]
+    return [interpolation_check(n, teichmuller_power(t, ctx)) for t in _axis(params["t"])]
 
 
 def _kummer(params: dict) -> list[CongruenceReport]:
@@ -189,28 +191,28 @@ def _power_sum(params: dict) -> list[CongruenceReport]:
 
 
 def _binomial(params: dict) -> list[CongruenceReport]:
-    # A grid row passes a tuple of j values: the ratio for (r, k) comes once,
-    # then one product per j.
-    r, k, js = params["r"], params["k"], params["j"]
-    if not isinstance(js, tuple):
-        js = (js,)
+    r, k, js = params["r"], params["k"], _axis(params["j"])
     return [binomial_ratio_report(r, k)] + [binomial_product_report(r, k, j) for j in js]
 
 
 # check name -> (parameters without a default, function of a params dict
 # giving the check's reports, function of a GridConfig giving the params of
 # its grid rows in order).  ``verify`` runs the second on its options and
-# ``grid`` runs it on every row, whose keys are ``verify`` options too.  The
-# functions call the report builders through this module's globals, so a
-# tracer that rebinds those names sees every call.
+# ``grid`` runs it on every row, whose keys are ``verify`` options too.  A
+# row may carry its inner axis as a tuple where ``verify`` gives one value:
+# theorem6 its n values (one harmonic pass gives every left side),
+# interpolation its t values (one context) and binomial its j values (the
+# ratio for (r, k) once, then one product per j).  The functions call the
+# report builders through this module's globals, so a tracer that rebinds
+# those names sees every call.
 CHECKS = {
     "theorem6": (("p", "n", "r"), _theorem6, lambda c: [
-        {"p": p, "n": n, "r": r, "precision": c.precision}
-        for p in c.primes for r in c.r_values for n in c.n_values
+        {"p": p, "n": c.n_values, "r": r, "precision": c.precision}
+        for p in c.primes for r in c.r_values
     ]),
     "interpolation": (("p", "n"), _interpolation, lambda c: [
-        {"p": p, "n": n, "t": t, "precision": c.precision}
-        for p in c.primes for n in c.n_values for t in range(p - 1)
+        {"p": p, "n": n, "t": tuple(range(p - 1)), "precision": c.precision}
+        for p in c.primes for n in c.n_values
     ]),
     "kummer": (("p", "k"), _kummer, lambda c: [
         {"p": p, "k": k, "t": 0, "k2": None, "precision": c.precision}

@@ -159,8 +159,7 @@ def padic_l(s: int, chi: DirichletCharacter) -> PadicNumber:
     The summation modulus is p, the modulus of every Teichmuller power, so
     the value is twice ``chi.values`` dotted with the shared row
     ``_l_series_row(s, ctx)``, or twice the row's sum for conductor 1
-    (values (1,)).  Nothing is cached here: repeated values are held by
-    that row and by ``harness._diagonal_l``.
+    (values (1,)); repeated values are held by that row and ``harness._diagonal_l``.
     """
     ctx = chi.context
     row = _l_series_row(s, ctx)

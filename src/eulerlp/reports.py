@@ -64,9 +64,11 @@ class CongruenceReport(Value):
         return dict(zip(self.__match_args__, self._key(self)))
 
     def to_json(self) -> str:
+        lhs = _json(self.lhs)  # equal p-adic sides share one wire dict
+        rhs = lhs if self.rhs is self.lhs else _json(self.rhs)
         return (
             f'{{"check":"{self.check}","p":{_json(self.p)},"params":{_json(self.params)},'
-            f'"lhs":{_json(self.lhs)},"rhs":{_json(self.rhs)},'
+            f'"lhs":{lhs},"rhs":{rhs},'
             f'"precision":{_json(self.precision)},"match":{_json(self.match)},'
             f'"lhs_valuation":{_json(self.lhs_valuation)}}}'
         )
@@ -76,12 +78,14 @@ def padic_report(
     check: str, params: dict, lhs: PadicNumber, rhs: PadicNumber
 ) -> CongruenceReport:
     """Report comparing two p-adic values of one prime mod p^N, N the precision
-    of lhs's context; a side known to fewer digits raises ValueError."""
+    of lhs's context; a side known to fewer digits raises ValueError.  Equal
+    residues share one wire form, while an unequal rhs always gets its own."""
     ctx, a, b = lhs.context, lhs.residue, rhs.residue
     digits, known = ctx.precision, min(lhs.precision, rhs.precision)
     if known < digits:
         raise ValueError(f"cannot raise precision from {known} to {digits}")
-    left, right = _wire_dict(ctx.p, digits, a), _wire_dict(ctx.p, digits, b)
+    left = _wire_dict(ctx.p, digits, a)
+    right = left if a == b else _wire_dict(ctx.p, digits, b)
     match = (a - b) % ctx.modulus == 0
     return CongruenceReport(check, ctx.p, params, left, right, digits, match, left["valuation"])
 

@@ -334,17 +334,45 @@ VERIFY_ARGV = {
 }
 
 
-@pytest.mark.parametrize("check", sorted(CHECKS))
-def test_verify_lines_appear_in_grid_output(capsys, check):
-    code, grid_out, _ = run_cli(capsys, *GRID_ARGV)
+# Two values on every axis, and verify argvs at the later p, r, n and t: a
+# grid row carries its n (theorem6), t (interpolation) or j (binomial) values
+# as one tuple, so a left side or context carried wrongly from one value of
+# that axis to the next shows as a verify line missing from the grid.
+MULTI_GRID_ARGV = ["grid", "--primes", "5,7", "--r", "1,2", "--n", "2,4", "--precision", "4"]
+MULTI_VERIFY_ARGV = [
+    ("theorem6", ["--p", "7", "--n", "4", "--r", "2", "--precision", "4"]),
+    ("theorem6", ["--p", "5", "--n", "4", "--r", "1", "--precision", "4"]),
+    ("interpolation", ["--p", "7", "--n", "4", "--t", "5", "--precision", "4"]),
+    ("interpolation", ["--p", "5", "--n", "2", "--t", "3", "--precision", "4"]),
+    ("kummer", ["--p", "7", "--k", "2", "--precision", "4"]),
+    ("distribution", ["--n", "4", "--f", "5", "--x", "1/2"]),
+    ("powersum", ["--n", "4", "--m", "7"]),
+    ("binomial", ["--r", "2", "--k", "2", "--j", "2"]),
+]
+
+
+def _assert_verify_lines_in_grid(capsys, grid_argv, check, verify_argv):
+    code, grid_out, _ = run_cli(capsys, *grid_argv)
     assert code == 0
-    code, verify_out, _ = run_cli(capsys, "verify", "--check", check, *VERIFY_ARGV[check])
+    code, verify_out, _ = run_cli(capsys, "verify", "--check", check, *verify_argv)
     assert code == 0
     grid_lines = grid_out.splitlines()
     verify_lines = verify_out.splitlines()
     assert verify_lines
     for line in verify_lines:
         assert line in grid_lines
+
+
+@pytest.mark.parametrize("check", sorted(CHECKS))
+def test_verify_lines_appear_in_grid_output(capsys, check):
+    _assert_verify_lines_in_grid(capsys, GRID_ARGV, check, VERIFY_ARGV[check])
+
+
+@pytest.mark.parametrize(
+    "check, argv", MULTI_VERIFY_ARGV, ids=[" ".join(argv) for _, argv in MULTI_VERIFY_ARGV]
+)
+def test_verify_lines_appear_in_multi_valued_grid_output(capsys, check, argv):
+    _assert_verify_lines_in_grid(capsys, MULTI_GRID_ARGV, check, argv)
 
 
 # Ceiling on the grid-mixed reports that cannot fail: those whose sides are
@@ -766,8 +794,8 @@ PARITY_CORPUS = {
     # own steps
     "ci": [argv.split() for argv in RECORDED] + list(_ci_argv()),
     "test_cli": list(_argv_in_this_file())
-    + [GRID_ARGV]
-    + [["verify", "--check", c, *argv] for c, argv in VERIFY_ARGV.items()],
+    + [GRID_ARGV, MULTI_GRID_ARGV]
+    + [["verify", "--check", c, *argv] for c, argv in [*VERIFY_ARGV.items(), *MULTI_VERIFY_ARGV]],
     "forms": FORM_ARGV,
 }
 

@@ -156,27 +156,55 @@ class TestVerifyMainCongruence:
             verify_main_congruence(3, 2, 0, 3)
 
 
+def _source_mutant(function, fault, mutation):
+    """``function`` compiled from its own source, against its module's
+    globals, with the one occurrence of ``fault`` replaced by ``mutation``."""
+    source = textwrap.dedent(inspect.getsource(function))
+    assert source.count(fault) == 1
+    namespace = {}
+    exec(source.replace(fault, mutation), function.__globals__, namespace)
+    return namespace[function.__name__]
+
+
 class TestAltHarmonicResidue:
-    """The residue sum verify_main_congruence compares is the embedding of
-    twice the exact sum."""
+    """The one residue pass theorem6 compares gives, at every n of a row's
+    ascending tuple, the embedding of twice the exact sum up to n*p."""
 
     @staticmethod
-    def _assert_pinned(p, n, r, digits):
+    def _assert_pinned(p, ns, r, digits):
         ctx = PadicContext(p, digits)
-        exact = ctx.from_rational(2 * alt_harmonic_sum(p, n, r))
-        assert harness._alt_harmonic_residue(p, n, r, ctx.modulus) == exact.residue
+        exact = [ctx.from_rational(2 * alt_harmonic_sum(p, n, r)).residue for n in ns]
+        assert harness._alt_harmonic_residues(p, ns, r, ctx.modulus) == exact, (p, ns, r)
 
     @pytest.mark.parametrize("p", GRID_MIXED.primes)
     def test_grid_mixed_points(self, p):
         for r in GRID_MIXED.r_values:
-            for n in GRID_MIXED.n_values:
-                self._assert_pinned(p, n, r, GRID_MIXED.precision)
+            self._assert_pinned(p, GRID_MIXED.n_values, r, GRID_MIXED.precision)
+
+    @pytest.mark.parametrize("p", (3, 5, 7))
+    def test_every_n_of_a_tuple(self, p):
+        for r in (1, 2, 3, 4):
+            for ns in ((2,), (4, 8), (2, 4, 6), (2, 6, 10, 12)):
+                self._assert_pinned(p, ns, r, 6)
 
     def test_theorem6_deep(self):
-        self._assert_pinned(31, 4, 2, 40)
+        self._assert_pinned(31, (4,), 2, 40)
 
     def test_theorem6_wide(self):
-        self._assert_pinned(101, 200, 4, 2)
+        self._assert_pinned(101, (200,), 4, 2)
+
+    def test_next_span_from_n_times_p_is_an_equivalent_mutant(self):
+        # starting each span after the first at j = n*p instead of n*p + 1
+        # adds only a j that p divides, which the pass skips: both give the
+        # same residues, so no mutant test can be written against it
+        mutant = _source_mutant(
+            harness._alt_harmonic_residues, "start = n * p + 1", "start = n * p"
+        )
+        for p in (3, 5, 7):
+            m = p**6
+            for r in (1, 2, 3):
+                ns = (2, 4, 6, 10)
+                assert mutant(p, ns, r, m) == harness._alt_harmonic_residues(p, ns, r, m)
 
 
 class TestOneEvaluationPerValue:
@@ -194,6 +222,43 @@ class TestOneEvaluationPerValue:
             clear_library_caches()
         assert len(reports) == 60 and all(r.match for r in reports)
         assert misses == 60
+
+    def test_theorem6_makes_one_harmonic_pass_per_prime_and_r(self, monkeypatch):
+        # 20 rows (p, r), each one pass up to 6p over its n = 2, 4, 6: one
+        # pow per unit, 4 * (6 - 1) * (3 + 5 + 7 + 11 + 13) = 816 in all,
+        # where a pass per n would take 1,632
+        original = harness._alt_harmonic_residues
+        passes, units = [], []
+
+        def counted(p, ns, r, m):
+            passes.append((p, ns, r))
+            return original(p, ns, r, m)
+
+        def counted_pow(*args):
+            units.append(args[0])
+            return pow(*args)
+
+        monkeypatch.setattr(harness, "_alt_harmonic_residues", counted)
+        monkeypatch.setattr(harness, "pow", counted_pow, raising=False)
+        reports = grid_mixed_reports("theorem6")
+        monkeypatch.undo()
+        assert len(reports) == 60 and all(r.match for r in reports)
+        assert len(passes) == len(set(passes)) == 20
+        assert len(units) == 816
+
+    def test_interpolation_builds_one_context_per_prime_and_argument(self, monkeypatch):
+        # 15 rows (p, n), each carrying its t values 0..p-2 in one context
+        contexts = []
+
+        def counted(p, precision):
+            contexts.append((p, precision))
+            return PadicContext(p, precision)
+
+        monkeypatch.setattr(harness, "PadicContext", counted)
+        reports = grid_mixed_reports("interpolation")
+        monkeypatch.undo()
+        assert len(reports) == 102 and all(r.match for r in reports)
+        assert len(contexts) == 15
 
     def test_interpolation_embeds_each_partial_zeta_value_once(self, monkeypatch):
         # z(n, a) for n in 2, 4, 6 and 0 < a < p: 3 * (2 + 4 + 6 + 10 + 12),
@@ -364,15 +429,32 @@ class TestSuiteMutants:
         )
 
     def test_theorem6_harmonic_sum_missing_its_last_term(self, monkeypatch):
-        # the residue sum verify_main_congruence runs, without the term of the
-        # last unit j = np - 1; that term is a p-adic unit
-        original = harness._alt_harmonic_residue
+        # the residue pass theorem6 runs, with each n's sum read off without
+        # the term of its last unit j = np - 1; that term is a p-adic unit
+        original = harness._alt_harmonic_residues
 
-        def mutant(p, n, r, m):
-            j = n * p - 1
-            return (original(p, n, r, m) - 2 * (-1) ** j * pow(j, -r, m)) % m
+        def mutant(p, ns, r, m):
+            sums = zip(ns, original(p, ns, r, m))
+            return [(s - 2 * (-1) ** (n * p - 1) * pow(n * p - 1, -r, m)) % m for n, s in sums]
 
-        self._assert_caught(monkeypatch, "theorem6", "_alt_harmonic_residue", mutant)
+        self._assert_caught(monkeypatch, "theorem6", "_alt_harmonic_residues", mutant)
+
+    def test_theorem6_harmonic_pass_restarting_at_each_n(self, monkeypatch):
+        # the pass with its running total reset after each n: the first n of
+        # a row still matches, every later n sums only its own span
+        mutant = _source_mutant(
+            harness._alt_harmonic_residues, "start = n * p + 1", "start, total = n * p + 1, 0"
+        )
+        clear_library_caches()
+        monkeypatch.setattr(harness, "_alt_harmonic_residues", mutant)
+        try:
+            reports = grid_mixed_reports("theorem6")
+        finally:
+            monkeypatch.undo()
+            clear_library_caches()
+        missed = {report.params["n"] for report in reports if not report.match}
+        assert missed == {4, 6}, missed
+        assert all(self._matches("theorem6"))
 
     @pytest.mark.parametrize(
         "fault, mutation",
@@ -383,11 +465,7 @@ class TestSuiteMutants:
         # distribution_report's own source with the right side's kernel
         # called at denominator v instead of f*v, or without (-1)^a; f = 1
         # cannot see either, f = 3, 5, 7 must
-        source = textwrap.dedent(inspect.getsource(harness.distribution_report))
-        assert source.count(fault) == 1
-        namespace = {}
-        exec(source.replace(fault, mutation), vars(harness), namespace)
-        mutant = namespace["distribution_report"]
+        mutant = _source_mutant(harness.distribution_report, fault, mutation)
         self._assert_caught(monkeypatch, "distribution", "distribution_report", mutant)
 
 
@@ -432,3 +510,19 @@ class TestPadicReport:
         report = padic_report("check", {}, self.CTX.from_int(7), self.CTX.from_int(7))
         assert report.precision == 4
         assert report.match
+
+    def test_equal_sides_share_one_wire_form(self):
+        report = padic_report("check", {}, self.CTX.from_int(7), self.CTX.from_int(7 + 5**4))
+        assert report.lhs is report.rhs
+        assert report.to_json() == json.dumps(report.as_dict(), separators=(",", ":"))
+
+    def test_unequal_sides_keep_their_own_digits_whatever_match_says(self, monkeypatch):
+        # padic_report with its match flag forced true: the sides are shared
+        # on equal residues, never on the flag, so the rhs digits still show
+        fault = "match = (a - b) % ctx.modulus == 0"
+        forced = _source_mutant(padic_report, fault, "match = True")
+        report = forced("check", {}, self.CTX.from_int(7), self.CTX.from_int(8))
+        assert report.match
+        assert report.lhs is not report.rhs
+        assert report.lhs["digits"] == [2, 1, 0, 0] and report.rhs["digits"] == [3, 1, 0, 0]
+        assert report.to_json() == json.dumps(report.as_dict(), separators=(",", ":"))

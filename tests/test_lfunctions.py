@@ -1,6 +1,7 @@
 import inspect
 import textwrap
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial, prod
 
 import pytest
@@ -533,39 +534,59 @@ def _rational_residue(q, m):
     return int(q.p) * pow(int(q.q), -1, m) % m
 
 
-def _euler_value_mismatches():
-    """(p, M, t, s) where l_p(s, w^t) mod p^M at s >= 1 is not
-    (1 - p^n chi_n(p)) E_(n, chi_n), with n = c p^(M-1) - s >= 1 and
-    chi_n = w^(t-n): s -> l_p(s, w^t) mod p^M has period p^(M-1), and at
-    s = -n the value interpolates.  The right side is exact, from sympy's
-    Euler polynomials and the closed-form Teichmuller lift, sharing no code
-    with the series table."""
+@lru_cache(maxsize=None)
+def _euler_side(p, digits, s):
+    """n = c p^(M-1) - s >= 1, and mod p^M: E_n and p^n E_n(a/p) for
+    0 < a < p, from sympy's Euler polynomials."""
     sympy = pytest.importorskip("sympy")
-    wrong = []
-    for p in (3, 5, 7):
-        for digits in (2, 3):
-            ctx, m, period = PadicContext(p, digits), p**digits, p ** (digits - 1)
-            lifts = [teichmuller(a, ctx).residue for a in range(1, p)]
-            for s in range(1, 7):
-                n = (s // period + 1) * period - s
-                # E_n = E_n(0); sympy's euler(n) is the sech convention
-                euler_n = _rational_residue(sympy.euler(n, 0), m)
-                scaled = [
-                    _rational_residue(p**n * sympy.euler(n, sympy.Rational(a, p)), m)
-                    for a in range(1, p)
-                ]
-                for t in range(p - 1):
-                    u = (t - n) % (p - 1)
-                    if u == 0:  # conductor 1: chi_n(p) = 1 and E_(n, chi_n) = E_n
-                        expected = (1 - p**n) * euler_n
-                    else:  # conductor p: p^n sum_a w(a)^u (-1)^a E_n(a/p)
-                        expected = sum(
-                            (-1) ** a * pow(lift, u, m) * value
-                            for a, lift, value in zip(range(1, p), lifts, scaled)
-                        )
-                    if padic_l(s, teichmuller_power(t, ctx)).residue != expected % m:
-                        wrong.append((p, digits, t, s))
-    return wrong
+    m, period = p**digits, p ** (digits - 1)
+    n = (s // period + 1) * period - s
+    # E_n = E_n(0); sympy's euler(n) is the sech convention
+    euler_n = _rational_residue(sympy.euler(n, 0), m)
+    scaled = [
+        _rational_residue(p**n * sympy.euler(n, sympy.Rational(a, p)), m) for a in range(1, p)
+    ]
+    return n, euler_n, scaled
+
+
+def _euler_value_holds(p, digits, t, s):
+    """Whether l_p(s, w^t) mod p^M at s >= 1 is (1 - p^n chi_n(p))
+    E_(n, chi_n), with n = c p^(M-1) - s >= 1 and chi_n = w^(t-n):
+    s -> l_p(s, w^t) mod p^M has period p^(M-1), and at s = -n the value
+    interpolates.  The right side is exact, from sympy's Euler polynomials
+    and the closed-form Teichmuller lift, sharing no code with the series
+    table."""
+    ctx, m = PadicContext(p, digits), p**digits
+    n, euler_n, scaled = _euler_side(p, digits, s)
+    u = (t - n) % (p - 1)
+    if u == 0:  # conductor 1: chi_n(p) = 1 and E_(n, chi_n) = E_n
+        expected = (1 - p**n) * euler_n
+    else:  # conductor p: p^n sum_a w(a)^u (-1)^a E_n(a/p)
+        lifts = [teichmuller(a, ctx).residue for a in range(1, p)]
+        expected = sum(
+            (-1) ** a * pow(lift, u, m) * value
+            for a, lift, value in zip(range(1, p), lifts, scaled)
+        )
+    return padic_l(s, teichmuller_power(t, ctx)).residue == expected % m
+
+
+def _euler_value_mismatches():
+    """(p, M, t, s) for p in 3, 5, 7, M in 2, 3, every t and s in 1..6
+    where :func:`_euler_value_holds` fails."""
+    return [
+        (p, digits, t, s)
+        for p in (3, 5, 7) for digits in (2, 3) for s in range(1, 7) for t in range(p - 1)
+        if not _euler_value_holds(p, digits, t, s)
+    ]
+
+
+def _euler_value_cases():
+    """(p, M, t, s) with p <= 7, M <= 3, t < 6 (w^t is w^(t mod p-1)) and s
+    up to 8: n stays below 7^2, and sympy's values are cached per (p, M, s)."""
+    from hypothesis import strategies as st
+
+    primes, integers = st.sampled_from((3, 5, 7)), st.integers
+    return st.tuples(primes, integers(1, 3), integers(0, 5), integers(1, 8))
 
 
 class TestPositiveArgumentAgainstEulerNumbers:
@@ -578,6 +599,28 @@ class TestPositiveArgumentAgainstEulerNumbers:
 
     def test_sees_a_short_series(self, short_l_series):
         assert _euler_value_mismatches()
+
+    def test_values_match_anywhere(self):
+        hypothesis = pytest.importorskip("hypothesis")
+
+        @hypothesis.settings(max_examples=30, deadline=None, derandomize=True, database=None)
+        @hypothesis.given(_euler_value_cases())
+        def holds(case):
+            assert _euler_value_holds(*case), case
+
+        holds()
+
+    def test_search_finds_a_short_series(self, short_l_series):
+        # the same search space, searched for a counterexample under the
+        # mutant; find raises NoSuchExample if it sees none
+        hypothesis = pytest.importorskip("hypothesis")
+        found = hypothesis.find(
+            _euler_value_cases(), lambda case: not _euler_value_holds(*case),
+            settings=hypothesis.settings(
+                max_examples=200, deadline=None, derandomize=True, database=None
+            ),
+        )
+        assert not _euler_value_holds(*found), found
 
 
 class TestEulerNumberMutants:

@@ -36,6 +36,11 @@ RECORDED = {
     # memo layer (rows, characters, diagonal l-values) across many contexts
     "grid --primes 3,5,7,11,13,17,19,23,29,31 --r 1..6 --n 2,4,6,8 --precision 20":
         "fb7ea32fdba5306c08c9b2375eb0ebaa0cc00248994bfeaab707839f7116a257",
+    # unsorted axes with a repeated n, recorded before grid rows carried
+    # their n and t tuples: GridConfig sorts and deduplicates every axis, and
+    # each row's reports keep the (p, r, n) and (p, n, t) order
+    "grid --primes 13,3,7 --r 3,1,2 --n 6,2,4,2 --precision 6":
+        "fdd209897cf7129be00f4684decb9b05d6e31bbef16444aa82ec17176c4f1b4a",
     # E_0..E_3000, past the int-to-str digit limit, recorded from the
     # boustrophedon table that the tangent table replaced
     "euler --nmax 3000":
