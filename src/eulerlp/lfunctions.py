@@ -28,18 +28,20 @@ dot product of ``chi.values`` with the cached row ``_l_series_row`` of
 H_p(s, a | p), one per (s, context).  ``padic_l`` itself holds no
 state: a repeated value is held by that row, and the main congruence's
 l_p(r+k, w^(-r-k)), asked for at every n and r, by ``harness._diagonal_l``.
-The interpolation oracle embeds each exact partial zeta value z(n, a) =
-``partial_zeta_neg(n, a, p)`` once per (n, context), on ints, in the cached
-tuple ``_partial_zeta_residues``; each E_{n,chi} is then one dot product
-with ``chi.values``.  <a> = a omega^(-1)(a) comes, like every
-``chi.values``, from the context's one Teichmuller table in ``characters``.
+The exact partial zeta values at -n, (-1)^a (F^n / 2) E_n(a/F), are
+embedded once per (n, F, context), on ints, in the cached tuple
+``_partial_zeta_residues``: the interpolation oracle dots it with
+``chi.values`` for each E_{n,chi} (F = p), and the closed form
+``padic_partial_zeta_at_neg`` reads its entry a.  <a> = a omega^(-1)(a)
+comes, like every ``chi.values``, from the context's one Teichmuller
+table in ``characters``.
 """
 
 from functools import lru_cache
 from operator import mul
 
 from .characters import DirichletCharacter, teichmuller_power
-from .euler import _euler_form, _euler_parts, partial_zeta_neg
+from .euler import _euler_form, _euler_parts
 from .padic import PadicContext, PadicNumber, binomial
 from .reports import CongruenceReport, padic_report
 
@@ -56,17 +58,19 @@ def generalized_euler_number(n: int, chi: DirichletCharacter) -> PadicNumber:
     if chi.conductor == 1:
         num, den = _euler_parts(n)  # den a power of two, a unit mod p
         return ctx.from_int(num * pow(den, -1, ctx.modulus))
-    total = sum(map(mul, chi.values, _partial_zeta_residues(n, ctx)))
+    total = sum(map(mul, chi.values, _partial_zeta_residues(n, ctx.p, ctx)))
     return ctx.from_int(2 * total)
 
 
 @lru_cache(maxsize=None)
-def _partial_zeta_residues(n: int, ctx: PadicContext) -> tuple[int, ...]:
-    """Indexed by a < p: z(n, a) = partial_zeta_neg(n, a, p) mod p^N for
-    a >= 1, exactly (-1)^a H(n, a, p) / 2^(n+1) on ints, and 0 at a = 0,
-    where every character of conductor p vanishes."""
-    p, m, scale = ctx.p, ctx.modulus, pow(2, -n - 1, ctx.modulus)
-    return (0,) + tuple((-1) ** a * _euler_form(n, a, p) * scale % m for a in range(1, p))
+def _partial_zeta_residues(n: int, modulus: int, ctx: PadicContext) -> tuple[int, ...]:
+    """Indexed by a < modulus: the partial zeta value at -n,
+    (-1)^a H(n, a, modulus) / 2^(n+1) exactly on ints, mod p^N for a >= 1,
+    and 0 at a = 0, where every character of conductor p vanishes."""
+    m, scale = ctx.modulus, pow(2, -n - 1, ctx.modulus)
+    return (0,) + tuple(
+        (-1) ** a * _euler_form(n, a, modulus) * scale % m for a in range(1, modulus)
+    )
 
 
 def _check_class_args(a: int, modulus: int, ctx: PadicContext) -> None:
@@ -132,13 +136,13 @@ def padic_partial_zeta(s: int, a: int, modulus: int, ctx: PadicContext) -> Padic
 
 def padic_partial_zeta_at_neg(n: int, a: int, modulus: int, ctx: PadicContext) -> PadicNumber:
     """Closed form at s = -n: omega^(-n)(a), read from the context's one
-    Teichmuller table, times the exact rational partial zeta value
+    Teichmuller table, times the exact partial zeta value
     (-1)^a (modulus^n / 2) E_n(a/modulus), at full precision."""
     if n < 1:
         raise ValueError("n must be >= 1")
     _check_class_args(a, modulus, ctx)
-    value = ctx.from_rational(partial_zeta_neg(n, a, modulus))
-    return ctx.from_int(DirichletCharacter(ctx, -n)(a) * value.residue)
+    value = _partial_zeta_residues(n, modulus, ctx)[a]
+    return ctx.from_int(DirichletCharacter(ctx, -n)(a) * value)
 
 
 @lru_cache(maxsize=None)

@@ -125,13 +125,7 @@ class PadicNumber(Value):
         the precision itself, which is only a lower bound for the valuation
         of the represented value.
         """
-        if self.residue == 0:
-            return self.precision
-        v, r = 0, self.residue
-        while r % self.context.p == 0:
-            r //= self.context.p
-            v += 1
-        return v
+        return self.as_json_dict()["valuation"]
 
     @property
     def is_zero(self) -> bool:

@@ -1,6 +1,7 @@
 import argparse
 import ast
 import csv
+import importlib.util
 import io
 import itertools
 import json
@@ -28,34 +29,6 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
-
-
-def _tangent_numbers(count):
-    """T[k] = tangent number T_{2k-1} for k = 1..count (T[0] unused), by
-    Brent and Harvey's integer recurrence (2011)."""
-    t = [0] * (count + 1)
-    if count:
-        t[1] = 1
-    for k in range(2, count + 1):
-        t[k] = (k - 1) * t[k - 1]
-    for k in range(2, count + 1):
-        for j in range(k, count + 1):
-            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
-    return t
-
-
-def _expected_euler_line(n, tangent):
-    """E_0 = 1, E_n = 0 at even n > 0, E_n = (-1)^k T_n / 2^n at odd n = 2k - 1."""
-    if n == 0:
-        value = Fraction(1)
-    elif n % 2 == 0:
-        value = Fraction(0)
-    else:
-        k = (n + 1) // 2
-        value = Fraction((-1) ** k * tangent[k], 2**n)
-    return json.dumps(
-        {"n": n, "value": f"{value.numerator}/{value.denominator}"}, separators=(",", ":")
-    )
 
 
 class TestEulerCommand:
@@ -92,18 +65,20 @@ class TestEulerCommand:
 
     def test_real_table_past_the_digit_limit(self, capsys):
         # Numerators pass the default int-to-str limit of 4300 digits from
-        # n = 1843 on; every line must equal the tangent-number oracle.
+        # n = 1843 on; every line must equal the benchmark's tangent-number
+        # oracle.
         nmax = 1900
         code, out, _ = run_cli(capsys, "euler", "--nmax", str(nmax))
         lines = out.splitlines()
         assert code == 0
         assert len(lines) == nmax + 1
-        tangent = _tangent_numbers((nmax + 1) // 2)
+        spec = importlib.util.spec_from_file_location("run", ROOT / "perfbench" / "run.py")
+        run = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(run)
         limit = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(0)
         try:
-            for n, line in enumerate(lines):
-                assert line == _expected_euler_line(n, tangent), n
+            assert run.check_euler_table(out) is None
         finally:
             sys.set_int_max_str_digits(limit)
         numerator = json.loads(lines[nmax - 1])["value"].split("/")[0]
@@ -550,15 +525,34 @@ def test_verify_prints_sides_past_the_digit_limit():
     assert max(len(part) for part in report["lhs"].lstrip("-").split("/")) > 4300
 
 
-def test_closed_stdout_exits_141_without_a_traceback():
-    # the reader of `eulerlp euler --nmax 3000 | head -1` goes away after
-    # one line, while megabytes are still to be written
+WIDE_GRID_ARGV = (
+    "grid --primes 3,5,7,11,13,17,19,23,29,31 --r 1..6 --n 2,4,6,8 --precision 20"
+)
+WIDE_GRID_FIRST = (
+    '{"check":"theorem6","p":3,"params":{"p":3,"n":2,"r":1,"M":20},'
+    '"lhs":{"p":3,"precision":20,"digits":[0,0,2,2,0,0,2,2,0,0,2,2,0,0,2,2,0,0,2,2],'
+    '"valuation":2},"rhs":{"p":3,"precision":20,'
+    '"digits":[0,0,2,2,0,0,2,2,0,0,2,2,0,0,2,2,0,0,2,2],"valuation":2},'
+    '"precision":20,"match":true,"lhs_valuation":2}\n'
+)
+
+
+@pytest.mark.parametrize(
+    "argv, first_line",
+    [("euler --nmax 3000", '{"n":0,"value":"1/1"}\n'), (WIDE_GRID_ARGV, WIDE_GRID_FIRST)],
+    ids=["euler", "wide-grid"],
+)
+def test_closed_stdout_exits_141_without_a_traceback(argv, first_line):
+    # the reader of `eulerlp ... | head -1` goes away after one line, while
+    # far more than a pipe buffer is still to be written: megabytes of
+    # Euler numbers, or the wide grid's 332,964 bytes.  grid-mixed's 72 KB
+    # could fit in the pipe plus the reader's buffer and then exit 0.
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     with subprocess.Popen(
-        [sys.executable, "-m", "eulerlp", "euler", "--nmax", "3000"],
+        [sys.executable, "-m", "eulerlp", *argv.split()],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
     ) as proc:
-        assert proc.stdout.readline() == b'{"n":0,"value":"1/1"}\n'
+        assert proc.stdout.readline() == first_line.encode()
         proc.stdout.close()
         stderr = proc.stderr.read().decode()
         assert proc.wait(timeout=60) == 141
@@ -658,6 +652,29 @@ def test_commands_load_no_fractions_json_or_future():
     loaded = proc.stdout.split("\n")[:-1]
     assert len(loaded) == len(runs)
     assert all(line == "" for line in loaded), dict(zip(map(tuple, runs), loaded))
+
+
+def test_partial_zeta_values_load_no_fractions():
+    # the series and the closed form of the partial zeta value at -n, at
+    # F = p and at the composite F = 15, reach no Fraction
+    probe = (
+        "import sys\n"
+        "from eulerlp import PadicContext, padic_partial_zeta_at_neg, series_closed_check\n"
+        "for p in (3, 5, 7):\n"
+        "    ctx = PadicContext(p, 6)\n"
+        "    for n in range(1, 7):\n"
+        "        assert all(series_closed_check(n, a, ctx).match for a in range(1, p))\n"
+        "for a in (1, 2, 4, 7, 8, 11, 13, 14):\n"
+        "    padic_partial_zeta_at_neg(3, a, 15, PadicContext(5, 6))\n"
+        "print('fractions' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", probe],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 # The argparse parser the option table replaced, kept as the oracle the table

@@ -285,7 +285,7 @@ class TestPartialZetaClosedForm:
 
     def test_wrong_sign_of_minus_one_to_the_a_is_reported(self, monkeypatch):
         # the closed form with (-1)^a dropped, i.e. the wrong sign for odd a
-        original = lfunctions.partial_zeta_neg
+        original = lfunctions._partial_zeta_residues
 
         def matches():
             return [
@@ -295,9 +295,11 @@ class TestPartialZetaClosedForm:
                 for a in range(1, ctx.p)
             ]
 
-        monkeypatch.setattr(
-            lfunctions, "partial_zeta_neg", lambda n, a, F: (-1) ** a * original(n, a, F)
-        )
+        def flipped(n, modulus, ctx):
+            values = original(n, modulus, ctx)
+            return tuple((-1) ** a * z % ctx.modulus for a, z in enumerate(values))
+
+        monkeypatch.setattr(lfunctions, "_partial_zeta_residues", flipped)
         try:
             mutated = matches()
         finally:
@@ -308,17 +310,19 @@ class TestPartialZetaClosedForm:
 
 class TestPartialZetaResidues:
     def test_integer_kernel_against_the_fraction_oracle(self):
-        # (-1)^a H(n, a, p) / 2^(n+1) on ints against partial_zeta_neg's
-        # Fraction embedded by from_rational
-        for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
-            for N in (1, 5):
-                ctx = PadicContext(p, N)
-                for n in range(13):
-                    expected = (0,) + tuple(
-                        ctx.from_rational(partial_zeta_neg(n, a, p)).residue
-                        for a in range(1, p)
-                    )
-                    assert lfunctions._partial_zeta_residues(n, ctx) == expected, (p, N, n)
+        # (-1)^a H(n, a, F) / 2^(n+1) on ints against partial_zeta_neg's
+        # Fraction embedded by from_rational, at F = p and at the composite
+        # F = 15 in a 5-adic context, whose classes 5 and 10 are not units
+        primes = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
+        cases = [(PadicContext(p, N), p) for p in primes for N in (1, 5)]
+        cases += [(PadicContext(5, N), 15) for N in (1, 5)]
+        for ctx, F in cases:
+            for n in range(13):
+                expected = (0,) + tuple(
+                    ctx.from_rational(partial_zeta_neg(n, a, F)).residue for a in range(1, F)
+                )
+                actual = lfunctions._partial_zeta_residues(n, F, ctx)
+                assert actual == expected, (ctx, F, n)
 
 
 # A value mod p^N sums N series terms; more digits sum more terms, and
