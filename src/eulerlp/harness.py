@@ -7,8 +7,8 @@ twice the alternating harmonic sum over units j <= np satisfies
 
 as p-adic numbers.  The left side is a rational with denominator prime to
 p (``alt_harmonic_sum`` gives it exactly); the check sums it on int residues
-mod p^M, in one pass per (p, r) read off at every n.  The right side stops
-at k = M - 1, since term k has valuation >= k.
+mod p^M, in one pass per (p, r) read off at every n; the right side, a
+polynomial in n from one coefficient list per (p, r), stops at k = M - 1.
 
 ``CHECKS`` is the one registry of named checks, each with its grid rows; the
 CLI's ``verify`` runs one check and ``grid`` runs every check on its rows,
@@ -17,11 +17,10 @@ where a row carries its inner axis (theorem6's n, interpolation's t, binomial's 
 
 from functools import lru_cache
 
-from .characters import teichmuller_power
 from .euler import _alternating_power_sum, _alternating_power_sum_closed, _euler_form, _fraction
-from .lfunctions import interpolation_check, kummer_check, padic_l
+from .lfunctions import _interpolation_report, _l_residue, kummer_check
 from .padic import PadicContext, PadicNumber, Value, _set, binomial, is_prime
-from .reports import CongruenceReport, format_rational, padic_report, rational_report
+from .reports import CongruenceReport, format_rational, rational_report, residue_report
 
 
 def alt_harmonic_sum(p: int, n: int, r: int) -> "Fraction":
@@ -55,21 +54,27 @@ def _alt_harmonic_residues(p: int, ns: tuple[int, ...], r: int, m: int) -> list[
 
 
 def main_congruence_series(n: int, r: int, ctx: PadicContext) -> PadicNumber:
-    """-sum_{k=1}^{N-1} C(-r, k) (pn)^k l_p(r+k, w^{-k-r}) mod p^N, with p
-    and N the prime and precision of ctx.
+    """The series side at one n: :func:`_series_residues` of (n,)."""
+    return ctx.from_int(_series_residues((n,), r, ctx)[0])
+
+
+def _series_residues(ns: tuple[int, ...], r: int, ctx: PadicContext) -> list[int]:
+    """-sum_{k=1}^{N-1} C(-r, k) (pn)^k l_p(r+k, w^{-k-r}) mod p^N at each n
+    of ns, with p and N the prime and precision of ctx: the polynomial
+    sum_k c_k n^k, from one list of c_k = -C(-r, k) p^k l_p(r+k, w^{-k-r}).
 
     Since (pn)^k has valuation >= k and l_p values lie in Z_p, the terms
     from k = N on vanish mod p^N.
     """
-    pn = ctx.p * n
-    terms = (binomial(-r, k) * pn**k * _diagonal_l(r + k, ctx) for k in range(1, ctx.precision))
-    return ctx.from_int(-sum(terms))
+    p, m = ctx.p, ctx.modulus
+    c = [-binomial(-r, k) * p**k * _diagonal_l(r + k, ctx) % m for k in range(1, ctx.precision)]
+    return [sum(c_k * n**k for k, c_k in enumerate(c, 1)) % m for n in ns]
 
 
 @lru_cache(maxsize=None)
 def _diagonal_l(s: int, ctx: PadicContext) -> int:
     """The residue of l_p(s, w^(-s)) in ctx."""
-    return padic_l(s, teichmuller_power(-s, ctx)).residue
+    return _l_residue(s, -s % (ctx.p - 1), ctx)
 
 
 def verify_main_congruence(p: int, n: int, r: int, digits: int) -> CongruenceReport:
@@ -168,13 +173,14 @@ def _theorem6(params: dict) -> list[CongruenceReport]:
     if r < 1:
         raise ValueError("r must be >= 1")
     lhs = _alt_harmonic_residues(p, ns, r, ctx.modulus)
-    return [padic_report("theorem6", {"p": p, "n": n, "r": r, "M": M}, ctx.from_int(a),
-                         main_congruence_series(n, r, ctx)) for n, a in zip(ns, lhs)]
+    rhs = _series_residues(ns, r, ctx)
+    return [residue_report("theorem6", {"p": p, "n": n, "r": r, "M": M}, ctx, a, b)
+            for n, a, b in zip(ns, lhs, rhs)]
 
 
 def _interpolation(params: dict) -> list[CongruenceReport]:
     ctx, n = PadicContext(params["p"], params["precision"]), params["n"]
-    return [interpolation_check(n, teichmuller_power(t, ctx)) for t in _axis(params["t"])]
+    return [_interpolation_report(n, t % (ctx.p - 1), ctx) for t in _axis(params["t"])]
 
 
 def _kummer(params: dict) -> list[CongruenceReport]:

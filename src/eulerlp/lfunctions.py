@@ -16,50 +16,43 @@ exactly N series terms.  Only integer s is supported: unit powers
 <a>^{-s} are then exact and no Mahler-series precision bookkeeping is
 needed.
 
-Both series run on plain int residues mod p^N.  For each (F, context), a
+Each value has one core on plain int residues mod p^N, at the reduced
+exponent t of chi = w^t: ``_l_residue``, ``_euler_residue`` and
+``_interpolation_report``; the public functions read chi's exponent and
+call them, and only they return ``PadicNumber``.  For each (F, context), a
 table holding (-1)^a / 2, <a>, <a>^(-1) and the row (F/a)^j E_j (j < N)
-for every unit a is built once; a value is then one dot product with the
-binomial row C(-s, j).  ``PadicNumber`` is only the type of the results.  The
-series is Washington's ("p-adic L-functions and sums of powers",
-J. Number Theory 69, 1998), adapted to Euler numbers.
-
-A character only weights the partial zeta values, so l_p(s, chi) is a
-dot product of ``chi.values`` with the cached row ``_l_series_row`` of
-H_p(s, a | p), one per (s, context).  ``padic_l`` itself holds no
-state: a repeated value is held by that row, and the main congruence's
-l_p(r+k, w^(-r-k)), asked for at every n and r, by ``harness._diagonal_l``.
-The exact partial zeta values at -n, (-1)^a (F^n / 2) E_n(a/F), are
-embedded once per (n, F, context), on ints, in the cached tuple
-``_partial_zeta_residues``: the interpolation oracle dots it with
-``chi.values`` for each E_{n,chi} (F = p), and the closed form
-``padic_partial_zeta_at_neg`` reads its entry a.  <a> = a omega^(-1)(a)
-comes, like every ``chi.values``, from the context's one Teichmuller
-table in ``characters``.
+for every unit a is built once; a partial zeta value is then one dot
+product with the binomial row C(-s, j).  The exact partial zeta values at
+-n, (-1)^a (F^n / 2) E_n(a/F), are embedded once per (n, F, context) in
+``_partial_zeta_residues``.  The series is Washington's ("p-adic
+L-functions and sums of powers", J. Number Theory 69, 1998), adapted to
+Euler numbers.
 """
 
 from functools import lru_cache
 from operator import mul
 
-from .characters import DirichletCharacter, teichmuller_power
+from .characters import DirichletCharacter, _values
 from .euler import _euler_form, _euler_parts
 from .padic import PadicContext, PadicNumber, binomial
-from .reports import CongruenceReport, padic_report
+from .reports import CongruenceReport, padic_report, residue_report
 
 
 def generalized_euler_number(n: int, chi: DirichletCharacter) -> PadicNumber:
-    """E_{n,chi} = f^n sum_{a=0}^{f-1} chi(a) (-1)^a E_n(a/f), f = conductor,
-    in chi's context.
+    """E_{n,chi} in chi's context: :func:`_euler_residue` at chi's exponent."""
+    return chi.context.from_int(_euler_residue(n, chi.t, chi.context))
 
-    For conductor 1 this is E_n.  For conductor p, chi(0) = 0 and each
-    remaining term is twice the partial zeta value at -n, whose
-    denominator is a power of two, so the sum embeds in Z_p for odd p.
-    """
-    ctx = chi.context
-    if chi.conductor == 1:
+
+def _euler_residue(n: int, t: int, ctx: PadicContext) -> int:
+    """An int congruent mod p^N, N the precision of ctx, to E_{n,chi} =
+    f^n sum_{a=0}^{f-1} chi(a) (-1)^a E_n(a/f), chi = w^t with t reduced mod
+    p-1 and f its conductor.  For conductor 1 (t = 0) this is E_n.  For
+    conductor p, chi(0) = 0 and each remaining term is twice the partial zeta
+    value at -n, whose denominator is a power of two, so the sum embeds in Z_p."""
+    if t == 0:
         num, den = _euler_parts(n)  # den a power of two, a unit mod p
-        return ctx.from_int(num * pow(den, -1, ctx.modulus))
-    total = sum(map(mul, chi.values, _partial_zeta_residues(n, ctx.p, ctx)))
-    return ctx.from_int(2 * total)
+        return num * pow(den, -1, ctx.modulus)
+    return 2 * sum(map(mul, _values(t, ctx), _partial_zeta_residues(n, ctx.p, ctx)))
 
 
 @lru_cache(maxsize=None)
@@ -157,18 +150,19 @@ def _l_series_row(s: int, ctx: PadicContext) -> tuple[int, ...]:
 
 
 def padic_l(s: int, chi: DirichletCharacter) -> PadicNumber:
-    """l_p(s, chi) = 2 sum over units a mod p of chi(a) H_p(s, a | p) mod
-    p^N, with N the precision of chi's context, from N terms.
+    """l_p(s, chi) in chi's context: :func:`_l_residue` at chi's exponent."""
+    return chi.context.from_int(_l_residue(s, chi.t, chi.context))
 
-    The summation modulus is p, the modulus of every Teichmuller power, so
-    the value is twice ``chi.values`` dotted with the shared row
-    ``_l_series_row(s, ctx)``, or twice the row's sum for conductor 1
-    (values (1,)); repeated values are held by that row and ``harness._diagonal_l``.
+
+def _l_residue(s: int, t: int, ctx: PadicContext) -> int:
+    """l_p(s, w^t) = 2 sum over units a mod p of w^t(a) H_p(s, a | p) mod
+    p^N, t reduced mod p-1 and N the precision of ctx, from N terms: twice
+    ``characters._values(t, ctx)`` dotted with the row ``_l_series_row(s,
+    ctx)`` that every character shares, or twice the row's sum at t = 0
+    (conductor 1, values (1,)).  ``harness._diagonal_l`` holds repeated values.
     """
-    ctx = chi.context
     row = _l_series_row(s, ctx)
-    total = sum(map(mul, chi.values, row)) if chi.conductor > 1 else sum(row)
-    return ctx.from_int(2 * total)
+    return 2 * (sum(map(mul, _values(t, ctx), row)) if t else sum(row)) % ctx.modulus
 
 
 def series_closed_check(n: int, a: int, ctx: PadicContext) -> CongruenceReport:
@@ -181,39 +175,35 @@ def series_closed_check(n: int, a: int, ctx: PadicContext) -> CongruenceReport:
 
 
 def interpolation_check(n: int, chi: DirichletCharacter) -> CongruenceReport:
-    """Compare l_p(-n, chi) against (1 - p^n chi_n(p)) E_{n, chi_n} mod p^N,
-    where chi_n is chi twisted by omega^{-n} and N is the precision of chi's
-    context.
+    """The "interpolation" report of chi: :func:`_interpolation_report`."""
+    return _interpolation_report(n, chi.t, chi.context)
 
-    A mismatch is a report outcome, not an exception.  chi_n(p) is 1 for
-    conductor 1 and 0 otherwise, which is exactly what makes the factor
-    collapse correctly in both regimes.
-    """
+
+def _interpolation_report(n: int, t: int, ctx: PadicContext) -> CongruenceReport:
+    """l_p(-n, chi) against (1 - p^n chi_n(p)) E_{n, chi_n} mod p^N, N the
+    precision of ctx, for chi = w^t with t reduced mod p-1 and chi_n = w^u,
+    u = (t - n) mod p-1, chi twisted by w^(-n).  A mismatch is a report
+    outcome, not an exception.  chi_n(p) is 1 for conductor 1 (u = 0) and 0
+    otherwise, which is exactly what makes the factor collapse correctly in
+    both regimes."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    ctx = chi.context
-    lhs = padic_l(-n, chi)
-    chi_n = chi.twist(-n)
-    factor = 1 - ctx.p**n * chi_n(ctx.p)
-    rhs = ctx.from_int(factor * generalized_euler_number(n, chi_n).residue)
-    params = {"p": ctx.p, "n": n, "t": chi.t, "M": ctx.precision}
-    return padic_report("interpolation", params, lhs, rhs)
+    p, u = ctx.p, (t - n) % (ctx.p - 1)
+    rhs = (1 - p**n if u == 0 else 1) * _euler_residue(n, u, ctx)
+    params = {"p": p, "n": n, "t": t, "M": ctx.precision}
+    return residue_report("interpolation", params, ctx, _l_residue(-n, t, ctx), rhs)
 
 
 def kummer_check(k: int, t: int, ctx: PadicContext, k2: int | None = None) -> CongruenceReport:
-    """l_p(k, w^t) against l_p(k2, w^t) mod p, for t = 0 mod p-1; both
-    values are computed in the 1-digit context of ctx's prime.
-
-    k2 defaults to k + p; any pair of arguments may be supplied, since for
-    such t the function is constant mod p.
-    """
+    """l_p(k, w^t) against l_p(k2, w^t) mod p, for t = 0 mod p-1 (so w^t =
+    w^0), both in the 1-digit context of ctx's prime.  k2 defaults to k + p;
+    any pair of arguments may be supplied, since for such t the function is
+    constant mod p."""
     p = ctx.p
     if t % (p - 1) != 0:
         raise ValueError("the congruence needs t = 0 mod p-1")
     if k2 is None:
         k2 = k + p
-    chi = teichmuller_power(t, PadicContext(p, 1))
-    lhs = padic_l(k, chi)
-    rhs = padic_l(k2, chi)
-    params = {"p": p, "k": k, "k2": k2, "t": chi.t, "M": 1}
-    return padic_report("kummer", params, lhs, rhs)
+    one = PadicContext(p, 1)
+    params = {"p": p, "k": k, "k2": k2, "t": 0, "M": 1}
+    return residue_report("kummer", params, one, _l_residue(k, 0, one), _l_residue(k2, 0, one))

@@ -1,7 +1,7 @@
 """Congruence check reports and their JSON/CSV serialization.
 
 Each side is put in wire form straight from what the check computed: a
-p-adic side from its residue by ``padic._wire_dict``, an exact side (an
+p-adic side from its int residue by ``padic._wire_dict``, an exact side (an
 int, a Fraction or a (numerator, denominator) int pair) as "num/den" in
 lowest terms, with no re-wrapping."""
 
@@ -18,17 +18,18 @@ def _json(value) -> str:
     the wire is made by the library (check names, param labels, "num/den"
     and "teichmuller") and is ASCII with no quote, backslash or control
     character."""
+    if value.__class__ is int:  # not a bool
+        return str(value)
     if value is None or value is True or value is False:
         return "null" if value is None else "true" if value else "false"
     if isinstance(value, str):
         return f'"{value}"'
-    if isinstance(value, int):
-        return str(value)
     if "digits" in value:
         digits = ",".join(map(str, value["digits"]))
         return '{"p":%d,"precision":%d,"digits":[%s],"valuation":%d}' % (
             value["p"], value["precision"], digits, value["valuation"])
-    return "{" + ",".join(f'"{k}":{_json(v)}' for k, v in value.items()) + "}"
+    pairs = [f'"{k}":{v if v.__class__ is int else _json(v)}' for k, v in value.items()]
+    return "{" + ",".join(pairs) + "}"  # an int, the usual value, is written with no call
 
 
 def format_rational(q: "Fraction | int | tuple[int, int]") -> str:
@@ -77,17 +78,22 @@ class CongruenceReport(Value):
 def padic_report(
     check: str, params: dict, lhs: PadicNumber, rhs: PadicNumber
 ) -> CongruenceReport:
-    """Report comparing two p-adic values of one prime mod p^N, N the precision
-    of lhs's context; a side known to fewer digits raises ValueError.  Equal
-    residues share one wire form, while an unequal rhs always gets its own."""
-    ctx, a, b = lhs.context, lhs.residue, rhs.residue
-    digits, known = ctx.precision, min(lhs.precision, rhs.precision)
-    if known < digits:
-        raise ValueError(f"cannot raise precision from {known} to {digits}")
-    left = _wire_dict(ctx.p, digits, a)
-    right = left if a == b else _wire_dict(ctx.p, digits, b)
-    match = (a - b) % ctx.modulus == 0
-    return CongruenceReport(check, ctx.p, params, left, right, digits, match, left["valuation"])
+    """:func:`residue_report` of two p-adic values of one prime mod p^N, N the
+    precision of lhs's context; a side known to fewer digits raises ValueError."""
+    known = min(lhs.precision, rhs.precision)
+    if known < lhs.context.precision:
+        raise ValueError(f"cannot raise precision from {known} to {lhs.context.precision}")
+    return residue_report(check, params, lhs.context, lhs.residue, rhs.residue)
+
+
+def residue_report(check: str, params: dict, ctx, a: int, b: int) -> CongruenceReport:
+    """Report comparing int residues a and b mod p^N, p and N the prime and precision
+    of ctx; equal residues share one wire form, an unequal b always gets its own."""
+    p, digits, a, b = ctx.p, ctx.precision, a % ctx.modulus, b % ctx.modulus
+    left = _wire_dict(p, digits, a)
+    right = left if a == b else _wire_dict(p, digits, b)
+    match = a == b
+    return CongruenceReport(check, p, params, left, right, digits, match, left["valuation"])
 
 
 def rational_report(check: str, params: dict, lhs, rhs) -> CongruenceReport:

@@ -1,8 +1,10 @@
+import hashlib
 import importlib
 import inspect
 import json
 import pkgutil
 import textwrap
+import traceback
 from fractions import Fraction
 
 import pytest
@@ -23,10 +25,12 @@ from eulerlp import (
     teichmuller_power,
     verify_main_congruence,
 )
-from eulerlp import harness, lfunctions
+from eulerlp import DirichletCharacter, harness, lfunctions
 from eulerlp.cli import COMMANDS
 from eulerlp.harness import CHECKS
-from eulerlp.reports import padic_report
+from eulerlp.reports import padic_report, residue_report
+from test_recorded_outputs import RECORDED
+from test_residue_boundary import reference_main_congruence_series
 
 GRID_PRIMES = (3, 5, 7)
 GRID_R = (1, 2, 3, 4)
@@ -311,6 +315,58 @@ class TestOneEvaluationPerValue:
         assert len(reports) == 349 and all(r.match for r in reports)
         assert rows == len(keys) == 114
 
+    def test_grid_wraps_no_residue_in_a_padic_number(self, monkeypatch):
+        # a cold grid-mixed run builds a PadicNumber only for omega(g), the
+        # one Teichmuller lift behind each context's table: 5 primes at 10
+        # digits and at kummer's 1 digit; no report and no l-value wraps one
+        original, stacks = PadicNumber.__init__, []
+
+        def counted(self, *args):
+            stacks.append({frame.name for frame in traceback.extract_stack()})
+            original(self, *args)
+
+        clear_library_caches()
+        monkeypatch.setattr(PadicNumber, "__init__", counted)
+        try:
+            reports = run_grid(GRID_MIXED)
+        finally:
+            monkeypatch.undo()
+            clear_library_caches()
+        assert len(reports) == 349 and all(r.match for r in reports)
+        assert [names for names in stacks if "teichmuller" not in names] == []
+        assert len(stacks) == 10
+
+    def test_grid_builds_characters_only_for_the_series_tables(self, monkeypatch):
+        # every report reads its character values by exponent; the only
+        # characters are w and w^(-1) of each context's series table
+        original, callers = DirichletCharacter.__init__, []
+
+        def counted(self, *args):
+            callers.append(inspect.currentframe().f_back.f_code.co_name)
+            original(self, *args)
+
+        clear_library_caches()
+        monkeypatch.setattr(DirichletCharacter, "__init__", counted)
+        try:
+            reports = run_grid(GRID_MIXED)
+        finally:
+            monkeypatch.undo()
+            clear_library_caches()
+        assert len(reports) == 349 and all(r.match for r in reports)
+        assert set(callers) == {"_series_table"} and len(callers) == 2 * 10
+
+    @pytest.mark.parametrize("p", (3, 5, 7, 11))
+    def test_series_row_polynomial_is_the_series_at_every_n(self, p):
+        # one coefficient list per (p, r) read as a polynomial in n gives the
+        # PadicNumber sum of C(-r, k) (pn)^k l_p(r+k, w^(-k-r)) over k <= N,
+        # at odd n too, where the congruence itself does not hold
+        ns = tuple(range(1, 13))
+        for r in (1, 2, 3, 4):
+            for digits in range(1, 13):
+                ctx = PadicContext(p, digits)
+                expected = [reference_main_congruence_series(n, r, ctx).residue for n in ns]
+                assert harness._series_residues(ns, r, ctx) == expected, (r, digits)
+
     def test_library_caches_are_the_audited_eight(self):
         # each of these paid in a measured audit of cold grid traffic (see
         # CHANGES.md); a new cache joins this set with its hits and misses
@@ -456,6 +512,33 @@ class TestSuiteMutants:
         assert missed == {4, 6}, missed
         assert all(self._matches("theorem6"))
 
+    def test_theorem6_row_polynomial_one_power_of_n_off(self, monkeypatch):
+        # the series side read at n with c_k n^(k+1) for c_k n^k
+        mutant = _source_mutant(harness._series_residues, "n**k", "n**(k + 1)")
+        self._assert_caught(monkeypatch, "theorem6", "_series_residues", mutant)
+
+    def test_interpolation_twist_by_plus_n(self, monkeypatch):
+        # chi twisted by w^n instead of w^(-n): the right side reads E_{n,
+        # w^(t+n)}, which differs where 2n is not 0 mod p-1 (p = 7, 11, 13)
+        mutant = _source_mutant(lfunctions._interpolation_report, "(t - n) %", "(t + n) %")
+        self._assert_caught(monkeypatch, "interpolation", "_interpolation_report", mutant)
+
+    def test_interpolation_exponent_left_unreduced(self):
+        # the values and l-value of w^-3 and w^3 agree at p = 7, but the
+        # report names the character by its exponent reduced mod p - 1, as
+        # the recorded verify line does; unreduced, that line changes
+        argv = "verify --check interpolation --p 7 --n 5 --t -3 --precision 8"
+        params = {"p": 7, "n": 5, "t": -3, "precision": 8}
+        mutant = _source_mutant(harness._interpolation, "t % (ctx.p - 1)", "t")
+
+        def digest(run):
+            line = reports_to_jsonl(run(params)) + "\n"
+            return hashlib.sha256(line.encode()).hexdigest()
+
+        assert digest(harness._interpolation) == RECORDED[argv]
+        assert digest(mutant) != RECORDED[argv]
+        assert [report.params["t"] for report in mutant(params)] == [-3]
+
     @pytest.mark.parametrize(
         "fault, mutation",
         [("f * v)", "v)"), ("(-1) ** a * _euler_form", "_euler_form")],
@@ -516,12 +599,12 @@ class TestPadicReport:
         assert report.lhs is report.rhs
         assert report.to_json() == json.dumps(report.as_dict(), separators=(",", ":"))
 
-    def test_unequal_sides_keep_their_own_digits_whatever_match_says(self, monkeypatch):
-        # padic_report with its match flag forced true: the sides are shared
-        # on equal residues, never on the flag, so the rhs digits still show
-        fault = "match = (a - b) % ctx.modulus == 0"
-        forced = _source_mutant(padic_report, fault, "match = True")
-        report = forced("check", {}, self.CTX.from_int(7), self.CTX.from_int(8))
+    def test_unequal_sides_keep_their_own_digits_whatever_match_says(self):
+        # the residue core of every p-adic report with its match flag forced
+        # true: the sides are shared on equal residues, never on the flag, so
+        # the rhs digits still show
+        forced = _source_mutant(residue_report, "match = a == b", "match = True")
+        report = forced("check", {}, self.CTX, 7, 8)
         assert report.match
         assert report.lhs is not report.rhs
         assert report.lhs["digits"] == [2, 1, 0, 0] and report.rhs["digits"] == [3, 1, 0, 0]

@@ -72,6 +72,16 @@ RECORDED = {
         "e6d5a660402d3f95076392c9f552635cb4b7c155c8c6ab0af773cc86910acd77",
     "lp --p 7 --s -5 --t 3 --precision 12":
         "69fab706169229e0d2a9cb3a8edf3450b37054e0c2d1cb6d555251d598630818",
+    # interpolation at odd n with t = n, so that chi_n = w^0 and the Euler
+    # factor 1 - p^n multiplies E_3 != 0; at a t given unreduced, which the
+    # report prints reduced (3); kummer at t = 4 = 0 mod 4, printed as 0,
+    # with k2 at its default k + p = 8
+    "verify --check interpolation --p 5 --n 3 --t 3 --precision 6":
+        "d3e6b526ce20c640e296c712a2934d3bcb6f05fc5f9f1460a815095c7b304d9d",
+    "verify --check interpolation --p 7 --n 5 --t -3 --precision 8":
+        "3943b0773337a57e56381c43a773b9fbce7280ff7b3d38d6f1e7a9fa849d3034",
+    "verify --check kummer --p 5 --k 3 --t 4":
+        "d9db0b95b8a247d9c37b5aa10746c3b60761cdc717d1810f80c84dcfe8522212",
     # an l_p value at p = 7, a prime no other lp test uses
     "lp --p 7 --s -3 --t 5 --precision 8":
         "95ac74eac527d163a9e711341d55af1804b3d3a70605b4f54c5e997d4b3d4f81",
