@@ -38,10 +38,6 @@ class DirichletCharacter(Value):
         """Wire form used in CLI output and JSON reports."""
         return {"p": self.context.p, "kind": "teichmuller", "t": self.t}
 
-    def twist(self, t: int) -> "DirichletCharacter":
-        """Pointwise product with omega^t."""
-        return teichmuller_power(self.t + t, self.context)
-
 
 def teichmuller_power(t: int, ctx: PadicContext) -> DirichletCharacter:
     """The character a -> omega(a)^t of modulus p: DirichletCharacter(ctx, t)."""

@@ -31,9 +31,13 @@ REQUIRED = object()
 
 
 def _rational(text: str) -> "Fraction":
-    """--x in ``Fraction``'s grammar ("2/6", "0.5", "1e400"), loaded only when given."""
+    """--x in ``Fraction``'s grammar ("2/6", "0.5", "1e400"), loaded only when given;
+    an exponent past the int-from-text digit bound is refused before 10^|e| is built."""
     from fractions import Fraction
 
+    _, e, exponent = text.lower().partition("e")
+    if e and abs(int(exponent)) > getattr(sys.int_info, "default_max_str_digits", 4300):
+        raise ValueError(text)
     return Fraction(text)
 
 

@@ -1,13 +1,45 @@
 """Shared test oracles and helpers.  The oracles are kept independent of the
-library code; ``library_caches``, ``clear_library_caches`` and the two
-truncation mutants ``short_l_series`` and ``short_main_congruence`` are the
-only helpers that touch it."""
+library code.  This module is the only code that patches the library:
 
+- ``cold_caches`` empties every library cache on entry and on exit;
+- ``mutated`` sets one library name for a block, inside ``cold_caches``,
+  with an undo of its own;
+- ``recorded`` wraps one library name under ``mutated`` and gives the
+  argument tuple of every call;
+- ``source_mutant`` recompiles a library function with one fault in its
+  source, for ``mutated`` to install.
+
+``library_caches``, ``clear_library_caches``, ``GRID_MIXED`` and the two
+truncation mutants ``short_l_series`` and ``short_main_congruence`` touch
+the library too.  test_cli.py has a guard that fails if a test module
+patches the library, clears its caches or recompiles it on its own."""
+
+import builtins
+import inspect
+import json
 import sys
+import textwrap
+from contextlib import contextmanager
 from fractions import Fraction
 from math import comb
+from pathlib import Path
 
 import pytest
+
+from eulerlp import GridConfig, cli, harness, lfunctions
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _grid_mixed():
+    """The config of the benchmark's grid-mixed argv, read as cmd_grid reads it."""
+    workloads = json.loads((ROOT / "perfbench" / "workloads.json").read_text())
+    _, args = cli._parse(workloads["grid-mixed"]["default_argv"])
+    axes = [cli._int_list(f"--{name}", args[name]) for name in ("primes", "r", "n")]
+    return GridConfig(*axes, args["precision"])
+
+
+GRID_MIXED = _grid_mixed()
 
 
 def library_caches():
@@ -23,12 +55,57 @@ def library_caches():
 
 
 def clear_library_caches():
-    """cache_clear() every cache of :func:`library_caches`.  A mutant test
-    calls this before patching and again after ``monkeypatch.undo()``, so
-    that no cached value can hide the mutant or carry it on into later
-    tests."""
+    """cache_clear() every cache of :func:`library_caches`."""
     for cache in library_caches().values():
         cache.cache_clear()
+
+
+@contextmanager
+def cold_caches():
+    """Every library cache empty on entry and again on exit: no value cached
+    before the block can hide a mutant, none cached inside it outlives it,
+    and a cache's counts inside the block start from zero."""
+    clear_library_caches()
+    try:
+        yield
+    finally:
+        clear_library_caches()
+
+
+@contextmanager
+def mutated(target, name, replacement):
+    """``target.name`` is ``replacement`` inside the block and inside
+    :func:`cold_caches`; the undo on exit is this patch's own.  A builtin
+    such as ``pow`` has no binding in the module that calls it, so the
+    module gets one for the block."""
+    with cold_caches(), pytest.MonkeyPatch.context() as patch:
+        patch.setattr(target, name, replacement, raising=name not in vars(builtins))
+        yield
+
+
+@contextmanager
+def recorded(target, name):
+    """The argument tuple of every call of ``target.name`` inside the block,
+    in call order; the calls go on to the original under :func:`mutated`."""
+    original = getattr(target, name) if hasattr(target, name) else vars(builtins)[name]
+    calls = []
+
+    def record(*args):
+        calls.append(args)
+        return original(*args)
+
+    with mutated(target, name, record):
+        yield calls
+
+
+def source_mutant(function, fault, mutation):
+    """``function`` compiled from its own source, against its module's
+    globals, with the one occurrence of ``fault`` replaced by ``mutation``."""
+    source = textwrap.dedent(inspect.getsource(function))
+    assert source.count(fault) == 1
+    namespace = {}
+    exec(source.replace(fault, mutation), vars(sys.modules[function.__module__]), namespace)
+    return namespace[function.__name__]
 
 
 def leading_digits(report, digits):
@@ -37,31 +114,22 @@ def leading_digits(report, digits):
     return report.lhs["digits"][:digits], report.rhs["digits"][:digits], report.match
 
 
-def _mutant(monkeypatch, module, name, replacement):
-    clear_library_caches()
-    monkeypatch.setattr(module, name, replacement)
-    yield
-    monkeypatch.undo()
-    clear_library_caches()
-
-
 @pytest.fixture
-def short_l_series(monkeypatch):
+def short_l_series():
     """Every partial zeta and l-series sums one term short: the last entry
     of ``lfunctions._binomial_row`` is 0, so a value mod p^N drops its
     j = N - 1 term."""
-    from eulerlp import lfunctions
-
     original = lfunctions._binomial_row
 
     def mutant(s, terms):
         return original(s, terms)[:-1] + (0,)
 
-    yield from _mutant(monkeypatch, lfunctions, "_binomial_row", mutant)
+    with mutated(lfunctions, "_binomial_row", mutant):
+        yield
 
 
 @pytest.fixture
-def short_main_congruence(monkeypatch):
+def short_main_congruence():
     """The main congruence series stops before s = r + k reaches N: its
     diagonal l-values are 0 from s = N on, so it drops every k >= N - r.
     At even N the one term it drops at r = 1, k = N - 1, is 0 mod p^N
@@ -69,14 +137,13 @@ def short_main_congruence(monkeypatch):
     the classes a and p - a cancel, so there only r >= 2 reports see it.
     ``short_l_series`` cannot stand in: each l-value is multiplied by (pn)^k
     with k >= 1, so its last digit never reaches the residue."""
-    from eulerlp import harness
-
     original = harness._diagonal_l
 
     def mutant(s, ctx):
         return 0 if s >= ctx.precision else original(s, ctx)
 
-    yield from _mutant(monkeypatch, harness, "_diagonal_l", mutant)
+    with mutated(harness, "_diagonal_l", mutant):
+        yield
 
 
 def bernoulli_numbers(nmax):

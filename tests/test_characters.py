@@ -1,13 +1,10 @@
-import inspect
-import textwrap
 from math import isqrt
 
 import pytest
-from conftest import clear_library_caches
+from conftest import GRID_MIXED, cold_caches, mutated, source_mutant
 
 from eulerlp import (
     DirichletCharacter,
-    GridConfig,
     PadicContext,
     angle,
     interpolation_check,
@@ -110,25 +107,6 @@ class TestInvariants:
             chi = teichmuller_power(t, ctx)
             all_one = all(chi(a) == 1 for a in range(1, p) if a % p)
             assert (chi.conductor == 1) == all_one
-
-
-class TestTwist:
-    def test_cancelling_twist_gives_trivial(self):
-        ctx = PadicContext(3, 4)
-        chi = teichmuller_power(1, ctx).twist(-1)
-        assert chi.conductor == 1
-        assert chi.values == (1,)
-
-    def test_exponents_add_mod_order(self):
-        ctx = PadicContext(3, 4)
-        assert teichmuller_power(1, ctx).twist(2).values == teichmuller_power(1, ctx).values
-        ctx7 = PadicContext(7, 3)
-        for t1 in range(6):
-            for t2 in range(-6, 7):
-                lhs = teichmuller_power(t1, ctx7).twist(t2)
-                rhs = teichmuller_power(t1 + t2, ctx7)
-                assert lhs.values == rhs.values
-                assert lhs.conductor == rhs.conductor
 
 
 class TestDescriptor:
@@ -236,17 +214,13 @@ class TestTeichmullerTable:
 
     @pytest.mark.parametrize("N", (1, 3, 10))
     def test_values_below_200(self, N):
-        try:
+        with cold_caches():
             for p in odd_primes_below(200):
                 self._assert_values_are_powers_of_the_lift(PadicContext(p, N))
-        finally:
-            clear_library_caches()
 
     def test_values_at_1009(self):
-        try:
+        with cold_caches():
             self._assert_values_are_powers_of_the_lift(PadicContext(1009, 2))
-        finally:
-            clear_library_caches()
 
     @pytest.mark.parametrize("N", (1, 4))
     def test_series_table_angle(self, N):
@@ -263,20 +237,6 @@ class TestTeichmullerTable:
                         assert table[a][1:3] == expected, (p, N, F, a)
                     else:
                         assert table[a] is None
-
-
-# grid-mixed: the benchmark's grid argv
-GRID_MIXED = GridConfig(
-    primes=(3, 5, 7, 11, 13), r_values=(1, 2, 3, 4), n_values=(2, 4, 6), precision=10
-)
-
-
-def _table_source_mutant(fault, mutation):
-    source = textwrap.dedent(inspect.getsource(characters._teichmuller_table))
-    assert source.count(fault) == 1
-    namespace = {}
-    exec(source.replace(fault, mutation), vars(characters), namespace)
-    return namespace["_teichmuller_table"]
 
 
 class TestTeichmullerTableMutants:
@@ -304,28 +264,29 @@ class TestTeichmullerTableMutants:
             ("_primitive_root", lambda p: 2, "kummer"),  # 2 has order 3 mod 7
             (
                 "_teichmuller_table",
-                _table_source_mutant("index[pow(g, i, p)] = i", "index[pow(g, i, p)] = i + 1"),
+                source_mutant(
+                    characters._teichmuller_table,
+                    "index[pow(g, i, p)] = i",
+                    "index[pow(g, i, p)] = i + 1",
+                ),
                 "kummer",
             ),
             (
                 "_teichmuller_table",
-                _table_source_mutant(
-                    "teichmuller(g, ctx).residue", "pow(g, p ** max(ctx.precision - 2, 0), m)"
+                source_mutant(
+                    characters._teichmuller_table,
+                    "teichmuller(g, ctx).residue",
+                    "pow(g, p ** max(ctx.precision - 2, 0), m)",
                 ),
                 "interpolation",
             ),
         ],
         ids=["g-squared", "2-at-7", "index-off-by-one", "lift-one-digit-short"],
     )
-    def test_mutant_is_caught(self, monkeypatch, attr, mutant, suite):
-        clear_library_caches()
-        monkeypatch.setattr(characters, attr, mutant)
-        try:
+    def test_mutant_is_caught(self, attr, mutant, suite):
+        with mutated(characters, attr, mutant):
             with pytest.raises(AssertionError):
                 TestValuesAgainstHenselOracle().test_unit_values(7, 4)
             mismatched = self._mismatched_suites()
-        finally:
-            monkeypatch.undo()
-            clear_library_caches()
         assert suite in mismatched, mismatched
         assert not self._mismatched_suites()

@@ -596,6 +596,35 @@ def test_library_stays_under_its_line_ceiling():
     assert lines <= LIBRARY_LINE_CEILING, lines
 
 
+# conftest.py's cold_caches, mutated, recorded and source_mutant are the one
+# way a test changes the library: each patch undoes only itself and clears
+# every cache.  A test module may patch sys, and this one the table
+# cmd_euler prints, which sits behind no cache.
+ALLOWED_PATCHES = {("test_cli.py", "cli", "euler_number_pairs")}
+REFUSED_CALLS = ("clear_library_caches", "cache_clear", "exec", "getsource")
+
+
+def _patches_outside_conftest(path):
+    """(line, call) of each call in a test module that patches anything but
+    sys, recompiles the library or clears its caches, or undoes a patch."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        call = ast.unparse(node.func) if isinstance(node, ast.Call) else ""
+        if call == "monkeypatch.undo" or call.split(".")[-1] in REFUSED_CALLS:
+            yield node.lineno, call
+        elif call in ("monkeypatch.setattr", "monkeypatch.delattr"):
+            target = ast.unparse(node.args[0])
+            name = getattr(node.args[1], "value", None) if len(node.args) > 1 else None
+            if target != "sys" and (path.name, target, name) not in ALLOWED_PATCHES:
+                yield node.lineno, call
+
+
+def test_only_conftest_patches_the_library():
+    modules = sorted(set((ROOT / "tests").glob("*.py")) - {ROOT / "tests" / "conftest.py"})
+    assert len(modules) > 10
+    found = {path.name: list(_patches_outside_conftest(path)) for path in modules}
+    assert {name: calls for name, calls in found.items() if calls} == {}
+
+
 def test_import_loads_no_argparse_gettext_locale_dataclasses_inspect_csv_fractions_or_json():
     # -S: no .pth file of the site packages can load a module first and
     # hide its import by eulerlp; fractions brings decimal and numbers
@@ -870,6 +899,23 @@ def test_bad_argv_exits_2_naming_the_offender(capsys, argv, named):
         assert ": error: " in error and named in error, err
     assert err.count("\n") == 2
     assert error.startswith("eulerlp: error: ")
+
+
+def test_x_exponent_past_the_digit_bound_exits_2_at_once(capsys):
+    # typed digits past Python's 4,300-digit int-from-text bound are refused;
+    # an exponent is held to the same bound, or 1e-1000000 would build and
+    # print million-digit sides.  The argparse oracle accepts these, so
+    # their argv are not literals that the parity corpus would collect.
+    verify = ["verify", "--check", "distribution", "--n", "2", "--f", "3", "--x"]
+    for x in ("1e-1000000", "1E4301"):
+        with pytest.raises(SystemExit) as exc:
+            main([*verify, x])
+        assert exc.value.code == 2
+        assert "--x" in capsys.readouterr().err.splitlines()[-1]
+    for x, printed in (("1e400", "1" + "0" * 400 + "/1"), ("1e-4300", "1/1" + "0" * 4300)):
+        code, out, _ = run_cli(capsys, *verify, x)
+        assert code == 0
+        assert json.loads(out)["params"]["x"] == printed
 
 
 @pytest.mark.parametrize("flag", ["-h", "--help"])

@@ -5,9 +5,10 @@ from fractions import Fraction
 import pytest
 from conftest import (
     bernoulli_numbers,
-    clear_library_caches,
     euler_numbers_by_recurrence,
+    mutated,
     random_rationals,
+    recorded,
     zigzag_numbers_by_boustrophedon,
 )
 
@@ -61,53 +62,34 @@ class TestEulerNumbers:
         with pytest.raises(ValueError):
             euler_number(-1)
 
-    def test_growth_order_does_not_change_values(self, monkeypatch):
+    def test_growth_order_does_not_change_values(self):
         # Each order starts from an unbuilt table: one jump to n = 601 and
         # then the small n, or the table grown one index at a time.
         orders = ([601, *range(601)], list(range(602)))
         tables = []
-        try:
-            for order in orders:
-                euler_number.cache_clear()
-                monkeypatch.setattr(euler, "_tangent", [0])
+        for order in orders:
+            with mutated(euler, "_tangent", [0]):
                 tables.append({n: euler_number(n) for n in order})
-        finally:
-            monkeypatch.undo()
-            euler_number.cache_clear()
         assert tables[0] == tables[1]
         assert [tables[0][n] for n in range(602)] == euler_numbers(601)
 
-    def _count_builds(self, monkeypatch, request):
+    @staticmethod
+    def _count_builds(request):
         """Tangent-table builds made by request() from an unbuilt table and
         a cold euler_number cache."""
-        builds = []
-        build = euler._tangent_numbers
-
-        def counted_build(m):
-            builds.append(m)
-            return build(m)
-
-        try:
-            euler_number.cache_clear()
-            monkeypatch.setattr(euler, "_tangent", [0])
-            monkeypatch.setattr(euler, "_tangent_numbers", counted_build)
+        with mutated(euler, "_tangent", [0]), recorded(euler, "_tangent_numbers") as builds:
             request()
-        finally:
-            monkeypatch.undo()
-            euler_number.cache_clear()
-        return builds
+        return [m for (m,) in builds]
 
-    def test_one_index_at_a_time_rebuilds_by_doubling(self, monkeypatch):
+    def test_one_index_at_a_time_rebuilds_by_doubling(self):
         # n = 601 needs T_301; doubling from T_1 gets there in 10 builds,
         # a rebuild per new index would take 301
-        builds = self._count_builds(
-            monkeypatch, lambda: [euler_number(n) for n in range(602)]
-        )
+        builds = self._count_builds(lambda: [euler_number(n) for n in range(602)])
         assert len(builds) <= math.ceil(math.log2(301)) + 1, builds
         assert builds[-1] >= 301
 
-    def test_cold_table_is_built_once(self, monkeypatch):
-        builds = self._count_builds(monkeypatch, lambda: euler_numbers(600))
+    def test_cold_table_is_built_once(self):
+        builds = self._count_builds(lambda: euler_numbers(600))
         assert builds == [300]
 
 
@@ -294,7 +276,7 @@ class TestEulerLayerMutants:
         return powersum, distribution
 
     @pytest.mark.parametrize("j", [1, 3])
-    def test_perturbed_euler_number_is_reported(self, monkeypatch, j):
+    def test_perturbed_euler_number_is_reported(self, j):
         # E_j + 1 in the int kernel every exact path reads, as (num + den, den)
         original = euler._euler_parts
 
@@ -302,13 +284,8 @@ class TestEulerLayerMutants:
             num, den = original(n)
             return (num + den, den) if n == j else (num, den)
 
-        clear_library_caches()
-        monkeypatch.setattr(euler, "_euler_parts", mutant)
-        try:
+        with mutated(euler, "_euler_parts", mutant):
             powersum, distribution = self._matches()
-        finally:
-            monkeypatch.undo()
-            clear_library_caches()
         assert not all(powersum), powersum
         assert not all(distribution), distribution
         powersum, distribution = self._matches()

@@ -3,12 +3,18 @@ import importlib
 import inspect
 import json
 import pkgutil
-import textwrap
 import traceback
 from fractions import Fraction
 
 import pytest
-from conftest import clear_library_caches, library_caches
+from conftest import (
+    GRID_MIXED,
+    cold_caches,
+    library_caches,
+    mutated,
+    recorded,
+    source_mutant,
+)
 
 import eulerlp
 from eulerlp import (
@@ -35,11 +41,6 @@ from test_residue_boundary import reference_main_congruence_series
 GRID_PRIMES = (3, 5, 7)
 GRID_R = (1, 2, 3, 4)
 GRID_N = (2, 4, 6)
-
-# the config of the benchmark's grid-mixed argv
-GRID_MIXED = GridConfig(
-    primes=(3, 5, 7, 11, 13), r_values=(1, 2, 3, 4), n_values=(2, 4, 6), precision=10
-)
 
 
 def grid_mixed_reports(check):
@@ -160,16 +161,6 @@ class TestVerifyMainCongruence:
             verify_main_congruence(3, 2, 0, 3)
 
 
-def _source_mutant(function, fault, mutation):
-    """``function`` compiled from its own source, against its module's
-    globals, with the one occurrence of ``fault`` replaced by ``mutation``."""
-    source = textwrap.dedent(inspect.getsource(function))
-    assert source.count(fault) == 1
-    namespace = {}
-    exec(source.replace(fault, mutation), function.__globals__, namespace)
-    return namespace[function.__name__]
-
-
 class TestAltHarmonicResidue:
     """The one residue pass theorem6 compares gives, at every n of a row's
     ascending tuple, the embedding of twice the exact sum up to n*p."""
@@ -201,7 +192,7 @@ class TestAltHarmonicResidue:
         # starting each span after the first at j = n*p instead of n*p + 1
         # adds only a j that p divides, which the pass skips: both give the
         # same residues, so no mutant test can be written against it
-        mutant = _source_mutant(
+        mutant = source_mutant(
             harness._alt_harmonic_residues, "start = n * p + 1", "start = n * p"
         )
         for p in (3, 5, 7):
@@ -218,81 +209,44 @@ class TestOneEvaluationPerValue:
     def test_theorem6_evaluates_each_l_value_once(self):
         # l_p(s, w^-s) for s = r + k in 2..13 (k < N = 10) at each of the 5
         # primes
-        clear_library_caches()
-        try:
+        with cold_caches():
             reports = grid_mixed_reports("theorem6")
             misses = harness._diagonal_l.cache_info().misses
-        finally:
-            clear_library_caches()
         assert len(reports) == 60 and all(r.match for r in reports)
         assert misses == 60
 
-    def test_theorem6_makes_one_harmonic_pass_per_prime_and_r(self, monkeypatch):
+    def test_theorem6_makes_one_harmonic_pass_per_prime_and_r(self):
         # 20 rows (p, r), each one pass up to 6p over its n = 2, 4, 6: one
         # pow per unit, 4 * (6 - 1) * (3 + 5 + 7 + 11 + 13) = 816 in all,
         # where a pass per n would take 1,632
-        original = harness._alt_harmonic_residues
-        passes, units = [], []
-
-        def counted(p, ns, r, m):
-            passes.append((p, ns, r))
-            return original(p, ns, r, m)
-
-        def counted_pow(*args):
-            units.append(args[0])
-            return pow(*args)
-
-        monkeypatch.setattr(harness, "_alt_harmonic_residues", counted)
-        monkeypatch.setattr(harness, "pow", counted_pow, raising=False)
-        reports = grid_mixed_reports("theorem6")
-        monkeypatch.undo()
+        with recorded(harness, "_alt_harmonic_residues") as passes:
+            with recorded(harness, "pow") as units:
+                reports = grid_mixed_reports("theorem6")
         assert len(reports) == 60 and all(r.match for r in reports)
         assert len(passes) == len(set(passes)) == 20
         assert len(units) == 816
 
-    def test_interpolation_builds_one_context_per_prime_and_argument(self, monkeypatch):
+    def test_interpolation_builds_one_context_per_prime_and_argument(self):
         # 15 rows (p, n), each carrying its t values 0..p-2 in one context
-        contexts = []
-
-        def counted(p, precision):
-            contexts.append((p, precision))
-            return PadicContext(p, precision)
-
-        monkeypatch.setattr(harness, "PadicContext", counted)
-        reports = grid_mixed_reports("interpolation")
-        monkeypatch.undo()
+        with recorded(harness, "PadicContext") as contexts:
+            reports = grid_mixed_reports("interpolation")
         assert len(reports) == 102 and all(r.match for r in reports)
         assert len(contexts) == 15
 
-    def test_interpolation_embeds_each_partial_zeta_value_once(self, monkeypatch):
+    def test_interpolation_embeds_each_partial_zeta_value_once(self):
         # z(n, a) for n in 2, 4, 6 and 0 < a < p: 3 * (2 + 4 + 6 + 10 + 12),
         # each from one integer kernel value H(n, a, p)
-        original = lfunctions._euler_form
-        calls = []
-
-        def counted(n, u, v):
-            calls.append((n, u, v))
-            return original(n, u, v)
-
-        clear_library_caches()
-        monkeypatch.setattr(lfunctions, "_euler_form", counted)
-        try:
+        with recorded(lfunctions, "_euler_form") as calls:
             reports = grid_mixed_reports("interpolation")
-        finally:
-            monkeypatch.undo()
-            clear_library_caches()
         assert len(reports) == 102 and all(r.match for r in reports)
         assert len(calls) == len(set(calls)) == 102
 
     def test_interpolation_builds_one_row_per_argument_and_prime(self):
         # l_p(-n, w^t) for every t reads the row of H_p(-n, a | p): one row
         # per n in 2, 4, 6 at each of the 5 primes serves all 102 reports
-        clear_library_caches()
-        try:
+        with cold_caches():
             reports = grid_mixed_reports("interpolation")
             rows = lfunctions._l_series_row.cache_info().misses
-        finally:
-            clear_library_caches()
         assert len(reports) == 102 and all(r.match for r in reports)
         assert rows == 15
 
@@ -306,16 +260,13 @@ class TestOneEvaluationPerValue:
             keys |= {(r + k, p, M) for r in GRID_MIXED.r_values for k in range(1, M)}
             keys |= {(-n, p, M) for n in GRID_MIXED.n_values}
             keys |= {(s, p, 1) for k in GRID_MIXED.r_values for s in (k, k + p)}
-        clear_library_caches()
-        try:
+        with cold_caches():
             reports = run_grid(GRID_MIXED)
             rows = lfunctions._l_series_row.cache_info().misses
-        finally:
-            clear_library_caches()
         assert len(reports) == 349 and all(r.match for r in reports)
         assert rows == len(keys) == 114
 
-    def test_grid_wraps_no_residue_in_a_padic_number(self, monkeypatch):
+    def test_grid_wraps_no_residue_in_a_padic_number(self):
         # a cold grid-mixed run builds a PadicNumber only for omega(g), the
         # one Teichmuller lift behind each context's table: 5 primes at 10
         # digits and at kummer's 1 digit; no report and no l-value wraps one
@@ -325,18 +276,13 @@ class TestOneEvaluationPerValue:
             stacks.append({frame.name for frame in traceback.extract_stack()})
             original(self, *args)
 
-        clear_library_caches()
-        monkeypatch.setattr(PadicNumber, "__init__", counted)
-        try:
+        with mutated(PadicNumber, "__init__", counted):
             reports = run_grid(GRID_MIXED)
-        finally:
-            monkeypatch.undo()
-            clear_library_caches()
         assert len(reports) == 349 and all(r.match for r in reports)
         assert [names for names in stacks if "teichmuller" not in names] == []
         assert len(stacks) == 10
 
-    def test_grid_builds_characters_only_for_the_series_tables(self, monkeypatch):
+    def test_grid_builds_characters_only_for_the_series_tables(self):
         # every report reads its character values by exponent; the only
         # characters are w and w^(-1) of each context's series table
         original, callers = DirichletCharacter.__init__, []
@@ -345,13 +291,8 @@ class TestOneEvaluationPerValue:
             callers.append(inspect.currentframe().f_back.f_code.co_name)
             original(self, *args)
 
-        clear_library_caches()
-        monkeypatch.setattr(DirichletCharacter, "__init__", counted)
-        try:
+        with mutated(DirichletCharacter, "__init__", counted):
             reports = run_grid(GRID_MIXED)
-        finally:
-            monkeypatch.undo()
-            clear_library_caches()
         assert len(reports) == 349 and all(r.match for r in reports)
         assert set(callers) == {"_series_table"} and len(callers) == 2 * 10
 
@@ -465,26 +406,19 @@ class TestSuiteMutants:
     def _matches(self, check):
         return [report.match for report in grid_mixed_reports(check)]
 
-    def _assert_caught(self, monkeypatch, check, name, mutant):
-        clear_library_caches()
-        monkeypatch.setattr(harness, name, mutant)
-        try:
-            mutated = self._matches(check)
-        finally:
-            monkeypatch.undo()
-            clear_library_caches()
-        assert not all(mutated), mutated
+    def _assert_caught(self, check, name, mutant):
+        with mutated(harness, name, mutant):
+            matches = self._matches(check)
+        assert not all(matches), matches
         assert all(self._matches(check))
 
-    def test_binomial_perturbed_on_one_side(self, monkeypatch):
+    def test_binomial_perturbed_on_one_side(self):
         # C(z, j) with z >= 0 occurs only on the right of the product
         # identity, C(-r, k+j) C(k+j, j); every r in the grid is >= 1
         original = harness.binomial
-        self._assert_caught(
-            monkeypatch, "binomial", "binomial", lambda z, j: original(z, j) + (z >= 0)
-        )
+        self._assert_caught("binomial", "binomial", lambda z, j: original(z, j) + (z >= 0))
 
-    def test_theorem6_harmonic_sum_missing_its_last_term(self, monkeypatch):
+    def test_theorem6_harmonic_sum_missing_its_last_term(self):
         # the residue pass theorem6 runs, with each n's sum read off without
         # the term of its last unit j = np - 1; that term is a p-adic unit
         original = harness._alt_harmonic_residues
@@ -493,35 +427,30 @@ class TestSuiteMutants:
             sums = zip(ns, original(p, ns, r, m))
             return [(s - 2 * (-1) ** (n * p - 1) * pow(n * p - 1, -r, m)) % m for n, s in sums]
 
-        self._assert_caught(monkeypatch, "theorem6", "_alt_harmonic_residues", mutant)
+        self._assert_caught("theorem6", "_alt_harmonic_residues", mutant)
 
-    def test_theorem6_harmonic_pass_restarting_at_each_n(self, monkeypatch):
+    def test_theorem6_harmonic_pass_restarting_at_each_n(self):
         # the pass with its running total reset after each n: the first n of
         # a row still matches, every later n sums only its own span
-        mutant = _source_mutant(
+        mutant = source_mutant(
             harness._alt_harmonic_residues, "start = n * p + 1", "start, total = n * p + 1, 0"
         )
-        clear_library_caches()
-        monkeypatch.setattr(harness, "_alt_harmonic_residues", mutant)
-        try:
+        with mutated(harness, "_alt_harmonic_residues", mutant):
             reports = grid_mixed_reports("theorem6")
-        finally:
-            monkeypatch.undo()
-            clear_library_caches()
         missed = {report.params["n"] for report in reports if not report.match}
         assert missed == {4, 6}, missed
         assert all(self._matches("theorem6"))
 
-    def test_theorem6_row_polynomial_one_power_of_n_off(self, monkeypatch):
+    def test_theorem6_row_polynomial_one_power_of_n_off(self):
         # the series side read at n with c_k n^(k+1) for c_k n^k
-        mutant = _source_mutant(harness._series_residues, "n**k", "n**(k + 1)")
-        self._assert_caught(monkeypatch, "theorem6", "_series_residues", mutant)
+        mutant = source_mutant(harness._series_residues, "n**k", "n**(k + 1)")
+        self._assert_caught("theorem6", "_series_residues", mutant)
 
-    def test_interpolation_twist_by_plus_n(self, monkeypatch):
+    def test_interpolation_twist_by_plus_n(self):
         # chi twisted by w^n instead of w^(-n): the right side reads E_{n,
         # w^(t+n)}, which differs where 2n is not 0 mod p-1 (p = 7, 11, 13)
-        mutant = _source_mutant(lfunctions._interpolation_report, "(t - n) %", "(t + n) %")
-        self._assert_caught(monkeypatch, "interpolation", "_interpolation_report", mutant)
+        mutant = source_mutant(lfunctions._interpolation_report, "(t - n) %", "(t + n) %")
+        self._assert_caught("interpolation", "_interpolation_report", mutant)
 
     def test_interpolation_exponent_left_unreduced(self):
         # the values and l-value of w^-3 and w^3 agree at p = 7, but the
@@ -529,7 +458,7 @@ class TestSuiteMutants:
         # the recorded verify line does; unreduced, that line changes
         argv = "verify --check interpolation --p 7 --n 5 --t -3 --precision 8"
         params = {"p": 7, "n": 5, "t": -3, "precision": 8}
-        mutant = _source_mutant(harness._interpolation, "t % (ctx.p - 1)", "t")
+        mutant = source_mutant(harness._interpolation, "t % (ctx.p - 1)", "t")
 
         def digest(run):
             line = reports_to_jsonl(run(params)) + "\n"
@@ -544,12 +473,12 @@ class TestSuiteMutants:
         [("f * v)", "v)"), ("(-1) ** a * _euler_form", "_euler_form")],
         ids=["kernel-at-v-for-f-v", "sign-dropped"],
     )
-    def test_distribution_kernel_call_mutated(self, monkeypatch, fault, mutation):
+    def test_distribution_kernel_call_mutated(self, fault, mutation):
         # distribution_report's own source with the right side's kernel
         # called at denominator v instead of f*v, or without (-1)^a; f = 1
         # cannot see either, f = 3, 5, 7 must
-        mutant = _source_mutant(harness.distribution_report, fault, mutation)
-        self._assert_caught(monkeypatch, "distribution", "distribution_report", mutant)
+        mutant = source_mutant(harness.distribution_report, fault, mutation)
+        self._assert_caught("distribution", "distribution_report", mutant)
 
 
 class TestSerializationFormats:
@@ -603,7 +532,7 @@ class TestPadicReport:
         # the residue core of every p-adic report with its match flag forced
         # true: the sides are shared on equal residues, never on the flag, so
         # the rhs digits still show
-        forced = _source_mutant(residue_report, "match = a == b", "match = True")
+        forced = source_mutant(residue_report, "match = a == b", "match = True")
         report = forced("check", {}, self.CTX, 7, 8)
         assert report.match
         assert report.lhs is not report.rhs

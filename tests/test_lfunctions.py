@@ -1,11 +1,17 @@
 import inspect
-import textwrap
+from contextlib import ExitStack
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, prod
 
 import pytest
-from conftest import clear_library_caches, euler_numbers_by_recurrence, leading_digits
+from conftest import (
+    euler_numbers_by_recurrence,
+    leading_digits,
+    mutated,
+    recorded,
+    source_mutant,
+)
 
 import eulerlp
 from eulerlp import (
@@ -190,25 +196,20 @@ class TestSeriesRowUnits:
                         wrong.add(s)
         return wrong
 
-    def _wrong_under(self, monkeypatch, name, mutant):
-        clear_library_caches()
-        monkeypatch.setattr(lfunctions, name, mutant)
-        try:
+    def _wrong_under(self, name, mutant):
+        with mutated(lfunctions, name, mutant):
             return self._wrong_arguments()
-        finally:
-            monkeypatch.undo()
-            clear_library_caches()
 
     def test_rows_match_direct_sum(self):
         assert self._wrong_arguments() == set()
 
-    def test_swapped_units_are_seen(self, monkeypatch):
+    def test_swapped_units_are_seen(self):
         original = lfunctions._series_table
 
         def swapped(modulus, ctx):
             return tuple(e and (e[0], e[2], e[1], e[3]) for e in original(modulus, ctx))
 
-        wrong = self._wrong_under(monkeypatch, "_series_table", swapped)
+        wrong = self._wrong_under("_series_table", swapped)
         assert wrong == set(self.S) - {0}
 
     @pytest.mark.parametrize(
@@ -219,13 +220,9 @@ class TestSeriesRowUnits:
         ],
         ids=["unit-for-positive-s", "inverse-for-negative-s"],
     )
-    def test_wrong_unit_for_one_sign_is_seen(self, monkeypatch, fault, mutation, signs):
-        source = textwrap.dedent(inspect.getsource(lfunctions._partial_zeta_residue))
-        assert source.count(fault) == 1
-        namespace = {}
-        exec(source.replace(fault, mutation), vars(lfunctions), namespace)
-        mutant = namespace["_partial_zeta_residue"]
-        wrong = self._wrong_under(monkeypatch, "_partial_zeta_residue", mutant)
+    def test_wrong_unit_for_one_sign_is_seen(self, fault, mutation, signs):
+        mutant = source_mutant(lfunctions._partial_zeta_residue, fault, mutation)
+        wrong = self._wrong_under("_partial_zeta_residue", mutant)
         assert wrong == {s for s in self.S if (s > 0) - (s < 0) in signs}
 
 
@@ -251,26 +248,16 @@ class TestPartialZetaClosedForm:
             for a in (1, 2, 3, 4):
                 assert series_closed_check(3, a, ctx).match
 
-    def test_one_teichmuller_lift_per_context(self, monkeypatch):
+    def test_one_teichmuller_lift_per_context(self):
         # the closed form reads omega^(-n)(a) from the context's table, like
         # the series' <a>: the only lift is the table's zeta = omega(g)
-        original = eulerlp.teichmuller
-        lifts = []
-
-        def counted(a, ctx):
-            lifts.append((a, ctx))
-            return original(a, ctx)
-
-        clear_library_caches()
-        for module in [eulerlp, *(m for m in vars(eulerlp).values() if inspect.ismodule(m))]:
-            if getattr(module, "teichmuller", None) is original:
-                monkeypatch.setattr(module, "teichmuller", counted)
+        modules = [eulerlp, *(m for m in vars(eulerlp).values() if inspect.ismodule(m))]
+        binding = [m for m in modules if getattr(m, "teichmuller", None) is eulerlp.teichmuller]
         ctx = PadicContext(7, 5)
-        try:
+        with ExitStack() as stack:
+            records = [stack.enter_context(recorded(m, "teichmuller")) for m in binding]
             reports = [series_closed_check(n, a, ctx) for a in range(1, 7) for n in range(1, 7)]
-        finally:
-            monkeypatch.undo()
-            clear_library_caches()
+        lifts = [call for calls in records for call in calls]
         assert all(r.match for r in reports)
         assert len(lifts) == 1, lifts
 
@@ -283,7 +270,7 @@ class TestPartialZetaClosedForm:
                 closed = padic_partial_zeta_at_neg(n, a, 15, ctx)
                 assert series == closed
 
-    def test_wrong_sign_of_minus_one_to_the_a_is_reported(self, monkeypatch):
+    def test_wrong_sign_of_minus_one_to_the_a_is_reported(self):
         # the closed form with (-1)^a dropped, i.e. the wrong sign for odd a
         original = lfunctions._partial_zeta_residues
 
@@ -299,12 +286,9 @@ class TestPartialZetaClosedForm:
             values = original(n, modulus, ctx)
             return tuple((-1) ** a * z % ctx.modulus for a, z in enumerate(values))
 
-        monkeypatch.setattr(lfunctions, "_partial_zeta_residues", flipped)
-        try:
-            mutated = matches()
-        finally:
-            monkeypatch.undo()
-        assert not all(mutated), mutated
+        with mutated(lfunctions, "_partial_zeta_residues", flipped):
+            wrong = matches()
+        assert not all(wrong), wrong
         assert all(matches())
 
 
@@ -650,7 +634,7 @@ class TestEulerNumberMutants:
         return interpolation, theorem6
 
     @pytest.mark.parametrize("j", [0, 1, 3])
-    def test_perturbed_euler_number_is_reported(self, monkeypatch, j):
+    def test_perturbed_euler_number_is_reported(self, j):
         # E_j + 1 where the series table and E_{n,chi} at conductor 1 read it
         original = lfunctions._euler_parts
 
@@ -658,13 +642,8 @@ class TestEulerNumberMutants:
             num, den = original(n)
             return (num + den, den) if n == j else (num, den)
 
-        clear_library_caches()
-        monkeypatch.setattr(lfunctions, "_euler_parts", mutant)
-        try:
+        with mutated(lfunctions, "_euler_parts", mutant):
             interpolation, theorem6 = self._matches()
-        finally:
-            monkeypatch.undo()
-            clear_library_caches()
         assert not all(interpolation), interpolation
         assert not all(theorem6), theorem6
         interpolation, theorem6 = self._matches()

@@ -67,7 +67,7 @@ def reference_partial_zeta_at_neg(n, a, modulus, ctx):
 
 
 def reference_interpolation_rhs(n, chi, ctx):
-    chi_n = chi.twist(-n)
+    chi_n = teichmuller_power(chi.t - n, chi.context)
     factor = ctx.from_int(1) - ctx.from_int(ctx.p) ** n * chi_n(ctx.p)
     return factor * reference_generalized_euler_number(n, chi_n, ctx)
 

@@ -16,7 +16,7 @@ w(x) = x^(p^(M-1)) mod p^M, and <x> = x / w(x).
 from math import ceil
 
 import pytest
-from conftest import clear_library_caches
+from conftest import mutated
 
 from eulerlp import PadicContext, lfunctions, padic_l, teichmuller_power
 
@@ -89,7 +89,7 @@ def test_half_level_suffices_only_for_odd_t(case):
     assert wrong, "even t should need more than half the levels"
 
 
-def test_series_mutant_is_caught_at_positive_s(monkeypatch):
+def test_series_mutant_is_caught_at_positive_s():
     # C(-s, 1) with the wrong sign in every binomial row of the series
     p, M = 5, 5
     original = lfunctions._binomial_row
@@ -98,14 +98,7 @@ def test_series_mutant_is_caught_at_positive_s(monkeypatch):
         row = original(s, terms)
         return row[:1] + (-row[1],) + row[2:] if terms > 1 else row
 
-    # padic_l caches its values: clear them so that neither a value cached
-    # by an earlier test hides the mutant nor a mutated one outlives it
-    clear_library_caches()
-    monkeypatch.setattr(lfunctions, "_binomial_row", mutant)
-    try:
+    with mutated(lfunctions, "_binomial_row", mutant):
         wrong = mismatches(p, M, M)
-    finally:
-        monkeypatch.undo()
-        clear_library_caches()
     assert any(s > 0 for _, s in wrong), sorted(wrong)
     assert not mismatches(p, M, M)
