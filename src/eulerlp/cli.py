@@ -12,7 +12,7 @@ option names it (``--prec``) unless it is itself an option (``--k``, not
 ``--k2``).
 
 Exit status: 0 when all reports match, 1 on any mismatch, 2 on a usage or
-write error, 141 when stdout is closed before the output is written (``| head``).
+write error or out of memory, 141 when stdout is closed early (``| head``).
 A usage error in argv prints a ``usage:`` line and an ``eulerlp: error:`` line
 on stderr and raises ``SystemExit(2)``; ``-h`` prints help to stdout and exits 0.
 """
@@ -211,6 +211,9 @@ def main(argv=None) -> int:
         return status
     except (ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:  # an axis or a table too large to hold
+        print("error: out of memory: the input is too large", file=sys.stderr)
         return 2
     except OSError as exc:
         # a closed pipe or a full disk: quiet the exit-time flush of the buffer

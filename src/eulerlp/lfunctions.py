@@ -35,7 +35,7 @@ from operator import mul
 from .characters import DirichletCharacter, _values
 from .euler import _euler_form, _euler_parts
 from .padic import PadicContext, PadicNumber, binomial
-from .reports import CongruenceReport, padic_report, residue_report
+from .reports import CongruenceReport, residue_report
 
 
 def generalized_euler_number(n: int, chi: DirichletCharacter) -> PadicNumber:
@@ -81,10 +81,10 @@ def _series_table(
 ) -> tuple[tuple[int, int, int, tuple[int, ...]] | None, ...]:
     """Indexed by a < modulus, for every unit a: the residues mod p^N of
     (-1)^a / 2, of <a> = a omega^(-1)(a) and <a>^(-1) = a^(-1) omega(a), with
-    omega^(+-1) read as characters, and of (modulus/a)^j E_j for j < N, N
-    the precision of ctx."""
+    omega^(+-1) read by exponent from the context's Teichmuller table, and
+    of (modulus/a)^j E_j for j < N, N the precision of ctx."""
     p, m, half = ctx.p, ctx.modulus, (ctx.modulus + 1) // 2  # 1/2 mod m
-    omega, inverse = DirichletCharacter(ctx, 1).values, DirichletCharacter(ctx, -1).values
+    omega, inverse = _values(1, ctx), _values(-1 % (p - 1), ctx)
     parts = map(_euler_parts, range(ctx.precision))  # each den a power of two
     euler = [num * pow(den, -1, m) % m for num, den in parts]
     table = [None] * modulus
@@ -168,10 +168,10 @@ def _l_residue(s: int, t: int, ctx: PadicContext) -> int:
 def series_closed_check(n: int, a: int, ctx: PadicContext) -> CongruenceReport:
     """Series evaluation at s = -n against the closed form, mod p^N with N
     the precision of ctx."""
-    lhs = padic_partial_zeta(-n, a, ctx.p, ctx)
-    rhs = padic_partial_zeta_at_neg(n, a, ctx.p, ctx)
+    lhs = padic_partial_zeta(-n, a, ctx.p, ctx).residue
+    rhs = padic_partial_zeta_at_neg(n, a, ctx.p, ctx).residue
     params = {"p": ctx.p, "n": n, "a": a, "F": ctx.p, "M": ctx.precision}
-    return padic_report("series_closed", params, lhs, rhs)
+    return residue_report("series_closed", params, ctx, lhs, rhs)
 
 
 def interpolation_check(n: int, chi: DirichletCharacter) -> CongruenceReport:
@@ -195,15 +195,13 @@ def _interpolation_report(n: int, t: int, ctx: PadicContext) -> CongruenceReport
 
 
 def kummer_check(k: int, t: int, ctx: PadicContext, k2: int | None = None) -> CongruenceReport:
-    """l_p(k, w^t) against l_p(k2, w^t) mod p, for t = 0 mod p-1 (so w^t =
-    w^0), both in the 1-digit context of ctx's prime.  k2 defaults to k + p;
-    any pair of arguments may be supplied, since for such t the function is
-    constant mod p."""
+    """l_p(k, w^t) against l_p(k2, w^t) mod p, for t = 0 mod p-1 (so w^t = w^0),
+    both from ctx's own series rows, reported in 1 digit.  k2 defaults to k + p;
+    any pair may be given, since for such t the function is constant mod p."""
     p = ctx.p
     if t % (p - 1) != 0:
         raise ValueError("the congruence needs t = 0 mod p-1")
-    if k2 is None:
-        k2 = k + p
-    one = PadicContext(p, 1)
+    k2 = k + p if k2 is None else k2
     params = {"p": p, "k": k, "k2": k2, "t": 0, "M": 1}
-    return residue_report("kummer", params, one, _l_residue(k, 0, one), _l_residue(k2, 0, one))
+    return residue_report("kummer", params, PadicContext(p, 1), _l_residue(k, 0, ctx),
+                          _l_residue(k2, 0, ctx))

@@ -7,7 +7,7 @@ lowest terms, with no re-wrapping."""
 
 from math import gcd
 
-from .padic import PadicNumber, Value, _set, _wire_dict
+from .padic import Value, _set, _wire_dict
 
 
 def _json(value) -> str:
@@ -73,17 +73,6 @@ class CongruenceReport(Value):
             f'"precision":{_json(self.precision)},"match":{_json(self.match)},'
             f'"lhs_valuation":{_json(self.lhs_valuation)}}}'
         )
-
-
-def padic_report(
-    check: str, params: dict, lhs: PadicNumber, rhs: PadicNumber
-) -> CongruenceReport:
-    """:func:`residue_report` of two p-adic values of one prime mod p^N, N the
-    precision of lhs's context; a side known to fewer digits raises ValueError."""
-    known = min(lhs.precision, rhs.precision)
-    if known < lhs.context.precision:
-        raise ValueError(f"cannot raise precision from {known} to {lhs.context.precision}")
-    return residue_report(check, params, lhs.context, lhs.residue, rhs.residue)
 
 
 def residue_report(check: str, params: dict, ctx, a: int, b: int) -> CongruenceReport:

@@ -190,14 +190,14 @@ def _truncation_mismatches(M=6, extra=4):
         tight = [leading_digits(r, M) for r in build(M)]
         wide = [leading_digits(r, M) for r in build(M + extra)]
         wrong[build.__name__] = [i for i, key in enumerate(tight) if key != wide[i]]
-    # kummer_check works in the 1-digit context whatever context it is
-    # given, so its build cannot vary; compare the values it reads instead
+    # a kummer report prints its l-values mod p, so its build cannot vary;
+    # compare the values it reads from its context's rows instead
     wrong["kummer"] = []
     for p in PRIMES:
-        one, wide = (teichmuller_power(0, PadicContext(p, d)) for d in (1, 1 + extra))
+        tight, wide = (teichmuller_power(0, PadicContext(p, d)) for d in (M, M + extra))
         for k in range(1, 9):
             for s in (k, k + p):
-                if padic_l(s, wide).reduce(1).residue != padic_l(s, one).residue:
+                if padic_l(s, wide).reduce(M).residue != padic_l(s, tight).residue:
                     wrong["kummer"].append((p, s))
     return wrong
 
@@ -210,14 +210,48 @@ def test_criterion_9_truncation_robustness():
 
 def test_criterion_9_sees_a_short_l_series(short_l_series):
     # theorem6 cannot see an l-series one term short: each l-value is
-    # multiplied by (pn)^k, k >= 1.  Nor can kummer: l_p(s, w^0) is 0 mod p
-    # from one term and from none
+    # multiplied by (pn)^k, k >= 1.  Nor can a kummer report, since
+    # l_p(s, w^0) is 0 mod p from one term and from none; the values it
+    # reads at M digits can
     wrong = _truncation_mismatches()
     assert wrong["_series_closed_reports"] and wrong["_interpolation_reports"], wrong
+    assert wrong["kummer"], wrong
 
 
 def test_criterion_9_sees_a_short_main_congruence(short_main_congruence):
     assert _truncation_mismatches()["_main_congruence_reports"]
+
+
+DEEP_S = (-7, -2, 1, 4, 9)
+
+
+def _deep_truncation_mismatches(M=200, extra=4):
+    """Criterion 9 at the depth of a "digit by digit" request: l_p(s, w^t)
+    for p = 3 and 5, s in DEEP_S and every t, and the p = 3 theorem6 report,
+    each at M + extra digits reduced to M, against its value at M."""
+    wrong = []
+    for p in (3, 5):
+        for t in range(p - 1):
+            tight, wide = (teichmuller_power(t, PadicContext(p, d)) for d in (M, M + extra))
+            for s in DEEP_S:
+                if padic_l(s, wide).reduce(M).residue != padic_l(s, tight).residue:
+                    wrong.append((p, t, s))
+    tight, wide = (verify_main_congruence(3, 4, 2, d) for d in (M, M + extra))
+    if leading_digits(wide, M) != leading_digits(tight, M) or not tight.match:
+        wrong.append("theorem6")
+    return wrong
+
+
+def test_criterion_9_truncation_robustness_at_depth():
+    with criterion(9, "truncation robustness at 200 digits", 30.0):
+        assert _deep_truncation_mismatches() == []
+
+
+def test_criterion_9_at_depth_sees_a_short_l_series(short_l_series):
+    # the one term dropped has valuation at least M - 1, so only the last
+    # digits of an l-value show it; theorem6 multiplies each by (pn)^k
+    wrong = _deep_truncation_mismatches()
+    assert wrong and "theorem6" not in wrong, wrong
 
 
 def test_criterion_9_negative_control():

@@ -577,6 +577,39 @@ def test_write_error_on_stdout_is_a_one_line_error():
     assert lines[0].startswith("error: cannot write output: ")
 
 
+# The child caps its own address space at 1 GiB before it runs main, so the
+# allocation fails at once whatever the host's overcommit setting is, and
+# nothing is really allocated.
+CAPPED_MAIN = """\
+import resource, sys
+soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, hard))
+from eulerlp.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.skipif(sys.platform == "win32", reason="needs the resource module")
+@pytest.mark.parametrize(
+    "argv",
+    ["euler --nmax 1000000000000", "grid --primes 3 --r 1..100000000000 --n 2"],
+    ids=["euler-table", "grid-axis"],
+)
+def test_input_too_large_for_memory_is_a_one_line_error(argv):
+    # a tangent table of 5 * 10^11 entries, or an r axis of 10^11 values:
+    # not a mismatch (exit 1) and not a traceback
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-X", "dev", "-c", CAPPED_MAIN, *argv.split()],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+
+
 def test_stdout_closed_at_start_is_not_an_error(capsys, monkeypatch):
     # a process started with stdout closed (`eulerlp ... >&-`) has
     # sys.stdout None, and print writes nothing

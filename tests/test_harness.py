@@ -1,6 +1,5 @@
 import hashlib
 import importlib
-import inspect
 import json
 import pkgutil
 import traceback
@@ -34,7 +33,7 @@ from eulerlp import (
 from eulerlp import DirichletCharacter, harness, lfunctions
 from eulerlp.cli import COMMANDS
 from eulerlp.harness import CHECKS
-from eulerlp.reports import padic_report, residue_report
+from eulerlp.reports import residue_report
 from test_recorded_outputs import RECORDED
 from test_residue_boundary import reference_main_congruence_series
 
@@ -251,25 +250,26 @@ class TestOneEvaluationPerValue:
         assert rows == 15
 
     def test_grid_builds_one_row_per_argument_and_context(self):
-        # distinct (s, context): theorem6 s = r + k in 2..13 (k < N) at 10
-        # digits (60), interpolation s = -n (15), and kummer k and k + p in
-        # the 1-digit context (39: at p = 3, k = 4 and k2 = 1 + 3 coincide)
+        # distinct (s, context), one context per prime: theorem6 s = r + k
+        # in 2..13 (k < N) at 10 digits (60), interpolation s = -n (15), and
+        # kummer k and k + p in the same context (11 more: s = 1 at each
+        # prime, 14 and 15 at p = 11, and 14..17 at p = 13)
         M = GRID_MIXED.precision
         keys = set()
         for p in GRID_MIXED.primes:
             keys |= {(r + k, p, M) for r in GRID_MIXED.r_values for k in range(1, M)}
             keys |= {(-n, p, M) for n in GRID_MIXED.n_values}
-            keys |= {(s, p, 1) for k in GRID_MIXED.r_values for s in (k, k + p)}
+            keys |= {(s, p, M) for k in GRID_MIXED.r_values for s in (k, k + p)}
         with cold_caches():
             reports = run_grid(GRID_MIXED)
             rows = lfunctions._l_series_row.cache_info().misses
         assert len(reports) == 349 and all(r.match for r in reports)
-        assert rows == len(keys) == 114
+        assert rows == len(keys) == 86
 
     def test_grid_wraps_no_residue_in_a_padic_number(self):
         # a cold grid-mixed run builds a PadicNumber only for omega(g), the
-        # one Teichmuller lift behind each context's table: 5 primes at 10
-        # digits and at kummer's 1 digit; no report and no l-value wraps one
+        # one Teichmuller lift behind each prime's one context at 10 digits;
+        # no report and no l-value wraps one
         original, stacks = PadicNumber.__init__, []
 
         def counted(self, *args):
@@ -280,21 +280,19 @@ class TestOneEvaluationPerValue:
             reports = run_grid(GRID_MIXED)
         assert len(reports) == 349 and all(r.match for r in reports)
         assert [names for names in stacks if "teichmuller" not in names] == []
-        assert len(stacks) == 10
+        assert len(stacks) == 5
 
-    def test_grid_builds_characters_only_for_the_series_tables(self):
-        # every report reads its character values by exponent; the only
-        # characters are w and w^(-1) of each context's series table
-        original, callers = DirichletCharacter.__init__, []
-
-        def counted(self, *args):
-            callers.append(inspect.currentframe().f_back.f_code.co_name)
-            original(self, *args)
-
-        with mutated(DirichletCharacter, "__init__", counted):
+    def test_grid_builds_no_character_and_one_table_per_prime(self):
+        # every report and every series table reads w^t by exponent from the
+        # context's Teichmuller table, and kummer reads the rows of the
+        # context it is given: one series table and one Teichmuller table
+        # per prime, and no DirichletCharacter
+        with recorded(DirichletCharacter, "__init__") as characters:
             reports = run_grid(GRID_MIXED)
+            series = lfunctions._series_table.cache_info().misses
+            teichmuller = eulerlp.characters._teichmuller_table.cache_info().misses
         assert len(reports) == 349 and all(r.match for r in reports)
-        assert set(callers) == {"_series_table"} and len(callers) == 2 * 10
+        assert characters == [] and series == teichmuller == 5
 
     @pytest.mark.parametrize("p", (3, 5, 7, 11))
     def test_series_row_polynomial_is_the_series_at_every_n(self, p):
@@ -508,23 +506,16 @@ class TestSerializationFormats:
         assert all(line.count("true") >= 1 for line in lines[1:])
 
 
-class TestPadicReport:
+class TestResidueReport:
     CTX = PadicContext(5, 4)
 
-    def test_side_known_to_fewer_digits_than_its_context_raises(self):
-        full, short = self.CTX.from_int(7), PadicNumber(self.CTX, 7, 3)
-        with pytest.raises(ValueError):
-            padic_report("check", {}, short, full)
-        with pytest.raises(ValueError):
-            padic_report("check", {}, full, short)
-
     def test_compares_at_the_context_precision(self):
-        report = padic_report("check", {}, self.CTX.from_int(7), self.CTX.from_int(7))
+        report = residue_report("check", {}, self.CTX, 7, 7)
         assert report.precision == 4
         assert report.match
 
     def test_equal_sides_share_one_wire_form(self):
-        report = padic_report("check", {}, self.CTX.from_int(7), self.CTX.from_int(7 + 5**4))
+        report = residue_report("check", {}, self.CTX, 7, 7 + 5**4)
         assert report.lhs is report.rhs
         assert report.to_json() == json.dumps(report.as_dict(), separators=(",", ":"))
 

@@ -53,6 +53,14 @@ RECORDED = {
     # context alone
     "verify --check theorem6 --p 31 --n 4 --r 2 --precision 80":
         "4bd29a8e8975b702f9f1bf8effe7324458dbe93f0e57d73ff93fc9349b47651c",
+    # the deep-binomial path: 399 diagonal l-values, each from binomial rows
+    # of 400 terms
+    "verify --check theorem6 --p 3 --n 4 --r 2 --precision 400":
+        "cef3ba2e4b999321fab7b81b42b669c3f32415d06d166f5116d1433a7f445d5b",
+    # the large-p row path: a series table of 10,006 units and 19 l-series
+    # rows over them
+    "verify --check theorem6 --p 10007 --n 20 --r 1 --precision 20":
+        "320cb96b56a5d69f87c9841a3b0213a66aa1fd9576368acd56f35b5201a49968",
     # one run of each exact suite; --x as a reduced and an unreduced
     # fraction, which print the same line, a negative one and its default 0
     "verify --check distribution --n 4 --f 3 --x 1/3":

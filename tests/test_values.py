@@ -17,7 +17,7 @@ from eulerlp import (
     PadicContext,
     PadicNumber,
 )
-from eulerlp.reports import CSV_COLUMNS, padic_report, rational_report
+from eulerlp.reports import CSV_COLUMNS, rational_report, residue_report
 
 CTX = PadicContext(5, 6)
 
@@ -168,7 +168,7 @@ def test_round_trip_keeps_the_derived_fields():
 
 def test_report_dict_keys_are_the_csv_columns():
     assert tuple(_report().as_dict()) == CSV_COLUMNS
-    padic = padic_report("theorem6", {}, CTX.from_int(3), CTX.from_int(3))
+    padic = residue_report("theorem6", {}, CTX, 3, 3)
     assert tuple(padic.as_dict()) == CSV_COLUMNS
     assert CSV_COLUMNS == (
         "check", "p", "params", "lhs", "rhs", "precision", "match", "lhs_valuation",
