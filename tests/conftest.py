@@ -1,5 +1,6 @@
-"""Shared test oracles and helpers.  The oracles are kept independent of the
-library code.  This module is the only code that patches the library:
+"""Shared test helpers; the reference values live in oracles.py, which
+shares no code with the library.  This module is the only code that patches
+the library:
 
 - ``cold_caches`` empties every library cache on entry and on exit;
 - ``mutated`` sets one library name for a block, inside ``cold_caches``,
@@ -12,16 +13,19 @@ library code.  This module is the only code that patches the library:
 ``library_caches``, ``clear_library_caches``, ``GRID_MIXED`` and the two
 truncation mutants ``short_l_series`` and ``short_main_congruence`` touch
 the library too.  test_cli.py has a guard that fails if a test module
-patches the library, clears its caches or recompiles it on its own."""
+patches the library, clears its caches or recompiles it on its own.
+
+``run_python`` runs a child Python against the package in src/."""
 
 import builtins
 import inspect
 import json
+import os
+import subprocess
 import sys
 import textwrap
 from contextlib import contextmanager
 from fractions import Fraction
-from math import comb
 from pathlib import Path
 
 import pytest
@@ -29,6 +33,21 @@ import pytest
 from eulerlp import GridConfig, cli, harness, lfunctions
 
 ROOT = Path(__file__).resolve().parent.parent
+
+
+def src_environ():
+    """os.environ with src/ put in front of any PYTHONPATH."""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path)
+
+
+def run_python(*args, **options):
+    """``python ARGS`` in a child under :func:`src_environ`, such as
+    ``run_python("-m", "eulerlp", *argv)`` or ``run_python("-S", "-c",
+    probe)``: stdout and stderr captured as text and a 120 s timeout, unless
+    ``options``, passed on to subprocess.run, say otherwise."""
+    options = {"capture_output": True, "text": True, "timeout": 120, **options}
+    return subprocess.run([sys.executable, *args], env=src_environ(), **options)
 
 
 def _grid_mixed():
@@ -144,40 +163,6 @@ def short_main_congruence():
 
     with mutated(harness, "_diagonal_l", mutant):
         yield
-
-
-def bernoulli_numbers(nmax):
-    """B_0..B_nmax with B_1 = -1/2, from the defining recurrence
-    sum_{k=0}^{m-1} C(m+1, k) B_k = -(m+1) B_m for m >= 1."""
-    values = [Fraction(1)]
-    for m in range(1, nmax + 1):
-        values.append(-sum(comb(m + 1, k) * values[k] for k in range(m)) / (m + 1))
-    return values
-
-
-def euler_numbers_by_recurrence(nmax):
-    """E_0..E_nmax from E_0 = 1 and E_n = -(1/2) sum_{k=0}^{n-1} C(n, k) E_k,
-    which multiplying 2 / (e^t + 1) by e^t + 1 forces: the exact Fraction
-    recurrence, sharing no code with the library's tangent table."""
-    values = [Fraction(1)]
-    for n in range(1, nmax + 1):
-        values.append(-sum(comb(n, k) * values[k] for k in range(n)) / 2)
-    return values
-
-
-def zigzag_numbers_by_boustrophedon(nmax):
-    """A_0..A_nmax, the zigzag numbers, from the Seidel-Entringer-Arnold
-    boustrophedon: row n starts at 0 and adds the entries of row n-1 read
-    backwards, and A_n is its last entry.  It shares neither code nor
-    recurrence with the library's tangent table."""
-    values, row = [1], [1]
-    for _ in range(nmax):
-        sums = [0]
-        for entry in reversed(row):
-            sums.append(sums[-1] + entry)
-        row = sums
-        values.append(row[-1])
-    return values
 
 
 def random_rationals(rng, count, bound=50):

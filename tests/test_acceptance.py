@@ -7,7 +7,8 @@ import time
 from contextlib import contextmanager
 from fractions import Fraction
 
-from conftest import bernoulli_numbers, leading_digits, random_rationals
+import oracles
+from conftest import leading_digits, random_rationals
 
 from eulerlp import (
     PadicContext,
@@ -61,7 +62,7 @@ def test_criterion_1_euler_numbers():
             Fraction(0),
             Fraction(17, 8),
         ]
-        B = bernoulli_numbers(31)
+        B = oracles.bernoulli_numbers(31)
         for n in range(31):
             assert euler_number(n) == 2 * (1 - 2 ** (n + 1)) * B[n + 1] / (n + 1)
         for k in range(1, 16):

@@ -14,6 +14,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from conftest import ROOT, run_python, src_environ
 from test_recorded_outputs import RECORDED
 
 from eulerlp import GridConfig, PadicContext, cli, padic_l, run_grid, teichmuller_power
@@ -21,7 +22,6 @@ from eulerlp.cli import COMMANDS, main
 from eulerlp.harness import CHECKS
 from eulerlp.reports import CSV_COLUMNS, CongruenceReport, reports_to_csv, reports_to_jsonl
 
-ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ROOT / "perfbench" / "workloads.json"
 
 
@@ -474,21 +474,10 @@ def test_import_builds_no_euler_table():
         "from eulerlp import euler\n"
         "print(euler.euler_number.cache_info().currsize, euler._tangent)"
     )
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run(
-        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=60
-    )
+    proc = run_python("-c", probe)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["0", "[0]"]
 
-
-
-def _run_module(*argv):
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    return subprocess.run(
-        [sys.executable, "-m", "eulerlp", *argv],
-        capture_output=True, text=True, env=env, timeout=60,
-    )
 
 
 def test_module_entry_point_matches_main(capsys):
@@ -496,7 +485,7 @@ def test_module_entry_point_matches_main(capsys):
         "verify", "--check", "theorem6",
         "--p", "3", "--n", "2", "--r", "1", "--precision", "3",
     ]
-    proc = _run_module(*argv)
+    proc = run_python("-m", "eulerlp", *argv)
     assert proc.returncode == 0, proc.stderr
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
@@ -504,7 +493,9 @@ def test_module_entry_point_matches_main(capsys):
 
 
 def test_module_entry_point_usage_error():
-    proc = _run_module("verify", "--check", "kummer", "--p", "7", "--k", "2", "--t", "1")
+    proc = run_python(
+        "-m", "eulerlp", "verify", "--check", "kummer", "--p", "7", "--k", "2", "--t", "1"
+    )
     assert proc.returncode == 2
     assert "error: the congruence needs t = 0 mod p-1" in proc.stderr
     assert "Traceback" not in proc.stderr
@@ -514,8 +505,9 @@ def test_verify_prints_sides_past_the_digit_limit():
     # E_1569(1/3) and the distribution sum are the smallest --f 3 --x 1/3
     # sides whose numerators pass Python's default int-to-str limit of 4300
     # digits; the comparison holds and must print, not give a usage error
-    proc = _run_module(
-        "verify", "--check", "distribution", "--n", "1569", "--f", "3", "--x", "1/3"
+    proc = run_python(
+        "-m", "eulerlp", "verify", "--check", "distribution", "--n", "1569", "--f", "3",
+        "--x", "1/3",
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
@@ -547,10 +539,9 @@ def test_closed_stdout_exits_141_without_a_traceback(argv, first_line):
     # far more than a pipe buffer is still to be written: megabytes of
     # Euler numbers, or the wide grid's 332,964 bytes.  grid-mixed's 72 KB
     # could fit in the pipe plus the reader's buffer and then exit 0.
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     with subprocess.Popen(
         [sys.executable, "-m", "eulerlp", *argv.split()],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=src_environ(),
     ) as proc:
         assert proc.stdout.readline() == first_line.encode()
         proc.stdout.close()
@@ -564,12 +555,9 @@ def test_closed_stdout_exits_141_without_a_traceback(argv, first_line):
 def test_write_error_on_stdout_is_a_one_line_error():
     # every write to /dev/full fails with ENOSPC; the output is lost, which
     # is neither a mismatch (exit 1) nor a closed pipe (exit 141)
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     with open("/dev/full", "w") as full:
-        proc = subprocess.run(
-            [sys.executable, "-m", "eulerlp", "euler", "--nmax", "5"],
-            stdout=full, stderr=subprocess.PIPE, text=True, env=env, timeout=60,
-        )
+        proc = run_python("-m", "eulerlp", "euler", "--nmax", "5",
+                          capture_output=False, stdout=full, stderr=subprocess.PIPE)
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     lines = proc.stderr.splitlines()
@@ -598,11 +586,7 @@ sys.exit(main(sys.argv[1:]))
 def test_input_too_large_for_memory_is_a_one_line_error(argv):
     # a tangent table of 5 * 10^11 entries, or an r axis of 10^11 values:
     # not a mismatch (exit 1) and not a traceback
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run(
-        [sys.executable, "-X", "dev", "-c", CAPPED_MAIN, *argv.split()],
-        capture_output=True, text=True, env=env, timeout=60,
-    )
+    proc = run_python("-X", "dev", "-c", CAPPED_MAIN, *argv.split())
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert "Traceback" not in proc.stderr
@@ -669,11 +653,7 @@ def test_import_loads_no_argparse_gettext_locale_dataclasses_inspect_csv_fractio
         "eulerlp.cli.reports_to_csv([])\n"
         "print('csv' in sys.modules)"
     )
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run(
-        [sys.executable, "-S", "-c", probe],
-        capture_output=True, text=True, env=env, timeout=60,
-    )
+    proc = run_python("-S", "-c", probe)
     assert proc.returncode == 0, proc.stderr
     imported, csv_after = proc.stdout.splitlines()
     assert "eulerlp.cli" in imported.split()
@@ -705,11 +685,7 @@ def test_commands_load_no_fractions_json_or_future():
         "    print(*sorted({'fractions', 'decimal', 'numbers', 'json', '__future__'}\n"
         "                  & set(sys.modules)))\n"
     ) % (runs,)
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run(
-        [sys.executable, "-S", "-c", probe],
-        capture_output=True, text=True, env=env, timeout=60,
-    )
+    proc = run_python("-S", "-c", probe)
     assert proc.returncode == 0, proc.stderr
     loaded = proc.stdout.split("\n")[:-1]
     assert len(loaded) == len(runs)
@@ -730,11 +706,7 @@ def test_partial_zeta_values_load_no_fractions():
         "    padic_partial_zeta_at_neg(3, a, 15, PadicContext(5, 6))\n"
         "print('fractions' in sys.modules)\n"
     )
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run(
-        [sys.executable, "-S", "-c", probe],
-        capture_output=True, text=True, env=env, timeout=60,
-    )
+    proc = run_python("-S", "-c", probe)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "False\n"
 
@@ -835,12 +807,16 @@ def _ci_argv():
 
 def _argv_in_this_file():
     """Every all-literal argv this module passes to main, run_cli or
-    _run_module."""
+    ``run_python("-m", "eulerlp", ...)``."""
     for node in ast.walk(ast.parse(Path(__file__).read_text())):
         name = getattr(getattr(node, "func", None), "id", None)
-        if name not in ("main", "run_cli", "_run_module"):
+        if name not in ("main", "run_cli", "run_python"):
             continue
         args = node.args[1:] if name == "run_cli" else node.args
+        if name == "run_python":
+            if [getattr(a, "value", None) for a in args[:2]] != ["-m", "eulerlp"]:
+                continue
+            args = args[2:]
         if name == "main" and args and isinstance(args[0], ast.List):
             args = args[0].elts
         if args and all(isinstance(a, ast.Constant) and isinstance(a.value, str) for a in args):
@@ -971,7 +947,7 @@ def test_help_lists_every_command_option_and_check(capsys, command, flag):
 
 
 def test_help_exits_0_from_the_module():
-    proc = _run_module("grid", "--help")
+    proc = run_python("-m", "eulerlp", "grid", "--help")
     assert proc.returncode == 0
     assert proc.stderr == ""
     assert "--primes" in proc.stdout

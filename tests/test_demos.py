@@ -1,23 +1,12 @@
 """Every demo script runs to completion against the package in src/."""
 
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import pytest
+from conftest import ROOT, run_python
 
-ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
 def test_demo_runs(demo):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
-    )
-    result = subprocess.run(
-        [sys.executable, str(demo)], env=env, capture_output=True, text=True, timeout=120
-    )
+    result = run_python(str(demo))
     assert result.returncode == 0, result.stderr

@@ -1,11 +1,9 @@
 """The library quick start in README.md and PAPER.md runs as written."""
 
 import doctest
-from pathlib import Path
 
 import pytest
-
-ROOT = Path(__file__).resolve().parent.parent
+from conftest import ROOT
 
 
 @pytest.mark.parametrize("name", ["README.md", "PAPER.md"])

@@ -2,15 +2,9 @@ import math
 import random
 from fractions import Fraction
 
+import oracles
 import pytest
-from conftest import (
-    bernoulli_numbers,
-    euler_numbers_by_recurrence,
-    mutated,
-    random_rationals,
-    recorded,
-    zigzag_numbers_by_boustrophedon,
-)
+from conftest import mutated, random_rationals, recorded
 
 from eulerlp import (
     alternating_power_sum,
@@ -45,7 +39,7 @@ class TestEulerNumbers:
 
     def test_against_bernoulli_oracle(self):
         # E_n = 2 (1 - 2^{n+1}) B_{n+1} / (n+1), an independent route
-        B = bernoulli_numbers(31)
+        B = oracles.bernoulli_numbers(31)
         for n in range(31):
             assert euler_number(n) == 2 * (1 - 2 ** (n + 1)) * B[n + 1] / (n + 1)
 
@@ -147,20 +141,22 @@ def _fraction(value) -> Fraction:
 
 
 class TestSympyOracle:
-    """sympy.euler(n, x) shares no code with this package."""
+    """sympy.euler(n, x) shares no code with this package, nor with the
+    Fraction recurrence of oracles.py, which two of these loops check too."""
 
     def test_euler_numbers(self):
         sympy = pytest.importorskip("sympy")
         for n in range(60):
-            assert euler_number(n) == _fraction(sympy.euler(n, 0))
+            expected = _fraction(sympy.euler(n, 0))
+            assert euler_number(n) == oracles.euler_number(n) == expected
 
     def test_polynomial_values(self):
         sympy = pytest.importorskip("sympy")
         points = [Fraction(1, 3), Fraction(-2, 7), Fraction(5, 4), Fraction(11, 2)]
         for n in range(25):
             for x in points:
-                expected = sympy.euler(n, sympy.Rational(x.numerator, x.denominator))
-                assert euler_polynomial_value(n, x) == _fraction(expected)
+                expected = _fraction(sympy.euler(n, sympy.Rational(x.numerator, x.denominator)))
+                assert euler_polynomial_value(n, x) == oracles.euler_polynomial(n, x) == expected
 
     def test_polynomial_coefficients(self):
         sympy = pytest.importorskip("sympy")
@@ -174,13 +170,13 @@ class TestFractionOracle:
     """The Fraction recurrence that the library's integer table replaced."""
 
     def test_euler_numbers(self):
-        assert euler_numbers(400) == euler_numbers_by_recurrence(400)
+        assert euler_numbers(400) == [oracles.euler_number(n) for n in range(401)]
 
 
 @pytest.fixture(scope="module")
 def zigzag():
     """A_0..A_2000 by the boustrophedon, shared by the oracle tests below."""
-    return zigzag_numbers_by_boustrophedon(2000)
+    return oracles.zigzag_numbers(2000)
 
 
 class TestBoustrophedonOracle:

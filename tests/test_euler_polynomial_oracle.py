@@ -1,34 +1,23 @@
 """The integer kernels of the euler layer against Fractions: the homogeneous
 Horner loop behind ``euler_polynomial_value`` and ``distribution_report``
-against a Fraction Horner loop over Euler numbers from the exact recurrence
-in conftest, which shares no code with the library's tangent table or its
-scaled coefficients, and the int alternating power sum against a Fraction
-sum."""
+against the Fraction Horner loop of oracles.py, over Euler numbers from the
+exact recurrence, which shares no code with the library's tangent table or
+its scaled coefficients, and the int alternating power sum against a
+Fraction sum."""
 
 from fractions import Fraction
-from math import comb
 
 import pytest
 
 pytest.importorskip("hypothesis")
-from conftest import euler_numbers_by_recurrence
 from hypothesis import example, given
 from hypothesis import strategies as st
+from oracles import euler_polynomial
 
 from eulerlp import alternating_power_sum, euler_polynomial_value
 from eulerlp.harness import distribution_report
 
 NMAX = 40
-EULER = euler_numbers_by_recurrence(NMAX)
-
-
-def fraction_horner(n, x):
-    """E_n(x) = sum_i C(n, i) E_(n-i) x^i by Horner's rule on Fractions."""
-    value = Fraction(0)
-    for i in range(n, -1, -1):
-        value = value * x + comb(n, i) * EULER[n - i]
-    return value
-
 
 rationals = st.builds(
     Fraction, st.integers(-(10**30), 10**30), st.integers(1, 10**30)
@@ -40,13 +29,13 @@ rationals = st.builds(
 @example(1, Fraction(-1, 2))
 @example(NMAX, Fraction(-(10**29) - 1, 10**30 - 7))
 @example(NMAX - 1, Fraction(12345, 2**95))
-def test_int_horner_matches_fraction_horner(n, x):
-    assert euler_polynomial_value(n, x) == fraction_horner(n, x)
+def test_int_horner_matches_euler_polynomial(n, x):
+    assert euler_polynomial_value(n, x) == euler_polynomial(n, x)
 
 
 @given(st.integers(0, NMAX), st.integers(-(10**6), 10**6))
 def test_integer_points(n, x):
-    assert euler_polynomial_value(n, x) == fraction_horner(n, Fraction(x))
+    assert euler_polynomial_value(n, x) == euler_polynomial(n, Fraction(x))
 
 
 def fraction_string(q):
@@ -64,8 +53,8 @@ def fraction_string(q):
 def test_distribution_sides_match_fraction_sides(n, f, x):
     # E_n(x) and f^n sum_a (-1)^a E_n((x + a) / f), each side on Fractions
     report = distribution_report(n, f, x)
-    lhs = fraction_horner(n, x)
-    rhs = f**n * sum((-1) ** a * fraction_horner(n, (x + a) / f) for a in range(f))
+    lhs = euler_polynomial(n, x)
+    rhs = f**n * sum((-1) ** a * euler_polynomial(n, (x + a) / f) for a in range(f))
     assert report.lhs == fraction_string(lhs)
     assert report.rhs == fraction_string(rhs)
     assert report.match

@@ -11,14 +11,10 @@ a digest means editing one line.
 
 import hashlib
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
+from conftest import ROOT, run_python
 
-ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = json.loads((ROOT / "perfbench" / "workloads.json").read_text())
 
 # argv, as the words of one command line, -> sha256 of its stdout
@@ -98,14 +94,7 @@ RECORDED = {
 
 @pytest.mark.parametrize("argv", RECORDED)
 def test_stdout_is_the_recorded_stream(argv):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
-    )
-    proc = subprocess.run(
-        [sys.executable, "-X", "dev", "-W", "error", "-m", "eulerlp", *argv.split()],
-        env=env, capture_output=True, timeout=120,
-    )
+    proc = run_python("-X", "dev", "-W", "error", "-m", "eulerlp", *argv.split(), text=False)
     assert proc.returncode == 0, proc.stderr.decode()
     assert proc.stderr == b""
     assert hashlib.sha256(proc.stdout).hexdigest() == RECORDED[argv]

@@ -4,45 +4,52 @@ the library.
 The reference rebuilds the reports of a grid config from the config alone,
 in grid's order, and each test compares them field by field with the lines
 the CLI printed: check, params, both sides, precision, match flag and
-valuation.  Its values come from
+valuation.  The alternating harmonic and power sums are Fraction sums
+written here; every other value comes from oracles.py: E_n and E_n(x) from
+the Fraction recurrence, the closed-form Teichmuller lift, the l_p series
+for theorem6's series side and interpolation's left side, and Kim's
+fermionic sum at level 1 for both sides of kummer.
 
-- Fractions, for the alternating harmonic and power sums;
-- sympy's ``euler``, with E_n = E_n(0), and ``binomial``;
-- the closed-form Teichmuller lift w(a) = a^(p^(M-1)) mod p^M, with
-  <a> = a / w(a);
-- the series l_p(s, w^t) = sum_{0<a<p} w(a)^t (-1)^a <a>^(-s)
-  sum_{j<M} C(-s, j) (p/a)^j E_j, exact mod p^M from M terms, for
-  theorem6's series side and interpolation's left side;
-- Kim's fermionic sum at level 1, sum_{0<x<p} (-1)^x <x>^(-s) mod p, for
-  both sides of kummer (T. Kim, "q-Volkenborn integration", Russ. J. Math.
-  Phys. 9 (2002) 288-299).
-
-The CLI runs as ``python -m eulerlp`` in a child process, and this module
-imports nothing from eulerlp.  Only the two mutant tests reach the
-library, through conftest, the one module that patches it.
+The CLI runs as ``python -m eulerlp`` in a child process, and neither this
+module nor oracles.py imports anything from eulerlp.  Only the two mutant
+tests reach the library, through conftest, the one module that patches it.
 """
 
 import ast
 import csv
 import io
 import json
-import os
-import subprocess
 import sys
 from fractions import Fraction
-from functools import lru_cache
-from pathlib import Path
 
 import pytest
 
-sympy = pytest.importorskip("sympy")
 pytest.importorskip("hypothesis")
-from conftest import GRID_MIXED, cli, harness, lfunctions, mutated, source_mutant  # noqa: E402
+from conftest import (  # noqa: E402
+    GRID_MIXED,
+    ROOT,
+    cli,
+    harness,
+    lfunctions,
+    mutated,
+    run_python,
+    source_mutant,
+)
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
+from oracles import (  # noqa: E402
+    binomial,
+    euler_number,
+    euler_polynomial,
+    fermionic_l,
+    interpolation_rhs,
+    l_p,
+    main_congruence_series,
+    padic_report,
+    rational_report,
+    residue,
+)
 from test_recorded_outputs import RECORDED  # noqa: E402
-
-ROOT = Path(__file__).resolve().parent.parent
 
 # The fixed rows of the exact suites: distribution's points x = u/v and
 # odd moduli f, and powersum's exponents m.
@@ -51,136 +58,44 @@ DISTRIBUTION_MODULI = (1, 3, 5, 7)
 POWER_SUM_EXPONENTS = range(9)
 
 
-@lru_cache(maxsize=None)
-def _binomial(z, j):
-    return int(sympy.binomial(z, j))
-
-
-@lru_cache(maxsize=None)
-def _euler_coefficients(n):
-    """sympy's E_n(x), highest power first, as Fractions."""
-    x = sympy.Symbol("x")
-    return [Fraction(int(c.p), int(c.q)) for c in sympy.Poly(sympy.euler(n, x), x).all_coeffs()]
-
-
-def _euler(n, x):
-    """E_n(x) at a Fraction x."""
-    value = Fraction(0)
-    for c in _euler_coefficients(n):
-        value = value * x + c
-    return value
-
-
-def _residue(q, m):
-    """A Fraction with denominator prime to p, mod m = p^M."""
-    q = Fraction(q)
-    return q.numerator * pow(q.denominator, -1, m) % m
-
-
-def _padic_side(p, M, residue):
-    digits = [residue // p**i % p for i in range(M)]
-    valuation = next((i for i, d in enumerate(digits) if d), M)
-    return {"p": p, "precision": M, "digits": digits, "valuation": valuation}
-
-
-def _padic_report(check, params, p, M, lhs, rhs):
-    left, right = _padic_side(p, M, lhs % p**M), _padic_side(p, M, rhs % p**M)
-    return {"check": check, "p": p, "params": params, "lhs": left, "rhs": right,
-            "precision": M, "match": left == right, "lhs_valuation": left["valuation"]}
-
-
-def _rational_report(check, params, lhs, rhs):
-    left, right = (f"{q.numerator}/{q.denominator}" for q in (Fraction(lhs), Fraction(rhs)))
-    return {"check": check, "p": None, "params": params, "lhs": left, "rhs": right,
-            "precision": None, "match": left == right, "lhs_valuation": None}
-
-
-@lru_cache(maxsize=None)
-def _lifts(p, M):
-    """w(a) = a^(p^(M-1)) mod p^M at a = 0, ..., p - 1."""
-    return [pow(a, p ** (M - 1), p**M) for a in range(p)]
-
-
-@lru_cache(maxsize=None)
-def _euler_residues(p, M):
-    """E_j mod p^M for j < M."""
-    return [_residue(_euler(j, Fraction(0)), p**M) for j in range(M)]
-
-
-@lru_cache(maxsize=None)
-def _partial_zeta_row(p, M, s):
-    """(-1)^a <a>^(-s) sum_{j<M} C(-s, j) (p/a)^j E_j mod p^M for 0 < a < p."""
-    m, euler = p**M, _euler_residues(p, M)
-    row = []
-    for a in range(1, p):
-        angle, ratio = a * pow(_lifts(p, M)[a], -1, m), p * pow(a, -1, m)
-        series = sum(_binomial(-s, j) * pow(ratio, j, m) * e for j, e in enumerate(euler))
-        row.append((-1) ** a * pow(angle, -s, m) * series % m)
-    return row
-
-
-@lru_cache(maxsize=None)
-def l_p(p, M, s, t):
-    """l_p(s, w^t) mod p^M from the series."""
-    m, lifts = p**M, _lifts(p, M)
-    return sum(pow(lifts[a], t, m) * h for a, h in enumerate(_partial_zeta_row(p, M, s), 1)) % m
-
-
-def fermionic_l(p, s):
-    """Kim's fermionic sum for l_p(s, w^0) at level 1, mod p."""
-    lifts = _lifts(p, 1)
-    return sum((-1) ** x * pow(x * pow(lifts[x], -1, p), -s, p) for x in range(1, p)) % p
-
-
 def _theorem6(p, r, n, M):
     terms = (Fraction((-1) ** j, j**r) for j in range(1, n * p + 1) if j % p)
-    lhs = _residue(2 * sum(terms, Fraction(0)), p**M)
-    rhs = -sum(_binomial(-r, k) * (p * n) ** k * l_p(p, M, r + k, -k - r) for k in range(1, M))
-    return _padic_report("theorem6", {"p": p, "n": n, "r": r, "M": M}, p, M, lhs, rhs)
-
-
-@lru_cache(maxsize=None)
-def _euler_class_values(n, p, M):
-    """(-1)^a p^n E_n(a/p) mod p^M for 0 < a < p."""
-    m = p**M
-    return [_residue((-1) ** a * p**n * _euler(n, Fraction(a, p)), m) for a in range(1, p)]
+    lhs = residue(2 * sum(terms, Fraction(0)), p**M)
+    rhs = main_congruence_series(p, M, n, r)
+    return padic_report("theorem6", {"p": p, "n": n, "r": r, "M": M}, p, M, lhs, rhs)
 
 
 def _interpolation(p, n, t, M):
-    u = (t - n) % (p - 1)
-    if u == 0:
-        rhs = _residue((1 - p**n) * _euler(n, Fraction(0)), p**M)
-    else:
-        values = _euler_class_values(n, p, M)
-        rhs = sum(pow(_lifts(p, M)[a], u, p**M) * v for a, v in enumerate(values, 1))
     params = {"p": p, "n": n, "t": t, "M": M}
-    return _padic_report("interpolation", params, p, M, l_p(p, M, -n, t), rhs)
+    return padic_report("interpolation", params, p, M, l_p(p, M, -n, t),
+                        interpolation_rhs(p, M, n, t))
 
 
 def _kummer(p, k):
     params = {"p": p, "k": k, "k2": k + p, "t": 0, "M": 1}
-    return _padic_report("kummer", params, p, 1, fermionic_l(p, k), fermionic_l(p, k + p))
+    return padic_report("kummer", params, p, 1, fermionic_l(p, k), fermionic_l(p, k + p))
 
 
 def _distribution(n, f, u, v):
     x = Fraction(u, v)
-    rhs = f**n * sum((-1) ** a * _euler(n, (x + a) / f) for a in range(f))
-    return _rational_report("distribution", {"n": n, "f": f, "x": f"{u}/{v}"}, _euler(n, x), rhs)
+    rhs = f**n * sum((-1) ** a * euler_polynomial(n, (x + a) / f) for a in range(f))
+    return rational_report("distribution", {"n": n, "f": f, "x": f"{u}/{v}"},
+                           euler_polynomial(n, x), rhs)
 
 
 def _power_sum(n, m):
     lhs = 2 * sum((-1) ** l * l**m for l in range(n))
-    rhs = _euler(m, Fraction(0)) - _euler(m, Fraction(n))
-    return _rational_report("powersum", {"n": n, "m": m}, lhs, rhs)
+    rhs = euler_number(m) - euler_polynomial(m, Fraction(n))
+    return rational_report("powersum", {"n": n, "m": m}, lhs, rhs)
 
 
 def _binomials(r, k, js):
-    ratio = _rational_report("binomial", {"r": r, "k": k, "identity": "ratio"},
-                             Fraction(r * _binomial(-r - 1, k), r + k), _binomial(-r, k))
+    ratio = rational_report("binomial", {"r": r, "k": k, "identity": "ratio"},
+                            Fraction(r * binomial(-r - 1, k), r + k), binomial(-r, k))
     return [ratio] + [
-        _rational_report("binomial", {"r": r, "k": k, "j": j, "identity": "product"},
-                         _binomial(-r, k) * _binomial(-r - k, j),
-                         _binomial(-r, k + j) * _binomial(k + j, j))
+        rational_report("binomial", {"r": r, "k": k, "j": j, "identity": "product"},
+                        binomial(-r, k) * binomial(-r - k, j),
+                        binomial(-r, k + j) * binomial(k + j, j))
         for j in js
     ]
 
@@ -230,10 +145,7 @@ def parse_output(text):
 
 
 def run_module(argv):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-m", "eulerlp", *argv],
-                          env=env, capture_output=True, text=True, timeout=120)
+    proc = run_python("-m", "eulerlp", *argv)
     assert proc.returncode == 0 and proc.stderr == "", proc.stderr
     return parse_output(proc.stdout)
 
@@ -296,9 +208,15 @@ def test_kummer_argument_mutant_differs_from_the_reference(capsys):
     assert _grid_mixed_under(capsys, harness, "kummer_check", mutant) == {"kummer": 20}
 
 
-def test_this_module_imports_nothing_from_eulerlp():
-    tree = ast.parse(Path(__file__).read_text())
+@pytest.mark.parametrize("name", ["test_reference_sides.py", "oracles.py", "test_oracles.py"])
+def test_this_module_imports_nothing_from_eulerlp(name):
+    # oracles.py, the reference the other test modules read too, imports
+    # only the standard library
+    tree = ast.parse((ROOT / "tests" / name).read_text())
     names = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
              for alias in node.names}
     names |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
-    assert not {name for name in names if name.split(".")[0] == "eulerlp"}
+    tops = {name.split(".")[0] for name in names}
+    assert "eulerlp" not in tops
+    if name == "oracles.py":
+        assert tops <= sys.stdlib_module_names, tops - sys.stdlib_module_names

@@ -1,34 +1,27 @@
 """The library computes on plain int residues and wraps each result once in
-a ``PadicNumber``.  The references below are the ``PadicNumber`` expressions
-that the residue code replaced; every rewritten function must return the same
-residue at the same precision (``PadicNumber`` equality compares context,
-residue and precision).  Character values are plain ints, so they are
-compared with the reference residues, whose precision must be N.  Reports
-are built from residues too; their references are the ``reduce`` and
-``Fraction`` paths they replaced."""
+a ``PadicNumber``.  Every such value must carry the residue that oracles.py
+computes, at the precision of its context, and every report built from
+residues must be the report the oracle prints; character values are plain
+ints, compared with the oracle's."""
 
 import copy
 import pickle
 from fractions import Fraction
 
+import oracles
 import pytest
 
 from eulerlp import (
     PadicContext,
     angle,
-    binomial,
-    euler_number,
     generalized_euler_number,
     interpolation_check,
     main_congruence_series,
-    padic_l,
     padic_partial_zeta_at_neg,
-    teichmuller,
     teichmuller_power,
 )
-from eulerlp.euler import partial_zeta_neg
 from eulerlp.padic import PadicNumber, _wire_dict
-from eulerlp.reports import CongruenceReport, format_rational, rational_report, residue_report
+from eulerlp.reports import format_rational, rational_report, residue_report
 
 PRIMES = (3, 5, 7, 11, 13)
 PRECISIONS = (1, 4, 10)
@@ -39,113 +32,73 @@ def _label(ctx):
     return f"p{ctx.p}-N{ctx.precision}"
 
 
-def reference_angle(a, ctx):
-    return ctx.from_int(a) * teichmuller(a, ctx).inverse()
-
-
-def reference_character_values(t, ctx):
-    if t % (ctx.p - 1) == 0:
-        return (ctx.from_int(1),)
-    return (ctx.from_int(0),) + tuple(teichmuller(a, ctx) ** t for a in range(1, ctx.p))
-
-
-def reference_generalized_euler_number(n, chi, ctx):
-    f = chi.conductor
-    if f == 1:
-        return ctx.from_rational(euler_number(n))
-    total = sum(
-        (chi(a) * ctx.from_rational(partial_zeta_neg(n, a, f)) for a in range(1, f)),
-        ctx.from_int(0),
-    )
-    return 2 * total
-
-
-def reference_partial_zeta_at_neg(n, a, modulus, ctx):
-    return teichmuller(a, ctx) ** (-n) * ctx.from_rational(
-        partial_zeta_neg(n, a, modulus)
-    )
-
-
-def reference_interpolation_rhs(n, chi, ctx):
-    chi_n = teichmuller_power(chi.t - n, chi.context)
-    factor = ctx.from_int(1) - ctx.from_int(ctx.p) ** n * chi_n(ctx.p)
-    return factor * reference_generalized_euler_number(n, chi_n, ctx)
-
-
-def reference_main_congruence_series(n, r, ctx):
-    pn = ctx.from_int(ctx.p * n)
-    pn_power = ctx.from_int(1)
-    total = ctx.from_int(0)
-    for k in range(1, ctx.precision + 1):
-        pn_power = pn_power * pn
-        chi = teichmuller_power(-(k + r), ctx)
-        total = total + ctx.from_int(binomial(-r, k)) * pn_power * padic_l(r + k, chi)
-    return -total
-
-
 def main_congruence_mismatches(ctx):
     """(N, extra, n, r), for N in 1 and the precision of ctx, where the
     series at N + extra digits does not carry N + extra digits or, reduced to
-    N digits, is not the reference at N digits."""
+    N digits, is not the oracle's at N digits."""
     wrong = []
     for digits in sorted({1, ctx.precision}):
-        expected_ctx = PadicContext(ctx.p, digits)
         for extra in (0, 2):
             wide = PadicContext(ctx.p, digits + extra)
             for n in range(9):
                 for r in (1, 2, 3):
                     value = main_congruence_series(n, r, wide)
-                    expected = reference_main_congruence_series(n, r, expected_ctx)
+                    expected = oracles.main_congruence_series(ctx.p, digits, n, r)
                     if (
                         value.precision != wide.precision
-                        or value.reduce(digits).residue != expected.residue
+                        or value.reduce(digits).residue != expected
                     ):
                         wrong.append((digits, extra, n, r))
     return wrong
 
 
 @pytest.mark.parametrize("ctx", CONTEXTS, ids=_label)
-class TestResiduesMatchPadicReferences:
+class TestResiduesMatchTheOracle:
     def test_angle(self, ctx):
         for a in range(-2 * ctx.p, 3 * ctx.p):
             if a % ctx.p:
-                assert angle(a, ctx) == reference_angle(a, ctx), a
+                value = angle(a, ctx)
+                assert value.residue == oracles.angle(ctx.p, ctx.precision, a), a
+                assert value.precision == ctx.precision
 
     def test_character_values(self, ctx):
         for t in range(-1, 2 * (ctx.p - 1)):
-            reference = reference_character_values(t, ctx)
-            assert {v.precision for v in reference} == {ctx.precision}, t
             values = teichmuller_power(t, ctx).values
-            assert values == tuple(v.residue for v in reference), t
+            assert values == oracles.character_values(ctx.p, ctx.precision, t), t
 
     def test_generalized_euler_number(self, ctx):
         for t in range(ctx.p - 1):
             chi = teichmuller_power(t, ctx)
             for n in range(9):
-                expected = reference_generalized_euler_number(n, chi, ctx)
-                assert generalized_euler_number(n, chi) == expected, (t, n)
+                value = generalized_euler_number(n, chi)
+                expected = oracles.generalized_euler_number(ctx.p, ctx.precision, n, t)
+                assert value.residue == expected, (t, n)
+                assert value.precision == ctx.precision
 
     def test_partial_zeta_at_neg(self, ctx):
+        # the oracle's series at s = -n: the terms j > n vanish, so it is
+        # the closed form omega^(-n)(a) (-1)^a (F^n / 2) E_n(a/F)
         for modulus in (ctx.p, 3 * ctx.p):
-            for a in range(1, modulus):
-                if a % ctx.p == 0:
-                    continue
-                for n in range(1, 9):
-                    expected = reference_partial_zeta_at_neg(n, a, modulus, ctx)
+            for n in range(1, 9):
+                row = oracles.partial_zeta_row(ctx.p, ctx.precision, -n, modulus)
+                for a in range(1, modulus):
+                    if a % ctx.p == 0:
+                        continue
                     value = padic_partial_zeta_at_neg(n, a, modulus, ctx)
-                    assert value == expected, (modulus, a, n)
+                    assert value.residue == row[a], (modulus, a, n)
+                    assert value.precision == ctx.precision
 
     def test_interpolation_rhs(self, ctx):
         for digits in sorted({1, ctx.precision}):
             ctx_d = PadicContext(ctx.p, digits)
             for t in range(ctx.p - 1):
-                chi = teichmuller_power(t, ctx_d)
                 for n in range(1, 9):
-                    report = interpolation_check(n, chi)
-                    lhs = padic_l(-n, chi)
-                    rhs = reference_interpolation_rhs(n, chi, ctx_d)
-                    expected = reference_padic_report("interpolation", report.params, lhs, rhs)
-                    assert report == expected, (digits, t, n)
+                    report = interpolation_check(n, teichmuller_power(t, ctx_d))
+                    lhs = oracles.l_p(ctx.p, digits, -n, t)
+                    rhs = oracles.interpolation_rhs(ctx.p, digits, n, t)
+                    expected = oracles.padic_report(
+                        "interpolation", report.params, ctx.p, digits, lhs, rhs)
+                    assert report.as_dict() == expected, (digits, t, n)
 
     def test_main_congruence_series(self, ctx):
         assert not main_congruence_mismatches(ctx)
@@ -153,49 +106,6 @@ class TestResiduesMatchPadicReferences:
 
 def test_main_congruence_series_sees_a_short_series(short_main_congruence):
     assert main_congruence_mismatches(PadicContext(5, 4))
-
-
-def reference_digits(x):
-    out, r = [], x.residue
-    for _ in range(x.precision):
-        r, d = divmod(r, x.context.p)
-        out.append(d)
-    return out
-
-
-def reference_wire(x):
-    return {"p": x.context.p, "precision": x.precision,
-            "digits": reference_digits(x), "valuation": x.valuation}
-
-
-def reference_padic_report(check, params, lhs, rhs):
-    digits = lhs.context.precision
-    lhs = lhs.reduce(digits)
-    rhs = rhs.reduce(digits)
-    return CongruenceReport(
-        check=check, p=lhs.context.p, params=params,
-        lhs=reference_wire(lhs), rhs=reference_wire(rhs), precision=digits,
-        match=lhs.residue == rhs.residue, lhs_valuation=lhs.valuation,
-    )
-
-
-def reference_valuation(x):
-    if x.residue == 0:
-        return x.precision
-    v, r = 0, x.residue
-    while r % x.context.p == 0:
-        r //= x.context.p
-        v += 1
-    return v
-
-
-def reference_rational_report(check, params, lhs, rhs):
-    lhs, rhs = Fraction(lhs), Fraction(rhs)
-    return CongruenceReport(
-        check=check, p=None, params=params,
-        lhs=f"{lhs.numerator}/{lhs.denominator}", rhs=f"{rhs.numerator}/{rhs.denominator}",
-        precision=None, match=lhs == rhs, lhs_valuation=None,
-    )
 
 
 def boundary_residues(ctx):
@@ -221,7 +131,9 @@ class TestReportsFromResidues:
             for y in residues:
                 for rhs in (ctx.from_int(y), wide.from_int(y)):
                     report = residue_report("check", {"x": x}, ctx, x, rhs.residue)
-                    assert report == reference_padic_report("check", {"x": x}, lhs, rhs)
+                    expected = oracles.padic_report(
+                        "check", {"x": x}, ctx.p, ctx.precision, x, rhs.residue)
+                    assert report.as_dict() == expected
                     assert report.lhs == lhs.reduce(ctx.precision).as_json_dict()
                     assert report.rhs == rhs.reduce(ctx.precision).as_json_dict()
                     matches.add(report.match)
@@ -229,18 +141,18 @@ class TestReportsFromResidues:
 
     def test_lhs_valuation_is_the_valuation(self, ctx):
         for x in boundary_residues(ctx):
-            lhs = ctx.from_int(x)
             report = residue_report("check", {}, ctx, x, x)
-            assert report.lhs_valuation == lhs.valuation == reference_valuation(lhs), x
+            expected = oracles.wire(ctx.p, ctx.precision, x)["valuation"]
+            assert report.lhs_valuation == ctx.from_int(x).valuation == expected, x
             assert report.lhs["valuation"] == report.lhs_valuation
 
     def test_wire_form_of_any_int_residue(self, ctx):
         for x in boundary_residues(ctx):
             for digits in range(1, ctx.precision + 1):
-                value = PadicNumber(ctx, x, digits)
-                assert _wire_dict(ctx.p, digits, x) == reference_wire(value), (x, digits)
-                assert value.as_json_dict() == reference_wire(value)
-                assert value.digits() == reference_digits(value)
+                value, expected = PadicNumber(ctx, x, digits), oracles.wire(ctx.p, digits, x)
+                assert _wire_dict(ctx.p, digits, x) == expected, (x, digits)
+                assert value.as_json_dict() == expected
+                assert value.digits() == expected["digits"]
 
     def test_full_precision_residue_is_reduced_mod_the_modulus(self, ctx):
         for x in boundary_residues(ctx):
@@ -257,7 +169,7 @@ def test_rational_report_matches_the_fraction_path():
     for lhs in RATIONALS:
         for rhs in RATIONALS:
             report = rational_report("check", {}, lhs, rhs)
-            assert report == reference_rational_report("check", {}, lhs, rhs), (lhs, rhs)
+            assert report.as_dict() == oracles.rational_report("check", {}, lhs, rhs), (lhs, rhs)
             assert format_rational(lhs) == report.lhs
             kinds.add((type(lhs), type(rhs), report.match))
     # int/int, int/Fraction, Fraction/int and Fraction/Fraction, each both
