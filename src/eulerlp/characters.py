@@ -3,9 +3,9 @@ Teichmuller character, the only characters the l-function is evaluated at.
 A character is an immutable value made of its context and its exponent
 alone; chi(a) is an int residue mod p^N, a root of unity of order dividing
 p - 1, or 0, read from the context's one Teichmuller table as
-omega(a)^t = zeta^(t ind a mod p-1), with zeta = omega(g), g a primitive root;
-``padic.teichmuller`` is the closed form the tests check the table against.
-"""
+omega(a)^t = zeta^(t ind a mod p-1), g a primitive root and zeta = omega(g)
+the table's one lift, from ``padic.teichmuller``; the tests check the table
+against the closed-form ``lifts`` of tests/oracles.py."""
 
 from functools import lru_cache
 

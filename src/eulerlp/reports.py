@@ -39,30 +39,36 @@ def format_rational(q: "Fraction | int | tuple[int, int]") -> str:
     return f"{num // g}/{den // g}"
 
 
-class CongruenceReport(Value):
-    """Outcome of one check: both sides in serialized form plus a match flag.
+CSV_COLUMNS = ("check", "p", "params", "lhs", "rhs", "precision", "match", "lhs_valuation")
 
-    For p-adic checks lhs/rhs are PadicNumber dicts and ``precision`` gives
-    the number of compared digits; for exact rational identities lhs/rhs
-    are "num/den" strings and p/precision/lhs_valuation are None.  The
-    field order is the key order of the JSON form and the CSV columns.
+
+class CongruenceReport(Value):
+    """Outcome of one check: ``CongruenceReport(check, params, lhs, rhs)``,
+    both sides in serialized form; equality, hash, repr and pickling read
+    these four fields.  The other four are derived from the sides: ``match``
+    is whether they are equal, and for p-adic checks, whose sides are
+    ``padic._wire_dict`` dicts, ``p``, ``precision`` (the number of compared
+    digits) and ``lhs_valuation`` are read off the lhs; they are None for
+    exact rational identities, whose sides are "num/den" strings.
+    ``CSV_COLUMNS`` orders the fields of the JSON form and the CSV columns.
     """
 
-    __slots__ = __match_args__ = ("check", "p", "params", "lhs", "rhs",
-                                  "precision", "match", "lhs_valuation")
+    __slots__ = CSV_COLUMNS
+    __match_args__ = ("check", "params", "lhs", "rhs")
 
-    def __init__(self, check, p, params, lhs, rhs, precision, match, lhs_valuation):
+    def __init__(self, check, params, lhs, rhs):
+        padic = isinstance(lhs, dict)
         _set(self, "check", check)
-        _set(self, "p", p)
+        _set(self, "p", lhs["p"] if padic else None)
         _set(self, "params", params)
         _set(self, "lhs", lhs)
         _set(self, "rhs", rhs)
-        _set(self, "precision", precision)
-        _set(self, "match", match)
-        _set(self, "lhs_valuation", lhs_valuation)
+        _set(self, "precision", lhs["precision"] if padic else None)
+        _set(self, "match", rhs is lhs or rhs == lhs)
+        _set(self, "lhs_valuation", lhs["valuation"] if padic else None)
 
     def as_dict(self) -> dict:
-        return dict(zip(self.__match_args__, self._key(self)))
+        return {name: getattr(self, name) for name in CSV_COLUMNS}
 
     def to_json(self) -> str:
         lhs = _json(self.lhs)  # equal p-adic sides share one wire dict
@@ -80,19 +86,13 @@ def residue_report(check: str, params: dict, ctx, a: int, b: int) -> CongruenceR
     of ctx; equal residues share one wire form, an unequal b always gets its own."""
     p, digits, a, b = ctx.p, ctx.precision, a % ctx.modulus, b % ctx.modulus
     left = _wire_dict(p, digits, a)
-    right = left if a == b else _wire_dict(p, digits, b)
-    match = a == b
-    return CongruenceReport(check, p, params, left, right, digits, match, left["valuation"])
+    return CongruenceReport(check, params, left, left if a == b else _wire_dict(p, digits, b))
 
 
 def rational_report(check: str, params: dict, lhs, rhs) -> CongruenceReport:
     """Report comparing two exact rationals, each an int, a Fraction or an
     int pair; equal in lowest terms, so equal as "num/den", is a match."""
-    left, right = format_rational(lhs), format_rational(rhs)
-    return CongruenceReport(check, None, params, left, right, None, left == right, None)
-
-
-CSV_COLUMNS = CongruenceReport.__match_args__
+    return CongruenceReport(check, params, format_rational(lhs), format_rational(rhs))
 
 
 def _csv_cell(value) -> str:

@@ -10,10 +10,11 @@ the library:
 - ``source_mutant`` recompiles a library function with one fault in its
   source, for ``mutated`` to install.
 
-``library_caches``, ``clear_library_caches``, ``GRID_MIXED`` and the two
-truncation mutants ``short_l_series`` and ``short_main_congruence`` touch
-the library too.  test_cli.py has a guard that fails if a test module
-patches the library, clears its caches or recompiles it on its own.
+``library_caches``, ``clear_library_caches``, ``grid_config``, ``GRID_MIXED``
+and the two truncation mutants ``short_l_series`` and
+``short_main_congruence`` touch the library too.  test_cli.py has a guard
+that fails if a test module patches the library, clears its caches or
+recompiles it on its own.
 
 ``run_python`` runs a child Python against the package in src/."""
 
@@ -50,15 +51,16 @@ def run_python(*args, **options):
     return subprocess.run([sys.executable, *args], env=src_environ(), **options)
 
 
-def _grid_mixed():
-    """The config of the benchmark's grid-mixed argv, read as cmd_grid reads it."""
-    workloads = json.loads((ROOT / "perfbench" / "workloads.json").read_text())
-    _, args = cli._parse(workloads["grid-mixed"]["default_argv"])
+def grid_config(argv):
+    """The config of a grid argv, a list of words, read as cmd_grid reads it."""
+    _, args = cli._parse(argv)
     axes = [cli._int_list(f"--{name}", args[name]) for name in ("primes", "r", "n")]
     return GridConfig(*axes, args["precision"])
 
 
-GRID_MIXED = _grid_mixed()
+GRID_MIXED = grid_config(
+    json.loads((ROOT / "perfbench" / "workloads.json").read_text())["grid-mixed"]["default_argv"]
+)
 
 
 def library_caches():

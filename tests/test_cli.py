@@ -460,8 +460,8 @@ def test_writer_check_sees_a_string_that_needs_escaping(label):
     # a test-side mutant: a report whose param label json would escape
     report = run_grid(GridConfig(primes=(3,), r_values=(1,), n_values=(2,), precision=2))[-1]
     assert report.params["identity"] == "product"
-    fields = {**report.as_dict(), "params": {**report.params, "identity": label}}
-    mutant = CongruenceReport(*fields.values())
+    params = {**report.params, "identity": label}
+    mutant = CongruenceReport(report.check, params, report.lhs, report.rhs)
     with pytest.raises(AssertionError):
         _assert_written_as_json([mutant.to_json()], [mutant.as_dict()])
 

@@ -34,7 +34,7 @@ from eulerlp import (
 from eulerlp import DirichletCharacter, harness, lfunctions
 from eulerlp.cli import COMMANDS
 from eulerlp.harness import CHECKS
-from eulerlp.reports import residue_report
+from eulerlp.reports import CongruenceReport, residue_report
 from test_recorded_outputs import RECORDED
 
 GRID_PRIMES = (3, 5, 7)
@@ -511,11 +511,11 @@ class TestResidueReport:
         assert report.to_json() == json.dumps(report.as_dict(), separators=(",", ":"))
 
     def test_unequal_sides_keep_their_own_digits_whatever_match_says(self):
-        # the residue core of every p-adic report with its match flag forced
-        # true: the sides are shared on equal residues, never on the flag, so
-        # the rhs digits still show
-        forced = source_mutant(residue_report, "match = a == b", "match = True")
-        report = forced("check", {}, self.CTX, 7, 8)
+        # every report with its match flag forced true: the sides are shared
+        # on equal residues, never on the flag, so the rhs digits still show
+        init = source_mutant(CongruenceReport.__init__, "rhs is lhs or rhs == lhs", "True")
+        with mutated(CongruenceReport, "__init__", init):
+            report = residue_report("check", {}, self.CTX, 7, 8)
         assert report.match
         assert report.lhs is not report.rhs
         assert report.lhs["digits"] == [2, 1, 0, 0] and report.rhs["digits"] == [3, 1, 0, 0]
