@@ -11,10 +11,10 @@ the library:
   source, for ``mutated`` to install.
 
 ``library_caches``, ``clear_library_caches``, ``grid_config``, ``GRID_MIXED``
-and the two truncation mutants ``short_l_series`` and
-``short_main_congruence`` touch the library too.  test_cli.py has a guard
-that fails if a test module patches the library, clears its caches or
-recompiles it on its own.
+and the two truncation faults ``short_l_series_fault`` and
+``short_main_congruence_fault``, with the fixtures that install them, touch
+the library too.  test_cli.py has a guard that fails if a test module
+patches the library, clears its caches or recompiles it on its own.
 
 ``run_python`` runs a child Python against the package in src/."""
 
@@ -58,9 +58,11 @@ def grid_config(argv):
     return GridConfig(*axes, args["precision"])
 
 
-GRID_MIXED = grid_config(
-    json.loads((ROOT / "perfbench" / "workloads.json").read_text())["grid-mixed"]["default_argv"]
-)
+# the benchmark's grid-mixed argv, as words, and its config
+GRID_MIXED_ARGV = json.loads(
+    (ROOT / "perfbench" / "workloads.json").read_text()
+)["grid-mixed"]["default_argv"]
+GRID_MIXED = grid_config(GRID_MIXED_ARGV)
 
 
 def library_caches():
@@ -135,35 +137,46 @@ def leading_digits(report, digits):
     return report.lhs["digits"][:digits], report.rhs["digits"][:digits], report.match
 
 
-@pytest.fixture
-def short_l_series():
+def short_l_series_fault():
     """Every partial zeta and l-series sums one term short: the last entry
     of ``lfunctions._binomial_row`` is 0, so a value mod p^N drops its
-    j = N - 1 term."""
+    j = N - 1 term.  As (target, name, mutant), for :func:`mutated`."""
     original = lfunctions._binomial_row
 
     def mutant(s, terms):
         return original(s, terms)[:-1] + (0,)
 
-    with mutated(lfunctions, "_binomial_row", mutant):
-        yield
+    return lfunctions, "_binomial_row", mutant
 
 
-@pytest.fixture
-def short_main_congruence():
+def short_main_congruence_fault():
     """The main congruence series stops before s = r + k reaches N: its
     diagonal l-values are 0 from s = N on, so it drops every k >= N - r.
     At even N the one term it drops at r = 1, k = N - 1, is 0 mod p^N
     anyway: l_p(s, w^(-s)) = sum_{0<a<p} (-1)^a a^(-s) mod p, and at even s
     the classes a and p - a cancel, so there only r >= 2 reports see it.
-    ``short_l_series`` cannot stand in: each l-value is multiplied by (pn)^k
-    with k >= 1, so its last digit never reaches the residue."""
+    ``short_l_series_fault`` cannot stand in: each l-value is multiplied by
+    (pn)^k with k >= 1, so its last digit never reaches the residue.  As
+    (target, name, mutant), for :func:`mutated`."""
     original = harness._diagonal_l
 
     def mutant(s, ctx):
         return 0 if s >= ctx.precision else original(s, ctx)
 
-    with mutated(harness, "_diagonal_l", mutant):
+    return harness, "_diagonal_l", mutant
+
+
+@pytest.fixture
+def short_l_series():
+    """:func:`short_l_series_fault`, installed for the test."""
+    with mutated(*short_l_series_fault()):
+        yield
+
+
+@pytest.fixture
+def short_main_congruence():
+    """:func:`short_main_congruence_fault`, installed for the test."""
+    with mutated(*short_main_congruence_fault()):
         yield
 
 

@@ -13,6 +13,10 @@ and on plain int residues mod m = p^M:
 - ``bernoulli_numbers`` and ``zigzag_numbers``: two routes to E_n apart
   from that recurrence;
 - ``binomial``: C(z, j) as a falling product over j!;
+- ``alt_harmonic_sum``: the main congruence's exact left side, halved,
+  summed on Fractions;
+- ``partial_zeta_neg``: the exact partial zeta value at -n,
+  (-1)^a (F^n / 2) E_n(a/F);
 - ``partial_zeta_row``: the partial zeta series
   H_p(s, a | F) = (-1)^a / 2 <a>^(-s) sum_{j<J} C(-s, j) (F/a)^j E_j at an
   odd multiple F of p and a cutoff J;
@@ -21,9 +25,17 @@ and on plain int residues mod m = p^M:
 - ``fermionic_l``: Kim's fermionic sum at level 1 (T. Kim,
   "q-Volkenborn integration", Russ. J. Math. Phys. 9 (2002) 288-299);
 - ``wire``, ``padic_report`` and ``rational_report``: a side and a report
-  as the CLI prints them, parsed as JSON.
+  as the CLI prints them, parsed as JSON, and ``distribution_report``;
+- ``reference_reports`` and ``grid_reference``: every report of an
+  ``eulerlp grid`` run, in grid's order, from its axes or its argv alone;
+  ``parse_output`` reads the printed reports, JSON lines or CSV, and
+  ``differing`` counts, per suite, the printed reports that are not the
+  reference.
 """
 
+import csv
+import io
+import json
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, prod
@@ -100,6 +112,26 @@ def zigzag_numbers(nmax):
 def binomial(z, j):
     """C(z, j) for any integer z and j >= 0: z (z-1) ... (z-j+1) / j!."""
     return prod(range(z, z - j, -1)) // factorial(j)
+
+
+def alt_harmonic_sum(p, n, r):
+    """sum of (-1)^j / j^r over 0 < j <= np with p not dividing j, exactly:
+    each half of the range summed alone, so that no Fraction carries the
+    whole denominator until the last sum."""
+
+    def total(lo, hi):
+        if hi - lo > 1:
+            mid = (lo + hi) // 2
+            return total(lo, mid) + total(mid, hi)
+        return Fraction((-1) ** lo, lo**r) if hi > lo and lo % p else Fraction(0)
+
+    return total(1, n * p + 1)
+
+
+def partial_zeta_neg(n, a, F):
+    """The partial zeta value at -n of the class a mod an odd F,
+    (-1)^a (F^n / 2) E_n(a/F), on Fractions."""
+    return (-1) ** a * Fraction(F) ** n / 2 * euler_polynomial(n, Fraction(a, F))
 
 
 @lru_cache(maxsize=None)
@@ -181,3 +213,110 @@ def rational_report(check, params, lhs, rhs):
     left, right = (f"{q.numerator}/{q.denominator}" for q in (Fraction(lhs), Fraction(rhs)))
     return {"check": check, "p": None, "params": params, "lhs": left, "rhs": right,
             "precision": None, "match": left == right, "lhs_valuation": None}
+
+
+# The fixed rows of grid's exact suites: distribution's points x = u/v and
+# odd moduli f, and powersum's exponents m.
+DISTRIBUTION_POINTS = ((0, 1), (1, 2), (1, 3), (-2, 7), (5, 4))
+DISTRIBUTION_MODULI = (1, 3, 5, 7)
+POWER_SUM_EXPONENTS = range(9)
+
+
+def _theorem6(p, r, n, M):
+    lhs = residue(2 * alt_harmonic_sum(p, n, r), p**M)
+    rhs = main_congruence_series(p, M, n, r)
+    return padic_report("theorem6", {"p": p, "n": n, "r": r, "M": M}, p, M, lhs, rhs)
+
+
+def _interpolation(p, n, t, M):
+    params = {"p": p, "n": n, "t": t, "M": M}
+    return padic_report("interpolation", params, p, M, l_p(p, M, -n, t),
+                        interpolation_rhs(p, M, n, t))
+
+
+def _kummer(p, k):
+    params = {"p": p, "k": k, "k2": k + p, "t": 0, "M": 1}
+    return padic_report("kummer", params, p, 1, fermionic_l(p, k), fermionic_l(p, k + p))
+
+
+def distribution_report(n, f, u, v):
+    """The distribution report at x = u/v: E_n(x) against
+    f^n sum_{a<f} (-1)^a E_n((x + a) / f)."""
+    x = Fraction(u, v)
+    rhs = f**n * sum((-1) ** a * euler_polynomial(n, (x + a) / f) for a in range(f))
+    return rational_report("distribution", {"n": n, "f": f, "x": f"{u}/{v}"},
+                           euler_polynomial(n, x), rhs)
+
+
+def _power_sum(n, m):
+    lhs = 2 * sum((-1) ** l * l**m for l in range(n))
+    rhs = euler_number(m) - euler_polynomial(m, Fraction(n))
+    return rational_report("powersum", {"n": n, "m": m}, lhs, rhs)
+
+
+def _binomials(r, k, js):
+    ratio = rational_report("binomial", {"r": r, "k": k, "identity": "ratio"},
+                            Fraction(r * binomial(-r - 1, k), r + k), binomial(-r, k))
+    return [ratio] + [
+        rational_report("binomial", {"r": r, "k": k, "j": j, "identity": "product"},
+                        binomial(-r, k) * binomial(-r - k, j),
+                        binomial(-r, k + j) * binomial(k + j, j))
+        for j in js
+    ]
+
+
+def reference_reports(primes, rs, ns, M):
+    """The reports of ``eulerlp grid`` at these axes, each sorted and
+    deduplicated as grid reads it, in grid's order, as parsed JSON."""
+    primes, rs, ns = (sorted(set(axis)) for axis in (primes, rs, ns))
+    reports = [_theorem6(p, r, n, M) for p in primes for r in rs for n in ns]
+    reports += [_interpolation(p, n, t, M) for p in primes for n in ns for t in range(p - 1)]
+    reports += [_kummer(p, k) for p in primes for k in rs]
+    reports += [distribution_report(n, f, u, v) for n in ns for f in DISTRIBUTION_MODULI
+                for u, v in DISTRIBUTION_POINTS]
+    reports += [_power_sum(n, m) for n in ns for m in POWER_SUM_EXPONENTS]
+    return reports + [report for r in rs for k in rs for report in _binomials(r, k, rs)]
+
+
+def _axis(text):
+    if ".." in text:
+        lo, hi = text.split("..")
+        return list(range(int(lo), int(hi) + 1))
+    return [int(part) for part in text.split(",")]
+
+
+def grid_reference(argv):
+    """:func:`reference_reports` of a grid argv, a list of words that gives
+    each of --primes, --r, --n and --precision as its own word and value."""
+    options = dict(zip(argv[1::2], argv[2::2]))
+    axes = [_axis(options[f"--{name}"]) for name in ("primes", "r", "n")]
+    return reference_reports(*axes, int(options["--precision"]))
+
+
+def _csv_cell(text):
+    """A CSV cell as its JSON line holds it: None for an empty cell, the
+    JSON value of a number, flag or dict, and a "num/den" side as text."""
+    if text == "":
+        return None
+    try:
+        return json.loads(text)
+    except ValueError:
+        return text
+
+
+def parse_output(text):
+    """The printed reports, JSON lines or CSV with a header, as dicts."""
+    if text.startswith("check,"):
+        return [{key: _csv_cell(cell) for key, cell in row.items()}
+                for row in csv.DictReader(io.StringIO(text))]
+    return [json.loads(line) for line in text.splitlines()]
+
+
+def differing(printed, expected):
+    """{check: count of printed reports that differ from the reference}."""
+    assert len(printed) == len(expected)
+    counts = {}
+    for got, want in zip(printed, expected):
+        if got != want:
+            counts[want["check"]] = counts.get(want["check"], 0) + 1
+    return counts

@@ -2,20 +2,28 @@ from math import isqrt
 
 import oracles
 import pytest
-from conftest import GRID_MIXED, cold_caches, mutated, source_mutant
+from conftest import cold_caches, mutated
+from test_faults import FAULTS
 
 from eulerlp import (
     DirichletCharacter,
     PadicContext,
     interpolation_check,
     padic_l,
-    run_grid,
     teichmuller_power,
 )
-from eulerlp import characters, lfunctions
+from eulerlp import lfunctions
 from eulerlp.characters import _primitive_root
 
 PRIMES = (3, 5, 7, 11, 13)
+
+# the rows of test_faults.FAULTS that put a fault in the Teichmuller table
+TABLE_FAULTS = (
+    "primitive-root-squared",
+    "primitive-root-2-at-7",
+    "table-index-plus-one",
+    "lift-one-digit-short",
+)
 
 
 def all_supported_characters(p, precision=4):
@@ -179,6 +187,13 @@ class TestValuesAgainstHenselOracle:
         for t in range(p - 1):
             assert DirichletCharacter(ctx, t)(p) == (1 if t == 0 else 0), t
 
+    @pytest.mark.parametrize("fault", TABLE_FAULTS)
+    def test_fails_under_each_table_fault(self, fault):
+        # test_faults.py gives what each of these does to grid-mixed
+        with mutated(*FAULTS[fault].build()):
+            with pytest.raises(AssertionError):
+                self.test_unit_values(7, 4)
+
 
 def odd_primes_below(bound):
     """Odd primes below bound by trial division, independent of the library."""
@@ -234,56 +249,3 @@ class TestTeichmullerTable:
                         assert table[a][1:3] == expected, (p, N, F, a)
                     else:
                         assert table[a] is None
-
-
-class TestTeichmullerTableMutants:
-    """A fault in the table must fail the Hensel oracle and turn at least
-    one grid-mixed report to a mismatch, and every report must match again
-    once it is undone.
-
-    Which suite sees it depends on the fault.  A wrong g or index gives
-    psi(a) = zeta'^(k(a)) with zeta' still a (p-1)-th root of unity, read
-    consistently by chi and by <a> = a / psi(a).  Interpolation cannot see
-    that: l_p(-n, psi^t) = 2 sum psi(a)^(t-n) z(n, a) for every such psi,
-    as theorem6 cannot, since psi(a)^(-s) <a>^(-s) = a^(-s).  kummer can:
-    it reads <a> mod p, which is 1 only for psi = omega.  A lift that is
-    not a root of unity (one digit short) breaks the exponent arithmetic
-    mod p - 1, which interpolation sees."""
-
-    @staticmethod
-    def _mismatched_suites():
-        return {report.check for report in run_grid(GRID_MIXED) if not report.match}
-
-    @pytest.mark.parametrize(
-        "attr, mutant, suite",
-        [
-            ("_primitive_root", lambda p: _primitive_root(p) ** 2 % p, "kummer"),
-            ("_primitive_root", lambda p: 2, "kummer"),  # 2 has order 3 mod 7
-            (
-                "_teichmuller_table",
-                source_mutant(
-                    characters._teichmuller_table,
-                    "index[pow(g, i, p)] = i",
-                    "index[pow(g, i, p)] = i + 1",
-                ),
-                "kummer",
-            ),
-            (
-                "_teichmuller_table",
-                source_mutant(
-                    characters._teichmuller_table,
-                    "teichmuller(g, ctx).residue",
-                    "pow(g, p ** max(ctx.precision - 2, 0), m)",
-                ),
-                "interpolation",
-            ),
-        ],
-        ids=["g-squared", "2-at-7", "index-off-by-one", "lift-one-digit-short"],
-    )
-    def test_mutant_is_caught(self, attr, mutant, suite):
-        with mutated(characters, attr, mutant):
-            with pytest.raises(AssertionError):
-                TestValuesAgainstHenselOracle().test_unit_values(7, 4)
-            mismatched = self._mismatched_suites()
-        assert suite in mismatched, mismatched
-        assert not self._mismatched_suites()

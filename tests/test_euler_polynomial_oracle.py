@@ -7,11 +7,8 @@ Fraction sum."""
 
 from fractions import Fraction
 
+import oracles
 import pytest
-
-pytest.importorskip("hypothesis")
-from hypothesis import example, given
-from hypothesis import strategies as st
 from oracles import euler_polynomial
 
 from eulerlp import alternating_power_sum, euler_polynomial_value
@@ -19,45 +16,53 @@ from eulerlp.harness import distribution_report
 
 NMAX = 40
 
-rationals = st.builds(
-    Fraction, st.integers(-(10**30), 10**30), st.integers(1, 10**30)
-)
+
+def test_int_horner_matches_euler_polynomial():
+    hypothesis = pytest.importorskip("hypothesis")
+    st, example = hypothesis.strategies, hypothesis.example
+    rationals = st.builds(Fraction, st.integers(-(10**30), 10**30), st.integers(1, 10**30))
+
+    @hypothesis.given(st.integers(0, NMAX), rationals)
+    @example(0, Fraction(-7, 3))
+    @example(1, Fraction(-1, 2))
+    @example(NMAX, Fraction(-(10**29) - 1, 10**30 - 7))
+    @example(NMAX - 1, Fraction(12345, 2**95))
+    def holds(n, x):
+        assert euler_polynomial_value(n, x) == euler_polynomial(n, x)
+
+    holds()
 
 
-@given(st.integers(0, NMAX), rationals)
-@example(0, Fraction(-7, 3))
-@example(1, Fraction(-1, 2))
-@example(NMAX, Fraction(-(10**29) - 1, 10**30 - 7))
-@example(NMAX - 1, Fraction(12345, 2**95))
-def test_int_horner_matches_euler_polynomial(n, x):
-    assert euler_polynomial_value(n, x) == euler_polynomial(n, x)
+def test_integer_points():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.given(st.integers(0, NMAX), st.integers(-(10**6), 10**6))
+    def holds(n, x):
+        assert euler_polynomial_value(n, x) == euler_polynomial(n, Fraction(x))
+
+    holds()
 
 
-@given(st.integers(0, NMAX), st.integers(-(10**6), 10**6))
-def test_integer_points(n, x):
-    assert euler_polynomial_value(n, x) == euler_polynomial(n, Fraction(x))
-
-
-def fraction_string(q):
-    return f"{q.numerator}/{q.denominator}"
-
-
-@given(
-    st.integers(0, 30),
-    st.sampled_from((1, 3, 5, 7, 9)),
-    st.builds(Fraction, st.integers(-(10**12), 10**12), st.integers(1, 10**12)),
-)
-@example(0, 1, Fraction(0))
-@example(30, 9, Fraction(-(10**12), 10**12 - 1))
-@example(7, 3, Fraction(-2, 7))
-def test_distribution_sides_match_fraction_sides(n, f, x):
+def test_distribution_sides_match_fraction_sides():
     # E_n(x) and f^n sum_a (-1)^a E_n((x + a) / f), each side on Fractions
-    report = distribution_report(n, f, x)
-    lhs = euler_polynomial(n, x)
-    rhs = f**n * sum((-1) ** a * euler_polynomial(n, (x + a) / f) for a in range(f))
-    assert report.lhs == fraction_string(lhs)
-    assert report.rhs == fraction_string(rhs)
-    assert report.match
+    hypothesis = pytest.importorskip("hypothesis")
+    st, example = hypothesis.strategies, hypothesis.example
+
+    @hypothesis.given(
+        st.integers(0, 30),
+        st.sampled_from((1, 3, 5, 7, 9)),
+        st.builds(Fraction, st.integers(-(10**12), 10**12), st.integers(1, 10**12)),
+    )
+    @example(0, 1, Fraction(0))
+    @example(30, 9, Fraction(-(10**12), 10**12 - 1))
+    @example(7, 3, Fraction(-2, 7))
+    def holds(n, f, x):
+        report = distribution_report(n, f, x)
+        assert report.as_dict() == oracles.distribution_report(n, f, x.numerator, x.denominator)
+        assert report.match
+
+    holds()
 
 
 def test_alternating_power_sum_matches_fraction_sum():

@@ -6,9 +6,10 @@ that drifts with the library cannot pass unseen.
 """
 
 from fractions import Fraction
+from itertools import product
 from math import comb
 
-from oracles import angle, binomial, lifts, partial_zeta_row, residue, wire
+from oracles import alt_harmonic_sum, angle, binomial, lifts, partial_zeta_row, residue, wire
 
 PRIMES = (3, 5, 7, 11)
 
@@ -63,3 +64,9 @@ def test_partial_zeta_row_is_exact_at_M_terms():
         for M in range(1, 4):
             for s in range(-3, 4):
                 assert partial_zeta_row(p, M, s, F) == partial_zeta_row(p, M, s, F, M + 3)
+
+
+def test_alt_harmonic_sum_in_halves_is_the_sum_in_order():
+    for p, n, r in product((3, 5, 7), range(4), (1, 2, 3)):
+        terms = (Fraction((-1) ** j, j**r) for j in range(1, n * p + 1) if j % p)
+        assert alt_harmonic_sum(p, n, r) == sum(terms, Fraction(0)), (p, n, r)
