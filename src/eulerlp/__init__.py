@@ -16,18 +16,18 @@ from .harness import (
     GridConfig,
     alt_harmonic_sum,
     distribution_report,
+    interpolation_check,
+    kummer_check,
     main_congruence_series,
     run_grid,
+    series_closed_check,
     verify_main_congruence,
 )
 from .lfunctions import (
     generalized_euler_number,
-    interpolation_check,
-    kummer_check,
     padic_l,
     padic_partial_zeta,
     padic_partial_zeta_at_neg,
-    series_closed_check,
 )
 from .padic import (
     PadicContext,

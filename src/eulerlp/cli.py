@@ -20,10 +20,10 @@ on stderr and raises ``SystemExit(2)``; ``-h`` prints help to stdout and exits 0
 import os
 import sys
 
+from . import lfunctions
 from .characters import teichmuller_power
 from .euler import euler_number_pairs
 from .harness import CHECKS, GridConfig, run_grid
-from .lfunctions import padic_l
 from .padic import PadicContext
 from .reports import _json, reports_to_csv, reports_to_jsonl
 
@@ -177,7 +177,7 @@ def cmd_euler(args: dict) -> int:
 
 def cmd_lp(args: dict) -> int:
     chi = teichmuller_power(args["t"], PadicContext(args["p"], args["precision"]))
-    value = padic_l(args["s"], chi).as_json_dict()
+    value = lfunctions.padic_l(args["s"], chi).as_json_dict()
     print(_json({"s": args["s"], "character": chi.descriptor(), "value": value}))
     return 0
 

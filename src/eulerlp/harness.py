@@ -1,4 +1,4 @@
-"""End-to-end verification of the main congruence and the identity suites.
+"""Every check: the main congruence end to end, l-function checks and identity suites.
 
 The main congruence states that for an odd prime p, even n and r >= 1,
 twice the alternating harmonic sum over units j <= np satisfies
@@ -17,8 +17,9 @@ where a row carries its inner axis (theorem6's n, interpolation's t, binomial's 
 
 from functools import lru_cache
 
+from . import lfunctions
+from .characters import DirichletCharacter
 from .euler import _alternating_power_sum, _alternating_power_sum_closed, _euler_form, _fraction
-from .lfunctions import _interpolation_report, _l_residue, kummer_check
 from .padic import PadicContext, PadicNumber, Value, _set, binomial, is_prime
 from .reports import CongruenceReport, format_rational, rational_report, residue_report
 
@@ -74,13 +75,55 @@ def _series_residues(ns: tuple[int, ...], r: int, ctx: PadicContext) -> list[int
 @lru_cache(maxsize=None)
 def _diagonal_l(s: int, ctx: PadicContext) -> int:
     """The residue of l_p(s, w^(-s)) in ctx."""
-    return _l_residue(s, -s % (ctx.p - 1), ctx)
+    return lfunctions._l_residue(s, -s % (ctx.p - 1), ctx)
 
 
 def verify_main_congruence(p: int, n: int, r: int, digits: int) -> CongruenceReport:
     """The "theorem6" report at one n: 2 * alt_harmonic_sum(p, n, r), summed
     on residues mod p^digits, against the series side."""
     return _theorem6({"p": p, "n": n, "r": r, "precision": digits})[0]
+
+
+def series_closed_check(n: int, a: int, ctx: PadicContext) -> CongruenceReport:
+    """The partial zeta series H_p(-n, a | p) against its closed form, mod
+    p^N with N the precision of ctx, both on residues."""
+    rhs = lfunctions._closed_residue(n, a, ctx.p, ctx)  # checks n and a before a indexes the row
+    lhs = lfunctions._l_series_row(-n, ctx)[a]
+    params = {"p": ctx.p, "n": n, "a": a, "F": ctx.p, "M": ctx.precision}
+    return residue_report("series_closed", params, ctx, lhs, rhs)
+
+
+def interpolation_check(n: int, chi: DirichletCharacter) -> CongruenceReport:
+    """The "interpolation" report of chi: :func:`_interpolation_report`."""
+    return _interpolation_report(n, chi.t, chi.context)
+
+
+def _interpolation_report(n: int, t: int, ctx: PadicContext) -> CongruenceReport:
+    """l_p(-n, chi) against (1 - p^n chi_n(p)) E_{n, chi_n} mod p^N, N the
+    precision of ctx, for chi = w^t with t reduced mod p-1 and chi_n = w^u,
+    u = (t - n) mod p-1, chi twisted by w^(-n).  A mismatch is a report
+    outcome, not an exception.  chi_n(p) is 1 for conductor 1 (u = 0) and 0
+    otherwise, which is exactly what makes the factor collapse correctly in
+    both regimes."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    p, u = ctx.p, (t - n) % (ctx.p - 1)
+    rhs = (1 - p**n if u == 0 else 1) * lfunctions._euler_residue(n, u, ctx)
+    params = {"p": p, "n": n, "t": t, "M": ctx.precision}
+    return residue_report("interpolation", params, ctx, lfunctions._l_residue(-n, t, ctx), rhs)
+
+
+def kummer_check(k: int, t: int, ctx: PadicContext, k2: int | None = None) -> CongruenceReport:
+    """l_p(k, w^t) against l_p(k2, w^t) mod p, for t = 0 mod p-1 (so w^t = w^0),
+    both from ctx's own series rows, reported in 1 digit.  k2 defaults to k + p;
+    any pair may be given, since for such t the function is constant mod p."""
+    p = ctx.p
+    if t % (p - 1) != 0:
+        raise ValueError("the congruence needs t = 0 mod p-1")
+    k2 = k + p if k2 is None else k2
+    params = {"p": p, "k": k, "k2": k2, "t": 0, "M": 1}
+    return residue_report("kummer", params, PadicContext(p, 1),
+                          lfunctions._l_residue(k, 0, ctx), lfunctions._l_residue(k2, 0, ctx))
 
 
 # Fixed evaluation points, as (numerator, denominator), for the identity suites.
@@ -208,9 +251,10 @@ def _binomial(params: dict) -> list[CongruenceReport]:
 # row may carry its inner axis as a tuple where ``verify`` gives one value:
 # theorem6 its n values (one harmonic pass gives every left side),
 # interpolation its t values (one context) and binomial its j values (the
-# ratio for (r, k) once, then one product per j).  The functions call the
-# report builders through this module's globals, so a tracer that rebinds
-# those names sees every call.
+# ratio for (r, k) once, then one product per j).  Every report builder is
+# in this module and called through its globals, so a tracer that rebinds
+# those names sees every call; ``lfunctions`` gives values, called through
+# the module, so a fault installed where a function is defined reaches it.
 CHECKS = {
     "theorem6": (("p", "n", "r"), _theorem6, lambda c: [
         {"p": p, "n": c.n_values, "r": r, "precision": c.precision}

@@ -16,14 +16,16 @@ exactly N series terms.  Only integer s is supported: unit powers
 <a>^{-s} are then exact and no Mahler-series precision bookkeeping is
 needed.
 
-Each value has one core on plain int residues mod p^N, at the reduced
-exponent t of chi = w^t: ``_l_residue``, ``_euler_residue`` and
-``_interpolation_report``; the public functions read chi's exponent and
-call them, and only they return ``PadicNumber``.  For each (F, context), a
-table holding (-1)^a / 2, <a>, <a>^(-1) and the row (F/a)^j E_j (j < N)
-for every unit a is built once; a partial zeta value is then one dot
-product with the binomial row C(-s, j).  The exact partial zeta values at
--n, (-1)^a (F^n / 2) E_n(a/F), are embedded once per (n, F, context) in
+Each value has one core on plain int residues mod p^N: ``_l_residue`` and
+``_euler_residue``, which take chi = w^t as its reduced exponent t, and
+``_closed_residue``; the public functions call them, and only they return
+``PadicNumber``.  This module gives values only: every report is built in
+``harness``, next to ``CHECKS``, which calls these functions through the
+module, so a fault installed here reaches every caller.  For each (F,
+context), a table holding (-1)^a / 2, <a>, <a>^(-1) and the row (F/a)^j E_j
+(j < N) for every unit a is built once; a partial zeta value is then one
+dot product with the binomial row C(-s, j).  The exact partial zeta values
+at -n, (-1)^a (F^n / 2) E_n(a/F), are embedded once per (n, F, context) in
 ``_partial_zeta_residues``.  The series is Washington's ("p-adic
 L-functions and sums of powers", J. Number Theory 69, 1998), adapted to
 Euler numbers.
@@ -35,7 +37,6 @@ from operator import mul
 from .characters import DirichletCharacter, _values
 from .euler import _euler_form, _euler_parts
 from .padic import PadicContext, PadicNumber, binomial
-from .reports import CongruenceReport, residue_report
 
 
 def generalized_euler_number(n: int, chi: DirichletCharacter) -> PadicNumber:
@@ -128,14 +129,19 @@ def padic_partial_zeta(s: int, a: int, modulus: int, ctx: PadicContext) -> Padic
 
 
 def padic_partial_zeta_at_neg(n: int, a: int, modulus: int, ctx: PadicContext) -> PadicNumber:
-    """Closed form at s = -n: omega^(-n)(a), read from the context's one
-    Teichmuller table, times the exact partial zeta value
-    (-1)^a (modulus^n / 2) E_n(a/modulus), at full precision."""
+    """Closed form at s = -n: :func:`_closed_residue`, at full precision."""
+    return ctx.from_int(_closed_residue(n, a, modulus, ctx))
+
+
+def _closed_residue(n: int, a: int, modulus: int, ctx: PadicContext) -> int:
+    """omega^(-n)(a), read by exponent from the context's one Teichmuller
+    table, times the exact partial zeta value (-1)^a (modulus^n / 2)
+    E_n(a/modulus), mod p^N."""
     if n < 1:
         raise ValueError("n must be >= 1")
     _check_class_args(a, modulus, ctx)
-    value = _partial_zeta_residues(n, modulus, ctx)[a]
-    return ctx.from_int(DirichletCharacter(ctx, -n)(a) * value)
+    omega = _values(-n % (ctx.p - 1), ctx)  # (1,) when omega^(-n) has conductor 1
+    return omega[a % len(omega)] * _partial_zeta_residues(n, modulus, ctx)[a] % ctx.modulus
 
 
 @lru_cache(maxsize=None)
@@ -164,44 +170,3 @@ def _l_residue(s: int, t: int, ctx: PadicContext) -> int:
     row = _l_series_row(s, ctx)
     return 2 * (sum(map(mul, _values(t, ctx), row)) if t else sum(row)) % ctx.modulus
 
-
-def series_closed_check(n: int, a: int, ctx: PadicContext) -> CongruenceReport:
-    """Series evaluation at s = -n against the closed form, mod p^N with N
-    the precision of ctx."""
-    lhs = padic_partial_zeta(-n, a, ctx.p, ctx).residue
-    rhs = padic_partial_zeta_at_neg(n, a, ctx.p, ctx).residue
-    params = {"p": ctx.p, "n": n, "a": a, "F": ctx.p, "M": ctx.precision}
-    return residue_report("series_closed", params, ctx, lhs, rhs)
-
-
-def interpolation_check(n: int, chi: DirichletCharacter) -> CongruenceReport:
-    """The "interpolation" report of chi: :func:`_interpolation_report`."""
-    return _interpolation_report(n, chi.t, chi.context)
-
-
-def _interpolation_report(n: int, t: int, ctx: PadicContext) -> CongruenceReport:
-    """l_p(-n, chi) against (1 - p^n chi_n(p)) E_{n, chi_n} mod p^N, N the
-    precision of ctx, for chi = w^t with t reduced mod p-1 and chi_n = w^u,
-    u = (t - n) mod p-1, chi twisted by w^(-n).  A mismatch is a report
-    outcome, not an exception.  chi_n(p) is 1 for conductor 1 (u = 0) and 0
-    otherwise, which is exactly what makes the factor collapse correctly in
-    both regimes."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    p, u = ctx.p, (t - n) % (ctx.p - 1)
-    rhs = (1 - p**n if u == 0 else 1) * _euler_residue(n, u, ctx)
-    params = {"p": p, "n": n, "t": t, "M": ctx.precision}
-    return residue_report("interpolation", params, ctx, _l_residue(-n, t, ctx), rhs)
-
-
-def kummer_check(k: int, t: int, ctx: PadicContext, k2: int | None = None) -> CongruenceReport:
-    """l_p(k, w^t) against l_p(k2, w^t) mod p, for t = 0 mod p-1 (so w^t = w^0),
-    both from ctx's own series rows, reported in 1 digit.  k2 defaults to k + p;
-    any pair may be given, since for such t the function is constant mod p."""
-    p = ctx.p
-    if t % (p - 1) != 0:
-        raise ValueError("the congruence needs t = 0 mod p-1")
-    k2 = k + p if k2 is None else k2
-    params = {"p": p, "k": k, "k2": k2, "t": 0, "M": 1}
-    return residue_report("kummer", params, PadicContext(p, 1), _l_residue(k, 0, ctx),
-                          _l_residue(k2, 0, ctx))

@@ -12,9 +12,16 @@ always differs.  A row with two empty verdicts is a survivor: grid-mixed's
 output under it is byte-identical.
 
 Each mutant is built inside its own test case, so a fault text that no
-longer occurs in ``src/`` fails only its own row.
+longer occurs in ``src/`` fails only its own row.  A source mutant is
+installed on the module that defines its function, and every other module
+calls ``lfunctions`` through the module, so the mutant reaches every
+caller; a wrapped row may patch an alias on purpose (``harness.binomial``,
+``lfunctions._euler_parts``).
 """
 
+import importlib
+import pkgutil
+import sys
 from collections import Counter
 from typing import Callable, NamedTuple
 
@@ -28,6 +35,7 @@ from conftest import (
 )
 from oracles import differing, grid_reference, parse_output
 
+import eulerlp
 from eulerlp import characters, cli, euler, harness, lfunctions
 
 
@@ -44,8 +52,15 @@ def wrapped(target, name, wrap):
 
 def rewritten(target, name, fault, mutation):
     """A builder of ``target.name`` recompiled with ``fault`` replaced by
-    ``mutation`` in its source."""
-    return lambda: (target, name, source_mutant(getattr(target, name), fault, mutation))
+    ``mutation`` in its source, on the module that defines it: a source
+    mutant installed on an alias would not reach the module's own callers."""
+
+    def build():
+        function = getattr(target, name)
+        assert target is sys.modules[function.__module__], (target, name)
+        return target, name, source_mutant(function, fault, mutation)
+
+    return build
 
 
 def _harmonic_without_last_term(original):
@@ -152,6 +167,12 @@ FAULTS = {
     "series-E3-plus-one": Fault(wrapped(
         lfunctions, "_euler_parts", _euler_number_plus_one(3)),
         {"theorem6": 60, "interpolation": 68}),
+    # every l-value scaled by 3/2, seen wherever it is not 0: on theorem6's
+    # diagonal and at the 51 odd t of interpolation; l_p(-n, w^t) is 0 at
+    # even t, and kummer's 1-digit l_p(k, w^0) is 0 mod p
+    "l-value-scaled-by-three-halves": Fault(rewritten(
+        lfunctions, "_l_residue", "return 2 * (", "return 3 * ("),
+        {"theorem6": 60, "interpolation": 51}),
     # Survivors, which ROADMAP item 11's odd n (with item 1) catches: the
     # Euler factor's sign matters only in the conductor-1 reports,
     # t = n mod p-1, where E_n = 0 at every even n; and one series term
@@ -179,3 +200,18 @@ def test_grid_mixed_gives_the_faults_verdicts(fault, reference, capsys):
     assert differing(printed, reference) == differs
     assert cli.main(GRID_MIXED_ARGV) == 0
     assert parse_output(capsys.readouterr().out) == reference
+
+
+def test_each_lfunctions_function_has_one_binding():
+    # besides the package's public names, no module holds a function that
+    # lfunctions defines, so a fault installed on lfunctions reaches every call
+    defined = {
+        id(value): name for name, value in vars(lfunctions).items()
+        if callable(value) and getattr(value, "__module__", None) == lfunctions.__name__
+    }
+    names = [info.name for info in pkgutil.iter_modules(eulerlp.__path__)]
+    modules = [importlib.import_module(f"eulerlp.{name}") for name in names
+               if name not in ("__main__", "lfunctions")]  # importing __main__ runs the CLI
+    held = [(module.__name__, attr) for module in modules
+            for attr, value in vars(module).items() if id(value) in defined]
+    assert len(defined) > 10 and held == []

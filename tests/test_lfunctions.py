@@ -196,6 +196,23 @@ class TestPartialZetaClosedForm:
             for a in (1, 2, 3, 4):
                 assert series_closed_check(3, a, ctx).match
 
+    def test_series_closed_guards(self):
+        ctx = PadicContext(5, 4)
+        for n, a in ((0, 1), (1, 0), (1, -1), (1, 5), (1, 10)):
+            with pytest.raises(ValueError):
+                series_closed_check(n, a, ctx)
+
+    def test_series_closed_compares_residues(self):
+        # both sides are read as residues and omega^(-n)(a) by exponent: the
+        # one PadicNumber is the lift behind the context's Teichmuller table
+        ctx = PadicContext(7, 5)
+        with recorded(eulerlp.PadicNumber, "__init__") as numbers:
+            with recorded(eulerlp.DirichletCharacter, "__init__") as characters:
+                reports = [series_closed_check(n, a, ctx)
+                           for a in range(1, 7) for n in range(1, 7)]
+        assert all(r.match for r in reports)
+        assert len(numbers) == 1 and characters == []
+
     def test_one_teichmuller_lift_per_context(self):
         # the closed form reads omega^(-n)(a) from the context's table, like
         # the series' <a>: the only lift is the table's zeta = omega(g)
