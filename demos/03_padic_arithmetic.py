@@ -2,12 +2,13 @@
 
 Values are elements of Z_p known modulo p^N.  Arithmetic never overclaims
 digits: multiplication can gain precision through valuations, reduction can
-forget digits, and only units can be inverted.
+forget digits, and only units can be inverted.  The principal-unit
+projection <a> = a / omega(a) is written with these operators.
 """
 
 from fractions import Fraction
 
-from eulerlp import PadicContext, angle, teichmuller
+from eulerlp import PadicContext, teichmuller
 
 ctx = PadicContext(7, 6)
 print(f"working in Z_7 with {ctx.precision} digits (modulus {ctx.modulus})")
@@ -29,7 +30,7 @@ for a in range(1, 7):
 print()
 print("the principal-unit projection <a> = a / omega(a) is 1 mod p:")
 for a in (2, 3, 12):
-    u = angle(a, ctx)
+    u = ctx.from_int(a) * teichmuller(a, ctx) ** -1
     print(f"  <{a}> = {u.residue:>6}   (mod 7 it is {u.residue % 7})")
 
 print()
@@ -38,8 +39,6 @@ x = ctx.from_int(49)  # valuation 2
 coarse = ctx.from_int(10).reduce(3)
 print(f"  49 has valuation {x.valuation}; a unit known to 3 digits times 49")
 print(f"  is known to {(coarse * x).precision} digits (3 + 2, capped at {ctx.precision})")
-shifted = x.div_p(2)
-print(f"  dividing 49 by p^2 exactly: {shifted} with {shifted.precision} digits left")
 try:
     ctx.from_int(14).inverse()
 except ZeroDivisionError as exc:

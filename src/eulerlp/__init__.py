@@ -10,7 +10,6 @@ from .euler import (
     euler_numbers,
     euler_polynomial,
     euler_polynomial_value,
-    partial_zeta_neg,
 )
 from .harness import (
     GridConfig,
@@ -32,7 +31,6 @@ from .lfunctions import (
 from .padic import (
     PadicContext,
     PadicNumber,
-    angle,
     binomial,
     teichmuller,
 )
@@ -53,7 +51,6 @@ __all__ = [
     "alt_harmonic_sum",
     "alternating_power_sum",
     "alternating_power_sum_closed",
-    "angle",
     "binomial",
     "distribution_report",
     "euler_number",
@@ -67,7 +64,6 @@ __all__ = [
     "padic_l",
     "padic_partial_zeta",
     "padic_partial_zeta_at_neg",
-    "partial_zeta_neg",
     "reports_to_csv",
     "reports_to_jsonl",
     "run_grid",

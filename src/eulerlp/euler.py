@@ -1,5 +1,4 @@
-"""Euler numbers, Euler polynomials, alternating power sums, and partial
-zeta values at negative integers.
+"""Euler numbers, Euler polynomials and alternating power sums.
 
 The Euler numbers come from one integer table of tangent numbers, rebuilt
 at twice its size when a request passes its end; every value this module
@@ -155,16 +154,3 @@ def alternating_power_sum_closed(n: int, m: int) -> "Fraction":
     """
     return _fraction(*_alternating_power_sum_closed(n, m))
 
-
-def partial_zeta_neg(n: int, a: int, modulus: int) -> "Fraction":
-    """Value at -n of the alternating partial zeta restricted to the class
-    a mod modulus: (-1)^a (modulus^n / 2) E_n(a / modulus), which is
-    (-1)^a H(n, a, modulus) / 2^(n+1)."""
-    if modulus < 1 or modulus % 2 == 0:
-        raise ValueError("modulus must be odd")
-    if not 0 < a < modulus:
-        raise ValueError("need 0 < a < modulus")
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    sign = -1 if a % 2 else 1
-    return _fraction(sign * _euler_form(n, a, modulus), 2 ** (n + 1))

@@ -3,8 +3,7 @@
 A :class:`PadicNumber` is an element of Z_p known modulo p^M, where M is at
 most the precision N of its :class:`PadicContext`.  Arithmetic tracks how
 many base-p digits of a result are actually known, so precision can shrink
-but is never overclaimed, and division is restricted to units (dividing by
-p is a separate, explicit operation).
+but is never overclaimed, and only units can be inverted.
 
 Library code computes on plain int residues and wraps each value it returns
 once, at the precision it is known to; the operators are for callers.
@@ -222,18 +221,6 @@ class PadicNumber(Value):
             raise ValueError(f"cannot raise precision from {self.precision} to {digits}")
         return PadicNumber(self.context, self.residue, digits)
 
-    def div_p(self, k: int = 1) -> "PadicNumber":
-        """Exact division by p^k; needs valuation >= k and costs k digits."""
-        if k < 0:
-            raise ValueError("k must be >= 0")
-        if k == 0:
-            return self
-        if self.valuation < k:
-            raise ValueError(f"valuation {self.valuation} < {k}; quotient would leave Z_p")
-        if self.precision - k < 1:
-            raise ValueError("no known digits would remain after the shift")
-        return PadicNumber(self.context, self.residue // self.context.p**k, self.precision - k)
-
 
 def _wire_dict(p: int, precision: int, residue: int) -> dict:
     """The JSON form of any int residue mod p^precision: its little-endian
@@ -257,11 +244,6 @@ def teichmuller(a: int, ctx: PadicContext) -> PadicNumber:
     if a % ctx.p == 0:
         raise ValueError(f"{a} is divisible by {ctx.p}; the lift needs a unit")
     return ctx.from_int(pow(a, ctx.p ** (ctx.precision - 1), ctx.modulus))
-
-
-def angle(a: int, ctx: PadicContext) -> PadicNumber:
-    """Principal-unit projection <a> = a / omega(a); congruent to 1 mod p."""
-    return ctx.from_int(a * pow(teichmuller(a, ctx).residue, -1, ctx.modulus))
 
 
 def binomial(z: int, j: int) -> int:

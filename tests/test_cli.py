@@ -17,6 +17,7 @@ import pytest
 from conftest import ROOT, run_python, src_environ
 from test_recorded_outputs import RECORDED
 
+import eulerlp
 from eulerlp import GridConfig, PadicContext, cli, padic_l, run_grid, teichmuller_power
 from eulerlp.cli import COMMANDS, main
 from eulerlp.harness import CHECKS
@@ -203,6 +204,20 @@ class TestVerifyCommand:
         assert code == 2
         assert out == ""
         assert "f must be odd" in err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("interpolation", "--p", "5", "--n", "0"), "error: n must be >= 1"),
+            (("distribution", "--n", "-1", "--f", "3"), "error: n must be >= 0, got -1"),
+            (("powersum", "--n", "2", "--m", "-1"), "error: n and m must be >= 0"),
+        ],
+    )
+    def test_out_of_range_index_is_usage_error(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, "verify", "--check", *argv)
+        assert code == 2
+        assert out == ""
+        assert message in err
 
     def test_vanishing_ratio_denominator_is_usage_error(self, capsys):
         code, _, err = run_cli(
@@ -611,6 +626,37 @@ def test_library_stays_under_its_line_ceiling():
     sources = (ROOT / "src" / "eulerlp").glob("*.py")
     lines = sum(path.read_bytes().count(b"\n") for path in sources)
     assert lines <= LIBRARY_LINE_CEILING, lines
+
+
+def _names_in_code(path):
+    """Every name a module's code reads, binds, imports or looks up as an
+    attribute; docstrings and comments are not code."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+    return names
+
+
+def test_every_export_has_a_user():
+    # an export is used when the docs or a demo name it, or when code in a
+    # library module other than the one defining it refers to it
+    texts = [(ROOT / name).read_text() for name in ("README.md", "PAPER.md")]
+    texts += [path.read_text() for path in (ROOT / "demos").glob("*.py")]
+    package = ROOT / "src" / "eulerlp"
+    code = {path.stem: _names_in_code(path) for path in package.glob("*.py")}
+    del code["__init__"]
+    unused = []
+    for name in eulerlp.__all__:
+        home = getattr(eulerlp, name).__module__.rpartition(".")[2]
+        named = any(re.search(rf"\b{name}\b", text) for text in texts)
+        if not named and not any(name in names for stem, names in code.items() if stem != home):
+            unused.append(name)
+    assert unused == []
 
 
 # conftest.py's cold_caches, mutated, recorded and source_mutant are the one

@@ -14,7 +14,6 @@ from eulerlp import (
     euler_numbers,
     euler_polynomial,
     euler_polynomial_value,
-    partial_zeta_neg,
 )
 from eulerlp import euler
 
@@ -106,6 +105,10 @@ class TestEulerPolynomial:
             poly = euler_polynomial(n)
             assert poly[n] == 1
             assert poly[n - 1] == Fraction(-n, 2)
+
+    def test_negative_degree_rejected(self):
+        with pytest.raises(ValueError):
+            euler_polynomial(-1)
 
     def test_eval_examples(self):
         assert euler_polynomial_value(1, Fraction(1, 3)) == Fraction(-1, 6)
@@ -270,40 +273,19 @@ class TestAlternatingPowerSums:
             for m in range(13):
                 assert alternating_power_sum_closed(n, m) == alternating_power_sum(n, m)
 
-    def test_closed_rejects_odd_or_small_n(self):
-        with pytest.raises(ValueError):
-            alternating_power_sum_closed(3, 2)
-        with pytest.raises(ValueError):
-            alternating_power_sum_closed(0, 2)
-
-
-class TestPartialZeta:
     @pytest.mark.parametrize(
-        "n,a,F,expected",
+        "function, n, m",
         [
-            (1, 1, 5, Fraction(3, 4)),
-            (0, 2, 3, Fraction(1, 2)),
-            (1, 1, 3, Fraction(1, 4)),
-            (1, 2, 3, Fraction(1, 4)),
-            (2, 1, 3, Fraction(1)),
+            (alternating_power_sum_closed, 3, 2),  # odd n
+            (alternating_power_sum_closed, 0, 2),  # n below 2
+            (alternating_power_sum_closed, 2, -1),
+            (alternating_power_sum, -1, 2),
+            (alternating_power_sum, 2, -1),
         ],
     )
-    def test_examples(self, n, a, F, expected):
-        assert partial_zeta_neg(n, a, F) == expected
-
-    def test_matches_definition(self):
-        for F in (3, 5, 7):
-            for a in range(1, F):
-                for n in range(6):
-                    assert partial_zeta_neg(n, a, F) == oracles.partial_zeta_neg(n, a, F)
-
-    def test_rejects_bad_class_or_modulus(self):
+    def test_rejects_bad_arguments(self, function, n, m):
         with pytest.raises(ValueError):
-            partial_zeta_neg(1, 0, 5)
-        with pytest.raises(ValueError):
-            partial_zeta_neg(1, 5, 5)
-        with pytest.raises(ValueError):
-            partial_zeta_neg(1, 1, 4)
+            function(n, m)
 
 
 class TestDistribution:
@@ -325,6 +307,7 @@ class TestDistribution:
                 for x in points:
                     assert distribution_report(n, f, x).match
 
-    def test_even_f_rejected(self):
+    @pytest.mark.parametrize("n, f", [(2, 4), (-1, 3)])  # even f, negative n
+    def test_rejects_bad_arguments(self, n, f):
         with pytest.raises(ValueError):
-            distribution_report(2, 4, 0)
+            distribution_report(n, f, 0)

@@ -410,6 +410,10 @@ class TestInterpolation:
                     chi = teichmuller_power(t, ctx)
                     assert interpolation_check(n, chi).match, (p, n, t)
 
+    def test_rejects_n_below_one(self):
+        with pytest.raises(ValueError):
+            interpolation_check(0, teichmuller_power(1, PadicContext(5, 4)))
+
     def test_margin_does_not_change_reports(self):
         # four more digits, and so four more series terms, reduced away
         assert not _interpolation_report_mismatches()

@@ -1,10 +1,11 @@
+import operator
 import random
 from fractions import Fraction
 
 import pytest
 from conftest import random_rationals
 
-from eulerlp import PadicContext, angle, binomial, teichmuller
+from eulerlp import PadicContext, PadicNumber, binomial, teichmuller
 
 
 @pytest.fixture
@@ -85,6 +86,13 @@ class TestArithmetic:
         with pytest.raises(ValueError):
             z3.from_int(1) + PadicContext(3, 3).from_int(1)
 
+    @pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul])
+    def test_non_number_operand_is_type_error(self, z3, op):
+        with pytest.raises(TypeError):
+            op(z3.from_int(1), 0.5)
+        with pytest.raises(TypeError):
+            op(0.5, z3.from_int(1))
+
     def test_precision_propagates_through_add(self, z3):
         coarse = z3.from_int(4).reduce(1)
         out = coarse + z3.from_int(1)
@@ -123,7 +131,7 @@ class TestPowers:
         assert (x**0).residue == 1
 
     def test_inverse_power_example(self, z5):
-        assert (angle(2, z5) ** -1).residue == 16
+        assert (z5.from_int(11) ** -1).residue == 16
 
     def test_minus_one_to_negative_odd(self, z5):
         x = z5.from_int(-1)
@@ -177,24 +185,6 @@ class TestTeichmuller:
                         assert lifts[a] * lifts[b] == teichmuller(a * b, ctx)
 
 
-class TestAngle:
-    def test_examples(self, z5):
-        assert angle(1, z5).residue == 1
-        assert angle(2, z5).residue == 11
-        assert angle(4, z5).residue == 21
-
-    def test_congruent_to_one_mod_p(self):
-        for p in (3, 5, 7):
-            ctx = PadicContext(p, 6)
-            for a in range(1, 4 * p):
-                if a % p:
-                    assert angle(a, ctx).residue % p == 1
-
-    def test_recombines_with_lift(self, z5):
-        for a in (1, 2, 3, 4, 6, 7):
-            assert angle(a, z5) * teichmuller(a, z5) == z5.from_int(a)
-
-
 class TestBinomial:
     def test_minus_one(self):
         for k in range(10):
@@ -243,22 +233,10 @@ class TestPrecisionOps:
         with pytest.raises(ValueError):
             x.reduce(1).reduce(2)
 
-    def test_div_p(self):
-        ctx = PadicContext(3, 4)
-        x = ctx.from_int(18)
-        y = x.div_p(2)
-        assert y.residue == 2
-        assert y.precision == 2
-        assert x.div_p(0) == x
-
-    def test_div_p_guards(self):
-        ctx = PadicContext(3, 4)
+    @pytest.mark.parametrize("precision", [0, 3])
+    def test_precision_outside_context_rejected(self, z3, precision):
         with pytest.raises(ValueError):
-            ctx.from_int(2).div_p(1)
-        with pytest.raises(ValueError):
-            ctx.from_int(81).div_p(4)  # no digits would remain
-        with pytest.raises(ValueError):
-            ctx.from_int(8).div_p(-1)
+            PadicNumber(z3, 1, precision)
 
 
 class TestSerialization:

@@ -83,10 +83,3 @@ def test_pow(pair, exponent):
     ((x, xc),) = pair
     assert_claimed_digits_hold(x**exponent, xc**exponent)
 
-
-@bookkeeping
-@given(operands(1), st.data())
-def test_div_p(pair, data):
-    ((x, xc),) = pair
-    k = data.draw(st.integers(0, min(x.valuation, x.precision - 1)))
-    assert_claimed_digits_hold(x.div_p(k), xc.div_p(k))

@@ -13,7 +13,6 @@ import pytest
 
 from eulerlp import (
     PadicContext,
-    angle,
     generalized_euler_number,
     interpolation_check,
     main_congruence_series,
@@ -54,13 +53,6 @@ def main_congruence_mismatches(ctx):
 
 @pytest.mark.parametrize("ctx", CONTEXTS, ids=_label)
 class TestResiduesMatchTheOracle:
-    def test_angle(self, ctx):
-        for a in range(-2 * ctx.p, 3 * ctx.p):
-            if a % ctx.p:
-                value = angle(a, ctx)
-                assert value.residue == oracles.angle(ctx.p, ctx.precision, a), a
-                assert value.precision == ctx.precision
-
     def test_character_values(self, ctx):
         for t in range(-1, 2 * (ctx.p - 1)):
             values = teichmuller_power(t, ctx).values

@@ -9,7 +9,7 @@ integration", Russ. J. Math. Phys. 9 (2002) 288-299).  On the units,
                 = lim_L sum_{0<x<p^L, p not dividing x} (-1)^x w(x)^t <x>^(-s),
 
 and level L = M gives the value mod p^M.  The oracle calls no Euler number,
-binomial, Teichmuller lift or angle of the library: its lift is
+binomial, Teichmuller lift or series table of the library: its lift is
 w(x) = x^(p^(M-1)) mod p^M, and <x> = x / w(x).
 """
 
