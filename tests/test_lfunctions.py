@@ -196,6 +196,21 @@ class TestPartialZetaClosedForm:
             for a in (1, 2, 3, 4):
                 assert series_closed_check(3, a, ctx).match
 
+    @pytest.mark.parametrize(
+        "n, a, modulus",
+        [
+            (0, 1, 5),  # n below 1
+            (1, 0, 5),  # a below 1
+            (1, 5, 5),  # a not below the modulus
+            (1, 1, 4),  # modulus not a multiple of p
+            (1, 1, 10),  # even multiple of p
+            (1, 5, 15),  # a not a unit mod p
+        ],
+    )
+    def test_closed_form_rejects_bad_class_or_modulus(self, n, a, modulus):
+        with pytest.raises(ValueError):
+            padic_partial_zeta_at_neg(n, a, modulus, PadicContext(5, 4))
+
     def test_series_closed_guards(self):
         ctx = PadicContext(5, 4)
         for n, a in ((0, 1), (1, 0), (1, -1), (1, 5), (1, 10)):

@@ -17,8 +17,10 @@ from eulerlp import (
     interpolation_check,
     main_congruence_series,
     padic_partial_zeta_at_neg,
+    teichmuller,
     teichmuller_power,
 )
+from eulerlp.lfunctions import _series_table
 from eulerlp.padic import PadicNumber, _wire_dict
 from eulerlp.reports import format_rational, rational_report, residue_report
 
@@ -53,6 +55,18 @@ def main_congruence_mismatches(ctx):
 
 @pytest.mark.parametrize("ctx", CONTEXTS, ids=_label)
 class TestResiduesMatchTheOracle:
+    def test_angle(self, ctx):
+        # <a> = a / omega(a) written with the public operators, as demo 03
+        # prints it, and the series table's <a> at every unit a < 3p
+        table = _series_table(3 * ctx.p, ctx)
+        for a in range(-2 * ctx.p, 3 * ctx.p):
+            if a % ctx.p:
+                value = ctx.from_int(a) * teichmuller(a, ctx) ** -1
+                assert value.residue == oracles.angle(ctx.p, ctx.precision, a), a
+                assert value.precision == ctx.precision
+                if a > 0:
+                    assert table[a][1] == value.residue, a
+
     def test_character_values(self, ctx):
         for t in range(-1, 2 * (ctx.p - 1)):
             values = teichmuller_power(t, ctx).values
