@@ -9,7 +9,8 @@ against the closed-form ``lifts`` of tests/oracles.py."""
 
 from functools import lru_cache
 
-from .padic import PadicContext, Value, _set, is_prime, teichmuller
+from . import padic
+from .padic import PadicContext, Value, _set
 
 
 class DirichletCharacter(Value):
@@ -47,7 +48,7 @@ def teichmuller_power(t: int, ctx: PadicContext) -> DirichletCharacter:
 def _primitive_root(p: int) -> int:
     """The least g >= 2 with g^((p-1)/q) != 1 mod p for each prime q | p - 1:
     the least primitive root mod p, tested for every odd prime p < 2000."""
-    qs = [q for q in range(2, p) if (p - 1) % q == 0 and is_prime(q)]
+    qs = [q for q in range(2, p) if (p - 1) % q == 0 and padic.is_prime(q)]
     return next(g for g in range(2, p) if all(pow(g, (p - 1) // q, p) != 1 for q in qs))
 
 
@@ -57,7 +58,7 @@ def _teichmuller_table(ctx: PadicContext) -> tuple[tuple[int, ...], tuple[int, .
     context's one lift, g = _primitive_root(p), g^(ind a) = a mod p, so that
     omega(a)^t = zeta^(t ind a mod p-1) (Washington, GTM 83, 5.1)."""
     p, m, g = ctx.p, ctx.modulus, _primitive_root(ctx.p)
-    powers, index, zeta = [1], [0] * p, teichmuller(g, ctx).residue
+    powers, index, zeta = [1], [0] * p, padic.teichmuller(g, ctx).residue
     for i in range(1, p - 1):
         powers.append(powers[-1] * zeta % m)
         index[pow(g, i, p)] = i

@@ -20,12 +20,9 @@ on stderr and raises ``SystemExit(2)``; ``-h`` prints help to stdout and exits 0
 import os
 import sys
 
-from . import lfunctions
-from .characters import teichmuller_power
-from .euler import euler_number_pairs
-from .harness import CHECKS, GridConfig, run_grid
+from . import characters, euler, harness, lfunctions, reports
+from .harness import CHECKS, GridConfig
 from .padic import PadicContext
-from .reports import _json, reports_to_csv, reports_to_jsonl
 
 REQUIRED = object()
 
@@ -163,22 +160,22 @@ def _int_list(flag: str, text: str) -> tuple[int, ...]:
     return values
 
 
-def _emit(reports, fmt: str) -> int:
-    print(reports_to_csv(reports) if fmt == "csv" else reports_to_jsonl(reports))
-    return 0 if all(r.match for r in reports) else 1
+def _emit(written, fmt: str) -> int:
+    print(reports.reports_to_csv(written) if fmt == "csv" else reports.reports_to_jsonl(written))
+    return 0 if all(r.match for r in written) else 1
 
 
 def cmd_euler(args: dict) -> int:
     # JSON lines by hand from (num, den) ints: "num/den" holds no JSON escapes
-    pairs = enumerate(euler_number_pairs(args["nmax"]))
+    pairs = enumerate(euler.euler_number_pairs(args["nmax"]))
     print("\n".join(f'{{"n":{i},"value":"{a}/{b}"}}' for i, (a, b) in pairs))
     return 0
 
 
 def cmd_lp(args: dict) -> int:
-    chi = teichmuller_power(args["t"], PadicContext(args["p"], args["precision"]))
+    chi = characters.teichmuller_power(args["t"], PadicContext(args["p"], args["precision"]))
     value = lfunctions.padic_l(args["s"], chi).as_json_dict()
-    print(_json({"s": args["s"], "character": chi.descriptor(), "value": value}))
+    print(reports._json({"s": args["s"], "character": chi.descriptor(), "value": value}))
     return 0
 
 
@@ -192,7 +189,7 @@ def cmd_verify(args: dict) -> int:
 
 def cmd_grid(args: dict) -> int:
     axes = [_int_list(f"--{name}", args[name]) for name in ("primes", "r", "n")]
-    return _emit(run_grid(GridConfig(*axes, args["precision"])), args["format"])
+    return _emit(harness.run_grid(GridConfig(*axes, args["precision"])), args["format"])
 
 
 def main(argv=None) -> int:

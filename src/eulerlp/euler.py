@@ -128,8 +128,10 @@ def euler_polynomial_value(n: int, x: "Fraction | int") -> "Fraction":
 
 
 def _alternating_power_sum(n: int, m: int) -> int:
-    if n < 0 or m < 0:
-        raise ValueError("n and m must be >= 0")
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
+    if m < 0:
+        raise ValueError(f"m must be >= 0, got {m}")
     return 2 * sum(-(l**m) if l % 2 else l**m for l in range(n))
 
 
@@ -141,9 +143,9 @@ def alternating_power_sum(n: int, m: int) -> "Fraction":
 def _alternating_power_sum_closed(n: int, m: int) -> tuple[int, int]:
     """E_m - E_m(n) = (2^m E_m - H(m, n, 1)) / 2^m as an int pair."""
     if n < 2 or n % 2:
-        raise ValueError("the closed form needs even n >= 2")
+        raise ValueError(f"the closed form needs even n >= 2, got {n}")
     if m < 0:
-        raise ValueError("m must be >= 0")
+        raise ValueError(f"m must be >= 0, got {m}")
     return _scaled_euler_polynomial(m)[0] - _euler_form(m, n, 1), 1 << m
 
 

@@ -17,11 +17,10 @@ where a row carries its inner axis (theorem6's n, interpolation's t, binomial's 
 
 from functools import lru_cache
 
-from . import lfunctions
+from . import euler, lfunctions, padic, reports
 from .characters import DirichletCharacter
-from .euler import _alternating_power_sum, _alternating_power_sum_closed, _euler_form, _fraction
-from .padic import PadicContext, PadicNumber, Value, _set, binomial, is_prime
-from .reports import CongruenceReport, format_rational, rational_report, residue_report
+from .padic import PadicContext, PadicNumber, Value, _set
+from .reports import CongruenceReport
 
 
 def alt_harmonic_sum(p: int, n: int, r: int) -> "Fraction":
@@ -30,14 +29,14 @@ def alt_harmonic_sum(p: int, n: int, r: int) -> "Fraction":
     The denominator is automatically prime to p.  Note the sum itself is
     returned; the congruence compares twice this value.
     """
-    if p < 3 or not is_prime(p):
+    if p < 3 or not padic.is_prime(p):
         raise ValueError("p must be an odd prime")
     if n < 0 or n % 2:
         raise ValueError("n must be even and >= 0")
     if r < 1:
         raise ValueError("r must be >= 1")
-    terms = (_fraction((-1) ** j, j**r) for j in range(1, n * p + 1) if j % p)
-    return sum(terms, _fraction(0))
+    terms = (euler._fraction((-1) ** j, j**r) for j in range(1, n * p + 1) if j % p)
+    return sum(terms, euler._fraction(0))
 
 
 def _alt_harmonic_residues(p: int, ns: tuple[int, ...], r: int, m: int) -> list[int]:
@@ -68,7 +67,8 @@ def _series_residues(ns: tuple[int, ...], r: int, ctx: PadicContext) -> list[int
     from k = N on vanish mod p^N.
     """
     p, m = ctx.p, ctx.modulus
-    c = [-binomial(-r, k) * p**k * _diagonal_l(r + k, ctx) % m for k in range(1, ctx.precision)]
+    c = [-padic.binomial(-r, k) * p**k * _diagonal_l(r + k, ctx) % m
+         for k in range(1, ctx.precision)]
     return [sum(c_k * n**k for k, c_k in enumerate(c, 1)) % m for n in ns]
 
 
@@ -90,7 +90,7 @@ def series_closed_check(n: int, a: int, ctx: PadicContext) -> CongruenceReport:
     rhs = lfunctions._closed_residue(n, a, ctx.p, ctx)  # checks n and a before a indexes the row
     lhs = lfunctions._l_series_row(-n, ctx)[a]
     params = {"p": ctx.p, "n": n, "a": a, "F": ctx.p, "M": ctx.precision}
-    return residue_report("series_closed", params, ctx, lhs, rhs)
+    return reports.residue_report("series_closed", params, ctx, lhs, rhs)
 
 
 def interpolation_check(n: int, chi: DirichletCharacter) -> CongruenceReport:
@@ -110,7 +110,8 @@ def _interpolation_report(n: int, t: int, ctx: PadicContext) -> CongruenceReport
     p, u = ctx.p, (t - n) % (ctx.p - 1)
     rhs = (1 - p**n if u == 0 else 1) * lfunctions._euler_residue(n, u, ctx)
     params = {"p": p, "n": n, "t": t, "M": ctx.precision}
-    return residue_report("interpolation", params, ctx, lfunctions._l_residue(-n, t, ctx), rhs)
+    lhs = lfunctions._l_residue(-n, t, ctx)
+    return reports.residue_report("interpolation", params, ctx, lhs, rhs)
 
 
 def kummer_check(k: int, t: int, ctx: PadicContext, k2: int | None = None) -> CongruenceReport:
@@ -122,7 +123,7 @@ def kummer_check(k: int, t: int, ctx: PadicContext, k2: int | None = None) -> Co
         raise ValueError("the congruence needs t = 0 mod p-1")
     k2 = k + p if k2 is None else k2
     params = {"p": p, "k": k, "k2": k2, "t": 0, "M": 1}
-    return residue_report("kummer", params, PadicContext(p, 1),
+    return reports.residue_report("kummer", params, PadicContext(p, 1),
                           lfunctions._l_residue(k, 0, ctx), lfunctions._l_residue(k2, 0, ctx))
 
 
@@ -144,7 +145,7 @@ class GridConfig(Value):
         _set(self, "n_values", tuple(sorted(set(n_values))))
         _set(self, "precision", precision)
         for p in self.primes:
-            if p < 3 or not is_prime(p):
+            if p < 3 or not padic.is_prime(p):
                 raise ValueError(f"primes must be odd primes, got {p}")
         for n in self.n_values:
             if n < 2 or n % 2:
@@ -168,18 +169,18 @@ def distribution_report(n: int, f: int, x) -> CongruenceReport:
     u, v = x if isinstance(x, tuple) else (x.numerator, x.denominator)
     # both sides over (2v)^n: f^n E_n((u + av) / fv) = H(n, u + av, fv) / (2v)^n
     scale = (2 * v) ** n
-    lhs = (_euler_form(n, u, v), scale)
-    terms = ((-1) ** a * _euler_form(n, u + a * v, f * v) for a in range(f))
+    lhs = (euler._euler_form(n, u, v), scale)
+    terms = ((-1) ** a * euler._euler_form(n, u + a * v, f * v) for a in range(f))
     rhs = (sum(terms), scale)
-    params = {"n": n, "f": f, "x": format_rational(x)}
-    return rational_report("distribution", params, lhs, rhs)
+    params = {"n": n, "f": f, "x": reports.format_rational(x)}
+    return reports.rational_report("distribution", params, lhs, rhs)
 
 
 def power_sum_report(n: int, m: int) -> CongruenceReport:
     """Direct alternating power sum against its closed form (even n)."""
-    lhs = _alternating_power_sum(n, m)
-    rhs = _alternating_power_sum_closed(n, m)
-    return rational_report("powersum", {"n": n, "m": m}, lhs, rhs)
+    lhs = euler._alternating_power_sum(n, m)
+    rhs = euler._alternating_power_sum_closed(n, m)
+    return reports.rational_report("powersum", {"n": n, "m": m}, lhs, rhs)
 
 
 def binomial_ratio_report(r: int, k: int) -> CongruenceReport:
@@ -188,19 +189,19 @@ def binomial_ratio_report(r: int, k: int) -> CongruenceReport:
         raise ValueError(f"the ratio identity needs k >= 0, got k={k}")
     if r + k == 0:
         raise ValueError(f"the ratio identity needs r + k != 0, got r={r}, k={k}")
-    lhs = (r * binomial(-r - 1, k), r + k)
-    rhs = binomial(-r, k)
-    return rational_report("binomial", {"r": r, "k": k, "identity": "ratio"}, lhs, rhs)
+    lhs = (r * padic.binomial(-r - 1, k), r + k)
+    rhs = padic.binomial(-r, k)
+    return reports.rational_report("binomial", {"r": r, "k": k, "identity": "ratio"}, lhs, rhs)
 
 
 def binomial_product_report(r: int, k: int, j: int) -> CongruenceReport:
     """C(-r, k) C(-r-k, j) = C(-r, k+j) C(k+j, j), exactly, for k, j >= 0."""
     if k < 0 or j < 0:
         raise ValueError(f"the product identity needs k, j >= 0, got k={k}, j={j}")
-    lhs = binomial(-r, k) * binomial(-r - k, j)
-    rhs = binomial(-r, k + j) * binomial(k + j, j)
+    lhs = padic.binomial(-r, k) * padic.binomial(-r - k, j)
+    rhs = padic.binomial(-r, k + j) * padic.binomial(k + j, j)
     params = {"r": r, "k": k, "j": j, "identity": "product"}
-    return rational_report("binomial", params, lhs, rhs)
+    return reports.rational_report("binomial", params, lhs, rhs)
 
 
 def _axis(value) -> tuple:
@@ -217,7 +218,7 @@ def _theorem6(params: dict) -> list[CongruenceReport]:
         raise ValueError("r must be >= 1")
     lhs = _alt_harmonic_residues(p, ns, r, ctx.modulus)
     rhs = _series_residues(ns, r, ctx)
-    return [residue_report("theorem6", {"p": p, "n": n, "r": r, "M": M}, ctx, a, b)
+    return [reports.residue_report("theorem6", {"p": p, "n": n, "r": r, "M": M}, ctx, a, b)
             for n, a, b in zip(ns, lhs, rhs)]
 
 
@@ -253,8 +254,10 @@ def _binomial(params: dict) -> list[CongruenceReport]:
 # interpolation its t values (one context) and binomial its j values (the
 # ratio for (r, k) once, then one product per j).  Every report builder is
 # in this module and called through its globals, so a tracer that rebinds
-# those names sees every call; ``lfunctions`` gives values, called through
-# the module, so a fault installed where a function is defined reaches it.
+# those names sees every call; like every library module, this one calls
+# the functions of the others through the module (``lfunctions._l_residue``,
+# ``padic.binomial``), so a fault installed where a function is defined
+# reaches it.
 CHECKS = {
     "theorem6": (("p", "n", "r"), _theorem6, lambda c: [
         {"p": p, "n": c.n_values, "r": r, "precision": c.precision}

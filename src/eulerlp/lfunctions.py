@@ -20,8 +20,10 @@ Each value has one core on plain int residues mod p^N: ``_l_residue`` and
 ``_euler_residue``, which take chi = w^t as its reduced exponent t, and
 ``_closed_residue``; the public functions call them, and only they return
 ``PadicNumber``.  This module gives values only: every report is built in
-``harness``, next to ``CHECKS``, which calls these functions through the
-module, so a fault installed here reaches every caller.  For each (F,
+``harness``, next to ``CHECKS``.  Every library module calls the functions
+of the others through the module, as this one reads ``euler._euler_parts``
+(through ``_euler_mod``) and ``characters._values``, so a fault installed
+where a function is defined reaches every caller.  For each (F,
 context), a table holding (-1)^a / 2, <a>, <a>^(-1) and the row (F/a)^j E_j
 (j < N) for every unit a is built once; a partial zeta value is then one
 dot product with the binomial row C(-s, j).  The exact partial zeta values
@@ -34,9 +36,9 @@ Euler numbers.
 from functools import lru_cache
 from operator import mul
 
-from .characters import DirichletCharacter, _values
-from .euler import _euler_form, _euler_parts
-from .padic import PadicContext, PadicNumber, binomial
+from . import characters, euler, padic
+from .characters import DirichletCharacter
+from .padic import PadicContext, PadicNumber
 
 
 def generalized_euler_number(n: int, chi: DirichletCharacter) -> PadicNumber:
@@ -51,9 +53,15 @@ def _euler_residue(n: int, t: int, ctx: PadicContext) -> int:
     conductor p, chi(0) = 0 and each remaining term is twice the partial zeta
     value at -n, whose denominator is a power of two, so the sum embeds in Z_p."""
     if t == 0:
-        num, den = _euler_parts(n)  # den a power of two, a unit mod p
-        return num * pow(den, -1, ctx.modulus)
-    return 2 * sum(map(mul, _values(t, ctx), _partial_zeta_residues(n, ctx.p, ctx)))
+        return _euler_mod(n, ctx.modulus)
+    return 2 * sum(map(mul, characters._values(t, ctx), _partial_zeta_residues(n, ctx.p, ctx)))
+
+
+def _euler_mod(n: int, m: int) -> int:
+    """E_n mod m, for m odd: E_n's denominator is a power of two, a unit mod m.
+    The series table and E_{n,chi} at conductor 1 read E_n only through it."""
+    num, den = euler._euler_parts(n)
+    return num * pow(den, -1, m) % m
 
 
 @lru_cache(maxsize=None)
@@ -63,7 +71,7 @@ def _partial_zeta_residues(n: int, modulus: int, ctx: PadicContext) -> tuple[int
     and 0 at a = 0, where every character of conductor p vanishes."""
     m, scale = ctx.modulus, pow(2, -n - 1, ctx.modulus)
     return (0,) + tuple(
-        (-1) ** a * _euler_form(n, a, modulus) * scale % m for a in range(1, modulus)
+        (-1) ** a * euler._euler_form(n, a, modulus) * scale % m for a in range(1, modulus)
     )
 
 
@@ -85,9 +93,8 @@ def _series_table(
     omega^(+-1) read by exponent from the context's Teichmuller table, and
     of (modulus/a)^j E_j for j < N, N the precision of ctx."""
     p, m, half = ctx.p, ctx.modulus, (ctx.modulus + 1) // 2  # 1/2 mod m
-    omega, inverse = _values(1, ctx), _values(-1 % (p - 1), ctx)
-    parts = map(_euler_parts, range(ctx.precision))  # each den a power of two
-    euler = [num * pow(den, -1, m) % m for num, den in parts]
+    omega, inverse = characters._values(1, ctx), characters._values(-1 % (p - 1), ctx)
+    numbers = [_euler_mod(j, m) for j in range(ctx.precision)]
     table = [None] * modulus
     for a in range(1, modulus):
         if a % p == 0:
@@ -95,7 +102,7 @@ def _series_table(
         a_inverse = pow(a, -1, m)
         ratio = modulus * a_inverse
         row, power = [], 1
-        for e in euler:
+        for e in numbers:
             row.append(power * e % m)
             power = power * ratio % m
         unit, unit_inverse = a * inverse[a % p] % m, a_inverse * omega[a % p] % m
@@ -105,7 +112,7 @@ def _series_table(
 
 def _binomial_row(s: int, terms: int) -> tuple[int, ...]:
     """C(-s, j) for j < terms."""
-    return tuple(binomial(-s, j) for j in range(terms))
+    return tuple(padic.binomial(-s, j) for j in range(terms))
 
 
 def _partial_zeta_residue(
@@ -140,7 +147,7 @@ def _closed_residue(n: int, a: int, modulus: int, ctx: PadicContext) -> int:
     if n < 1:
         raise ValueError("n must be >= 1")
     _check_class_args(a, modulus, ctx)
-    omega = _values(-n % (ctx.p - 1), ctx)  # (1,) when omega^(-n) has conductor 1
+    omega = characters._values(-n % (ctx.p - 1), ctx)  # (1,) when omega^(-n) has conductor 1
     return omega[a % len(omega)] * _partial_zeta_residues(n, modulus, ctx)[a] % ctx.modulus
 
 
@@ -168,5 +175,5 @@ def _l_residue(s: int, t: int, ctx: PadicContext) -> int:
     (conductor 1, values (1,)).  ``harness._diagonal_l`` holds repeated values.
     """
     row = _l_series_row(s, ctx)
-    return 2 * (sum(map(mul, _values(t, ctx), row)) if t else sum(row)) % ctx.modulus
+    return 2 * (sum(map(mul, characters._values(t, ctx), row)) if t else sum(row)) % ctx.modulus
 

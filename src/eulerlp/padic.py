@@ -169,7 +169,8 @@ class PadicNumber(Value):
         return PadicNumber(self.context, self.residue - other.residue, prec)
 
     def __rsub__(self, other):
-        return -(self - other)
+        other = self._coerce(other)
+        return NotImplemented if other is None else other - self
 
     def __neg__(self):
         return PadicNumber(self.context, -self.residue, self.precision)

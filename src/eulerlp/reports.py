@@ -7,7 +7,8 @@ lowest terms, with no re-wrapping."""
 
 from math import gcd
 
-from .padic import Value, _set, _wire_dict
+from . import padic
+from .padic import Value, _set
 
 
 def _json(value) -> str:
@@ -57,15 +58,15 @@ class CongruenceReport(Value):
     __match_args__ = ("check", "params", "lhs", "rhs")
 
     def __init__(self, check, params, lhs, rhs):
-        padic = isinstance(lhs, dict)
+        exact = not isinstance(lhs, dict)
         _set(self, "check", check)
-        _set(self, "p", lhs["p"] if padic else None)
+        _set(self, "p", None if exact else lhs["p"])
         _set(self, "params", params)
         _set(self, "lhs", lhs)
         _set(self, "rhs", rhs)
-        _set(self, "precision", lhs["precision"] if padic else None)
+        _set(self, "precision", None if exact else lhs["precision"])
         _set(self, "match", rhs is lhs or rhs == lhs)
-        _set(self, "lhs_valuation", lhs["valuation"] if padic else None)
+        _set(self, "lhs_valuation", None if exact else lhs["valuation"])
 
     def as_dict(self) -> dict:
         return {name: getattr(self, name) for name in CSV_COLUMNS}
@@ -85,8 +86,9 @@ def residue_report(check: str, params: dict, ctx, a: int, b: int) -> CongruenceR
     """Report comparing int residues a and b mod p^N, p and N the prime and precision
     of ctx; equal residues share one wire form, an unequal b always gets its own."""
     p, digits, a, b = ctx.p, ctx.precision, a % ctx.modulus, b % ctx.modulus
-    left = _wire_dict(p, digits, a)
-    return CongruenceReport(check, params, left, left if a == b else _wire_dict(p, digits, b))
+    left = padic._wire_dict(p, digits, a)
+    right = left if a == b else padic._wire_dict(p, digits, b)
+    return CongruenceReport(check, params, left, right)
 
 
 def rational_report(check: str, params: dict, lhs, rhs) -> CongruenceReport:

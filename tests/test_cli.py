@@ -18,7 +18,7 @@ from conftest import ROOT, run_python, src_environ
 from test_recorded_outputs import RECORDED
 
 import eulerlp
-from eulerlp import GridConfig, PadicContext, cli, padic_l, run_grid, teichmuller_power
+from eulerlp import GridConfig, PadicContext, cli, euler, padic_l, run_grid, teichmuller_power
 from eulerlp.cli import COMMANDS, main
 from eulerlp.harness import CHECKS
 from eulerlp.reports import CSV_COLUMNS, CongruenceReport, reports_to_csv, reports_to_jsonl
@@ -49,7 +49,7 @@ class TestEulerCommand:
     def test_prints_numerators_past_the_digit_limit(self, capsys, monkeypatch):
         # 4401 digits, past Python's default int-to-str limit of 4300
         numerator = 10**4400 + 1
-        monkeypatch.setattr(cli, "euler_number_pairs", lambda nmax: [(numerator, 2)])
+        monkeypatch.setattr(euler, "euler_number_pairs", lambda nmax: [(numerator, 2)])
         limit = sys.get_int_max_str_digits()
         code, out, _ = run_cli(capsys, "euler", "--nmax", "0")
         assert code == 0
@@ -210,7 +210,8 @@ class TestVerifyCommand:
         [
             (("interpolation", "--p", "5", "--n", "0"), "error: n must be >= 1"),
             (("distribution", "--n", "-1", "--f", "3"), "error: n must be >= 0, got -1"),
-            (("powersum", "--n", "2", "--m", "-1"), "error: n and m must be >= 0"),
+            (("powersum", "--n", "2", "--m", "-1"), "error: m must be >= 0, got -1"),
+            (("powersum", "--n", "-2", "--m", "1"), "error: n must be >= 0, got -2"),
         ],
     )
     def test_out_of_range_index_is_usage_error(self, capsys, argv, message):
@@ -663,7 +664,7 @@ def test_every_export_has_a_user():
 # way a test changes the library: each patch undoes only itself and clears
 # every cache.  A test module may patch sys, and this one the table
 # cmd_euler prints, which sits behind no cache.
-ALLOWED_PATCHES = {("test_cli.py", "cli", "euler_number_pairs")}
+ALLOWED_PATCHES = {("test_cli.py", "euler", "euler_number_pairs")}
 REFUSED_CALLS = ("clear_library_caches", "cache_clear", "exec", "getsource")
 
 
@@ -696,7 +697,7 @@ def test_import_loads_no_argparse_gettext_locale_dataclasses_inspect_csv_fractio
         "before = set(sys.modules)\n"
         "import eulerlp.cli\n"
         "print(' '.join(sorted(set(sys.modules) - before)))\n"
-        "eulerlp.cli.reports_to_csv([])\n"
+        "eulerlp.reports.reports_to_csv([])\n"
         "print('csv' in sys.modules)"
     )
     proc = run_python("-S", "-c", probe)

@@ -31,7 +31,7 @@ from eulerlp import (
     teichmuller_power,
     verify_main_congruence,
 )
-from eulerlp import DirichletCharacter, harness, lfunctions
+from eulerlp import DirichletCharacter, euler, harness, lfunctions
 from eulerlp.cli import COMMANDS
 from eulerlp.harness import CHECKS
 from eulerlp.reports import CongruenceReport, residue_report
@@ -221,7 +221,7 @@ class TestOneEvaluationPerValue:
     def test_interpolation_embeds_each_partial_zeta_value_once(self):
         # z(n, a) for n in 2, 4, 6 and 0 < a < p: 3 * (2 + 4 + 6 + 10 + 12),
         # each from one integer kernel value H(n, a, p)
-        with recorded(lfunctions, "_euler_form") as calls:
+        with recorded(euler, "_euler_form") as calls:
             reports = grid_mixed_reports("interpolation")
         assert len(reports) == 102 and all(r.match for r in reports)
         assert len(calls) == len(set(calls)) == 102

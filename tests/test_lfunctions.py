@@ -1,5 +1,3 @@
-import inspect
-from contextlib import ExitStack
 from fractions import Fraction
 
 import oracles
@@ -18,7 +16,7 @@ from eulerlp import (
     series_closed_check,
     teichmuller_power,
 )
-from eulerlp import lfunctions
+from eulerlp import lfunctions, padic
 
 
 class TestGeneralizedEulerNumbers:
@@ -231,13 +229,9 @@ class TestPartialZetaClosedForm:
     def test_one_teichmuller_lift_per_context(self):
         # the closed form reads omega^(-n)(a) from the context's table, like
         # the series' <a>: the only lift is the table's zeta = omega(g)
-        modules = [eulerlp, *(m for m in vars(eulerlp).values() if inspect.ismodule(m))]
-        binding = [m for m in modules if getattr(m, "teichmuller", None) is eulerlp.teichmuller]
         ctx = PadicContext(7, 5)
-        with ExitStack() as stack:
-            records = [stack.enter_context(recorded(m, "teichmuller")) for m in binding]
+        with recorded(padic, "teichmuller") as lifts:
             reports = [series_closed_check(n, a, ctx) for a in range(1, 7) for n in range(1, 7)]
-        lifts = [call for calls in records for call in calls]
         assert all(r.match for r in reports)
         assert len(lifts) == 1, lifts
 

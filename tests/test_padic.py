@@ -1,5 +1,6 @@
 import operator
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -88,10 +89,13 @@ class TestArithmetic:
 
     @pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul])
     def test_non_number_operand_is_type_error(self, z3, op):
-        with pytest.raises(TypeError):
-            op(z3.from_int(1), 0.5)
-        with pytest.raises(TypeError):
-            op(0.5, z3.from_int(1))
+        # each operator returns NotImplemented, so Python's message names
+        # the operands in the order they were written
+        symbol = {operator.add: "+", operator.sub: "-", operator.mul: "*"}[op]
+        for left, right in ((z3.from_int(1), 0.5), (0.5, z3.from_int(1))):
+            names = " and ".join(f"'{type(x).__name__}'" for x in (left, right))
+            with pytest.raises(TypeError, match=re.escape(f"for {symbol}: {names}")):
+                op(left, right)
 
     def test_precision_propagates_through_add(self, z3):
         coarse = z3.from_int(4).reduce(1)
