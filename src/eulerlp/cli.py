@@ -152,7 +152,7 @@ def _int_list(flag: str, text: str) -> tuple[int, ...]:
             lo, hi = text.split("..", 1)
             values = tuple(range(int(lo), int(hi) + 1))
         else:
-            values = tuple(int(part) for part in text.split(",") if part)
+            values = tuple(int(part) for part in text.split(","))
     except ValueError:
         raise ValueError(f"{flag} {text!r} is not an integer list or range") from None
     if not values:

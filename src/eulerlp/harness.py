@@ -88,7 +88,7 @@ def series_closed_check(n: int, a: int, ctx: PadicContext) -> CongruenceReport:
     """The partial zeta series H_p(-n, a | p) against its closed form, mod
     p^N with N the precision of ctx, both on residues."""
     rhs = lfunctions._closed_residue(n, a, ctx.p, ctx)  # checks n and a before a indexes the row
-    lhs = lfunctions._l_series_row(-n, ctx)[a]
+    lhs = lfunctions._l_series_row(-n, ctx.p, ctx)[a]
     params = {"p": ctx.p, "n": n, "a": a, "F": ctx.p, "M": ctx.precision}
     return reports.residue_report("series_closed", params, ctx, lhs, rhs)
 
@@ -167,6 +167,8 @@ def distribution_report(n: int, f: int, x) -> CongruenceReport:
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     u, v = x if isinstance(x, tuple) else (x.numerator, x.denominator)
+    if v == 0:
+        raise ValueError(f"x must have a nonzero denominator, got {x!r}")
     # both sides over (2v)^n: f^n E_n((u + av) / fv) = H(n, u + av, fv) / (2v)^n
     scale = (2 * v) ** n
     lhs = (euler._euler_form(n, u, v), scale)

@@ -25,12 +25,14 @@ of the others through the module, as this one reads ``euler._euler_parts``
 (through ``_euler_mod``) and ``characters._values``, so a fault installed
 where a function is defined reaches every caller.  For each (F,
 context), a table holding (-1)^a / 2, <a>, <a>^(-1) and the row (F/a)^j E_j
-(j < N) for every unit a is built once; a partial zeta value is then one
-dot product with the binomial row C(-s, j).  The exact partial zeta values
-at -n, (-1)^a (F^n / 2) E_n(a/F), are embedded once per (n, F, context) in
-``_partial_zeta_residues``.  The series is Washington's ("p-adic
-L-functions and sums of powers", J. Number Theory 69, 1998), adapted to
-Euler numbers.
+(j < N) for every unit a is built once.  One cached row per (s, F,
+context), ``_l_series_row``, gives every series value: its entry a is
+H_p(s, a | F), one dot product of a's table row with the binomial row
+C(-s, j), and l_p is twice a character's dot product with the F = p row.
+The exact partial zeta values at -n, (-1)^a (F^n / 2) E_n(a/F), are
+embedded once per (n, F, context) in ``_partial_zeta_residues``.  The
+series is Washington's ("p-adic L-functions and sums of powers", J. Number
+Theory 69, 1998), adapted to Euler numbers.
 """
 
 from functools import lru_cache
@@ -115,24 +117,11 @@ def _binomial_row(s: int, terms: int) -> tuple[int, ...]:
     return tuple(padic.binomial(-s, j) for j in range(terms))
 
 
-def _partial_zeta_residue(
-    s: int, entry: tuple[int, int, int, tuple[int, ...]], binomials: tuple[int, ...], m: int
-) -> int:
-    """(-1)^a / 2 * <a>^{-s} * sum_j C(-s, j) (modulus/a)^j E_j mod m, from
-    one row of :func:`_series_table`; <a>^{-s} raises <a> or its stored
-    inverse to a non-negative power, so no value takes a modular inverse."""
-    half, unit, unit_inverse, row = entry
-    power = pow(unit_inverse, s, m) if s > 0 else pow(unit, -s, m)
-    return half * power * sum(map(mul, binomials, row)) % m
-
-
 def padic_partial_zeta(s: int, a: int, modulus: int, ctx: PadicContext) -> PadicNumber:
-    """Series evaluation of the p-adic partial zeta H_p(s, a | modulus) mod
-    p^N, with N the precision of ctx, from N terms."""
+    """The p-adic partial zeta H_p(s, a | modulus) mod p^N, N the precision
+    of ctx, from N series terms: entry a of :func:`_l_series_row`."""
     _check_class_args(a, modulus, ctx)
-    entry = _series_table(modulus, ctx)[a]
-    binomials = _binomial_row(s, ctx.precision)
-    return ctx.from_int(_partial_zeta_residue(s, entry, binomials, ctx.modulus))
+    return ctx.from_int(_l_series_row(s, modulus, ctx)[a])
 
 
 def padic_partial_zeta_at_neg(n: int, a: int, modulus: int, ctx: PadicContext) -> PadicNumber:
@@ -152,14 +141,19 @@ def _closed_residue(n: int, a: int, modulus: int, ctx: PadicContext) -> int:
 
 
 @lru_cache(maxsize=None)
-def _l_series_row(s: int, ctx: PadicContext) -> tuple[int, ...]:
-    """Indexed by a < p: the residue of H_p(s, a | p) in ctx for a >= 1,
-    and 0 at a = 0, where chi(0) = 0 for conductor p."""
-    table = _series_table(ctx.p, ctx)
+def _l_series_row(s: int, modulus: int, ctx: PadicContext) -> tuple[int, ...]:
+    """Indexed by a < modulus: H_p(s, a | modulus) mod p^N in ctx at every
+    unit a, from a's entry of :func:`_series_table`, and 0 at every other a,
+    where chi(a) = 0 for conductor p.  <a>^{-s} raises <a> or its stored
+    inverse to a non-negative power, so no value takes a modular inverse."""
     binomials, m = _binomial_row(s, ctx.precision), ctx.modulus
-    return (0,) + tuple(
-        _partial_zeta_residue(s, table[a], binomials, m) for a in range(1, ctx.p)
-    )
+    row = [0] * modulus
+    for a, entry in enumerate(_series_table(modulus, ctx)):
+        if entry:
+            half, unit, unit_inverse, terms = entry
+            power = pow(unit_inverse, s, m) if s > 0 else pow(unit, -s, m)
+            row[a] = half * power * sum(map(mul, binomials, terms)) % m
+    return tuple(row)
 
 
 def padic_l(s: int, chi: DirichletCharacter) -> PadicNumber:
@@ -171,9 +165,9 @@ def _l_residue(s: int, t: int, ctx: PadicContext) -> int:
     """l_p(s, w^t) = 2 sum over units a mod p of w^t(a) H_p(s, a | p) mod
     p^N, t reduced mod p-1 and N the precision of ctx, from N terms: twice
     ``characters._values(t, ctx)`` dotted with the row ``_l_series_row(s,
-    ctx)`` that every character shares, or twice the row's sum at t = 0
+    p, ctx)`` that every character shares, or twice the row's sum at t = 0
     (conductor 1, values (1,)).  ``harness._diagonal_l`` holds repeated values.
     """
-    row = _l_series_row(s, ctx)
+    row = _l_series_row(s, ctx.p, ctx)
     return 2 * (sum(map(mul, characters._values(t, ctx), row)) if t else sum(row)) % ctx.modulus
 

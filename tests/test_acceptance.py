@@ -8,7 +8,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 import oracles
-from conftest import leading_digits, random_rationals
+from conftest import leading_digits, mutated, random_rationals
 
 from eulerlp import (
     PadicContext,
@@ -257,22 +257,19 @@ def test_criterion_9_at_depth_sees_a_short_l_series(short_l_series):
 
 def test_criterion_9_negative_control():
     # The values criterion 9 compares differ only by terms that vanish mod
-    # p^M by construction; a table row one term short (J = M - 1) must
-    # change residues, or the criterion could not fail.
+    # p^M by construction; a series table one term short (J = M - 1) must
+    # change the row, or the criterion could not fail.
     M = 6
+    original = lfunctions._series_table
+
+    def short(modulus, ctx):
+        return tuple(e and (*e[:3], e[3][:-1]) for e in original(modulus, ctx))
+
     for p in PRIMES:
-        m = p**M
-        table = lfunctions._series_table(p, PadicContext(p, M))
-        wide = lfunctions._series_table(p, PadicContext(p, M + 4))
-        changed = set()
-        for s in range(-8, 9):
-            binomials = lfunctions._binomial_row(s, M + 4)
-            for a in range(1, p):
-                value = lfunctions._partial_zeta_residue(s, table[a], binomials, m)
-                longer = lfunctions._partial_zeta_residue(s, wide[a], binomials, m)
-                assert value == longer, (p, s, a)
-                *units, row = table[a]
-                short = (*units, row[:-1])
-                if lfunctions._partial_zeta_residue(s, short, binomials, m) != value:
-                    changed.add((s, a))
+        ctx, wide, m = PadicContext(p, M), PadicContext(p, M + 4), p**M
+        rows = {s: lfunctions._l_series_row(s, p, ctx) for s in range(-8, 9)}
+        for s, row in rows.items():
+            assert row == tuple(v % m for v in lfunctions._l_series_row(s, p, wide)), (p, s)
+        with mutated(lfunctions, "_series_table", short):
+            changed = {s for s, row in rows.items() if lfunctions._l_series_row(s, p, ctx) != row}
         assert changed, p

@@ -300,7 +300,14 @@ class TestGridCommand:
 
     @pytest.mark.parametrize(
         "flag, value",
-        [("--r", "4..1"), ("--primes", ","), ("--n", ""), ("--primes", "3,x"), ("--r", "1..x")],
+        [
+            ("--r", "4..1"),
+            ("--primes", ","),
+            ("--n", ""),
+            ("--n", "2,,4"),
+            ("--primes", "3,x"),
+            ("--r", "1..x"),
+        ],
     )
     def test_empty_axis_is_usage_error(self, capsys, flag, value):
         axes = {"--primes": "3", "--r": "1", "--n": "2", flag: value}

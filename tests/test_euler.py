@@ -307,7 +307,11 @@ class TestDistribution:
                 for x in points:
                     assert distribution_report(n, f, x).match
 
-    @pytest.mark.parametrize("n, f", [(2, 4), (-1, 3)])  # even f, negative n
-    def test_rejects_bad_arguments(self, n, f):
-        with pytest.raises(ValueError):
-            distribution_report(n, f, 0)
+    @pytest.mark.parametrize(
+        "n, f, x, name",
+        [(2, 4, 0, "f"), (-1, 3, 0, "n"), (2, 3, (1, 0), "x")],
+        ids=["even-f", "negative-n", "zero-denominator"],
+    )
+    def test_rejects_bad_arguments(self, n, f, x, name):
+        with pytest.raises(ValueError, match=f"^{name} "):
+            distribution_report(n, f, x)

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import oracles
 import pytest
-from conftest import leading_digits, mutated, recorded, source_mutant
+from conftest import cold_caches, leading_digits, mutated, recorded, source_mutant
 
 import eulerlp
 from eulerlp import (
@@ -128,7 +128,8 @@ class TestSeriesRowUnits:
     s > 0, so that no value takes a modular inverse.  At s = 0 both give
     <a>^0 = 1, so where the switch sits cannot be wrong; which unit each
     sign reads can, and at N = 1 every <a> is 1 mod p, so only N >= 2
-    sees it."""
+    sees it.  Every row is checked at F = p, the row of l_p, and at
+    F = 3p."""
 
     S = range(-4, 7)
 
@@ -138,8 +139,10 @@ class TestSeriesRowUnits:
             for N in range(1, 5):
                 ctx = PadicContext(p, N)
                 for s in self.S:
-                    if lfunctions._l_series_row(s, ctx) != oracles.partial_zeta_row(p, N, s):
-                        wrong.add(s)
+                    for F in (p, 3 * p):
+                        row = lfunctions._l_series_row(s, F, ctx)
+                        if row != oracles.partial_zeta_row(p, N, s, F):
+                            wrong.add(s)
         return wrong
 
     def _wrong_under(self, name, mutant):
@@ -167,9 +170,18 @@ class TestSeriesRowUnits:
         ids=["unit-for-positive-s", "inverse-for-negative-s"],
     )
     def test_wrong_unit_for_one_sign_is_seen(self, fault, mutation, signs):
-        mutant = source_mutant(lfunctions._partial_zeta_residue, fault, mutation)
-        wrong = self._wrong_under("_partial_zeta_residue", mutant)
+        mutant = source_mutant(lfunctions._l_series_row, fault, mutation)
+        wrong = self._wrong_under("_l_series_row", mutant)
         assert wrong == {s for s in self.S if (s > 0) - (s < 0) in signs}
+
+    def test_partial_zeta_reads_one_row(self):
+        # every class a < 3p at one (s, F, context) is an entry of one row
+        ctx = PadicContext(5, 4)
+        with cold_caches():
+            for a in range(1, 15):
+                if a % 5:
+                    padic_partial_zeta(2, a, 15, ctx)
+            assert lfunctions._l_series_row.cache_info().misses == 1
 
 
 class TestPartialZetaClosedForm:
