@@ -7,9 +7,8 @@ words; ``default`` is ``REQUIRED`` for an option that must be given.
 ``_parse`` reads argv against it and ``_help`` prints ``-h`` from it.
 
 Options take ``--opt value`` or ``--opt=value``, values may be negative
-(``--s -3``), the last repeat of an option wins, and a unique prefix of an
-option names it (``--prec``) unless it is itself an option (``--k``, not
-``--k2``).
+(``--s -3``), the last repeat of an option wins, and a unique prefix names an
+option (``--prec``) unless it is itself one (``--p``, not ``--precision``).
 
 Exit status: 0 when all reports match, 1 on any mismatch, 2 on a usage or
 write error or out of memory, 141 when stdout is closed early (``| head``).
@@ -52,7 +51,7 @@ COMMANDS = {
     }),
     "verify": ("cmd_verify", "run one named check and report both sides", {
         "check": (tuple(CHECKS), REQUIRED),
-        **dict.fromkeys(("p", "n", "r", "k", "k2"), (int, None)),
+        **dict.fromkeys(("p", "n", "r", "k"), (int, None)),
         "t": (int, 0),
         **dict.fromkeys(("f", "m", "j"), (int, None)),
         "x": (_rational, 0),

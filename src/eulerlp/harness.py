@@ -114,14 +114,15 @@ def _interpolation_report(n: int, t: int, ctx: PadicContext) -> CongruenceReport
     return reports.residue_report("interpolation", params, ctx, lhs, rhs)
 
 
-def kummer_check(k: int, t: int, ctx: PadicContext, k2: int | None = None) -> CongruenceReport:
-    """l_p(k, w^t) against l_p(k2, w^t) mod p, for t = 0 mod p-1 (so w^t = w^0),
-    both from ctx's own series rows, reported in 1 digit.  k2 defaults to k + p;
-    any pair may be given, since for such t the function is constant mod p."""
+def kummer_check(k: int, t: int, ctx: PadicContext) -> CongruenceReport:
+    """l_p(k, w^t) against l_p(k + p, w^t) mod p, t = 0 mod p-1, from ctx's rows, in 1 digit.
+    The pair is fixed: each term's <a>^(-s) moves by <a>^(-p), 1 mod p only for a correct
+    Teichmuller table, and a second point = k mod p-1 would leave it unmoved mod p, blind to a
+    wrong table; g -> g^2 mod p is still blind at (p, k) = (23, 2) and (31, 8)."""
     p = ctx.p
     if t % (p - 1) != 0:
         raise ValueError("the congruence needs t = 0 mod p-1")
-    k2 = k + p if k2 is None else k2
+    k2 = k + p
     params = {"p": p, "k": k, "k2": k2, "t": 0, "M": 1}
     return reports.residue_report("kummer", params, PadicContext(p, 1),
                           lfunctions._l_residue(k, 0, ctx), lfunctions._l_residue(k2, 0, ctx))
@@ -231,7 +232,7 @@ def _interpolation(params: dict) -> list[CongruenceReport]:
 
 def _kummer(params: dict) -> list[CongruenceReport]:
     ctx = PadicContext(params["p"], params["precision"])
-    return [kummer_check(params["k"], params["t"], ctx, params["k2"])]
+    return [kummer_check(params["k"], params["t"], ctx)]
 
 
 def _distribution(params: dict) -> list[CongruenceReport]:
@@ -270,7 +271,7 @@ CHECKS = {
         for p in c.primes for n in c.n_values
     ]),
     "kummer": (("p", "k"), _kummer, lambda c: [
-        {"p": p, "k": k, "t": 0, "k2": None, "precision": c.precision}
+        {"p": p, "k": k, "t": 0, "precision": c.precision}
         for p in c.primes for k in c.r_values
     ]),
     "distribution": (("n", "f"), _distribution, lambda c: [

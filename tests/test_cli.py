@@ -801,7 +801,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--n", type=int)
     p_verify.add_argument("--r", type=int)
     p_verify.add_argument("--k", type=int)
-    p_verify.add_argument("--k2", type=int)
     p_verify.add_argument("--t", type=int, default=0)
     p_verify.add_argument("--f", type=int)
     p_verify.add_argument("--m", type=int)
@@ -884,8 +883,8 @@ FORM_ARGV = [
     ["lp", "--p", "3", "--p", "5", "--s", "1", "--s", "-2"],
     ["euler", "--nmax", "-1"],
     ["grid", "--prim", "3", "--r", "1", "--n=2", "--prec", "3", "--form", "csv"],
-    ["verify", "--check", "kummer", "--p", "7", "--k", "2", "--k2", "9"],
-    ["verify", "--che=kummer", "--k2=9", "--k=2", "--p=-7"],
+    ["verify", "--check", "kummer", "--p", "7", "--k", "2", "--precision", "3"],
+    ["verify", "--che=kummer", "--prec=3", "--k=2", "--p=-7"],
     ["verify", "--check", "distribution", "--n", "3", "--f", "5", "--x=-2/7", "--x", "3"],
 ]
 # --x in Fraction's grammar: a decimal, a fraction not in lowest terms, a
@@ -944,6 +943,7 @@ BAD_ARGV = [
     (["verify", "--check", "distribution", "--n", "3", "--f", "5", "--x", "1/0"], "--x"),
     (["euler", "--nmax", "3", "stray"], "stray"),
     (["grid", "--pr", "3", "--primes", "3", "--r", "1", "--n", "2"], "--pr"),
+    (["verify", "--check", "kummer", "--p", "7", "--k", "2", "--k2", "9"], "--k2"),
 ]
 
 

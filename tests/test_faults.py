@@ -37,6 +37,7 @@ from oracles import differing, grid_reference, parse_output
 
 import eulerlp
 from eulerlp import characters, cli, euler, harness, lfunctions
+from eulerlp.padic import PadicContext
 
 
 class Fault(NamedTuple):
@@ -209,6 +210,24 @@ def test_grid_mixed_gives_the_faults_verdicts(fault, reference, capsys):
     assert differing(printed, reference) == differs
     assert cli.main(GRID_MIXED_ARGV) == 0
     assert parse_output(capsys.readouterr().out) == reference
+
+
+# The (p, k) at which kummer's fixed pair (k, k + p) must see a wrong
+# Teichmuller table, beyond grid-mixed's k 1..4 at p <= 13.  Not p = 23 or
+# 31: under g^2 mod p the pair is blind at (23, 2) and (31, 8), where
+# l_p(k) = l_p(k + p) mod p still holds.
+KUMMER_PAIRS = [(p, k) for p in (3, 5, 7, 11, 13, 17, 19) for k in range(-3, 9)]
+
+
+@pytest.mark.parametrize("fault", ["primitive-root-squared", "table-index-plus-one"])
+def test_kummer_sees_the_teichmuller_fault_at_every_pair(fault):
+    def matched():
+        return [(p, k) for p, k in KUMMER_PAIRS
+                if harness.kummer_check(k, 0, PadicContext(p, 3)).match]
+
+    with mutated(*FAULTS[fault].build()):
+        assert matched() == []
+    assert matched() == KUMMER_PAIRS
 
 
 def test_each_library_function_has_one_binding():

@@ -452,12 +452,6 @@ class TestKummer:
                 assert report.match
                 assert report.precision == 1
 
-    def test_arbitrary_argument_pairs(self):
-        ctx = PadicContext(3, 4)
-        report = kummer_check(1, 0, ctx, k2=4)
-        assert report.match
-        assert report.params["k2"] == 4
-
     def test_values_vanish_mod_p_for_exponent_zero(self):
         for p in (3, 5, 7):
             chi = teichmuller_power(0, PadicContext(p, 1))

@@ -79,7 +79,7 @@ RECORDED = {
     # interpolation at odd n with t = n, so that chi_n = w^0 and the Euler
     # factor 1 - p^n multiplies E_3 != 0; at a t given unreduced, which the
     # report prints reduced (3); kummer at t = 4 = 0 mod 4, printed as 0,
-    # with k2 at its default k + p = 8
+    # against k + p = 8
     "verify --check interpolation --p 5 --n 3 --t 3 --precision 6":
         "d3e6b526ce20c640e296c712a2934d3bcb6f05fc5f9f1460a815095c7b304d9d",
     "verify --check interpolation --p 7 --n 5 --t -3 --precision 8":
