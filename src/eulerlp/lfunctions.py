@@ -134,7 +134,7 @@ def _closed_residue(n: int, a: int, modulus: int, ctx: PadicContext) -> int:
     table, times the exact partial zeta value (-1)^a (modulus^n / 2)
     E_n(a/modulus), mod p^N."""
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise ValueError(f"n must be >= 1, got {n}")
     _check_class_args(a, modulus, ctx)
     omega = characters._values(-n % (ctx.p - 1), ctx)  # (1,) when omega^(-n) has conductor 1
     return omega[a % len(omega)] * _partial_zeta_residues(n, modulus, ctx)[a] % ctx.modulus

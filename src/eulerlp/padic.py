@@ -73,7 +73,7 @@ class PadicContext(Value):
         if p < 3 or not is_prime(p):
             raise ValueError(f"p must be an odd prime, got {p}")
         if precision < 1:
-            raise ValueError("precision must be >= 1")
+            raise ValueError(f"precision must be >= 1, got {precision}")
         _set(self, "p", p)
         _set(self, "precision", precision)
         _set(self, "modulus", p**precision)  # p^N, computed once

@@ -152,9 +152,10 @@ def short_l_series_fault():
 def short_main_congruence_fault():
     """The main congruence series stops before s = r + k reaches N: its
     diagonal l-values are 0 from s = N on, so it drops every k >= N - r.
-    At even N the one term it drops at r = 1, k = N - 1, is 0 mod p^N
-    anyway: l_p(s, w^(-s)) = sum_{0<a<p} (-1)^a a^(-s) mod p, and at even s
-    the classes a and p - a cancel, so there only r >= 2 reports see it.
+    theorem6 reads the diagonal at odd s only, since l_p(s, w^(-s)) = 0 at
+    even s, where the classes a and p - a cancel.  So at even N the one term
+    it drops at r = 1, s = N, is one theorem6 never reads, and there only
+    r >= 2 reports see it.
     ``short_l_series_fault`` cannot stand in: each l-value is multiplied by
     (pn)^k with k >= 1, so its last digit never reaches the residue.  As
     (target, name, mutant), for :func:`mutated`."""

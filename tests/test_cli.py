@@ -291,12 +291,25 @@ class TestGridCommand:
         assert code == 0
         assert out.splitlines()[0] == "check,p,params,lhs,rhs,precision,match,lhs_valuation"
 
-    def test_invalid_grid_is_usage_error(self, capsys):
-        code, _, err = run_cli(
-            capsys, "grid", "--primes", "3", "--r", "1", "--n", "3", "--precision", "2"
-        )
-        assert code == 2
-        assert "even" in err
+    # A grid runs every check at every axis value: a value that one check
+    # refuses stops the run before any report is printed, with that
+    # check's message.  theorem6 runs first and refuses each of these.
+    REFUSED = {
+        "--n 3": "n must be even and >= 2, got 3",
+        "--n 0": "n must be even and >= 2, got 0",
+        "--r 0": "r must be >= 1, got 0",
+        "--primes 4": "p must be an odd prime, got 4",
+        "--primes 3,5,9": "p must be an odd prime, got 9",
+        "--precision 0": "precision must be >= 1, got 0",
+    }
+
+    @pytest.mark.parametrize("option", REFUSED)
+    def test_value_a_check_refuses_is_usage_error(self, capsys, option):
+        flag, value = option.split()
+        axes = {"--primes": "3", "--r": "1", "--n": "2", "--precision": "2", flag: value}
+        code, out, err = run_cli(capsys, "grid", *(word for pair in axes.items() for word in pair))
+        assert (code, out) == (2, "")
+        assert err.splitlines() == [f"error: {self.REFUSED[option]}"]
 
     @pytest.mark.parametrize(
         "flag, value",

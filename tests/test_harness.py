@@ -2,6 +2,7 @@ import hashlib
 import importlib
 import json
 import pkgutil
+import re
 import traceback
 from fractions import Fraction
 
@@ -193,12 +194,12 @@ class TestOneEvaluationPerValue:
 
     def test_theorem6_evaluates_each_l_value_once(self):
         # l_p(s, w^-s) for s = r + k in 2..13 (k < N = 10) at each of the 5
-        # primes
+        # primes, at the 6 odd s only: it is 0 at even s
         with cold_caches():
             reports = grid_mixed_reports("theorem6")
             misses = harness._diagonal_l.cache_info().misses
         assert len(reports) == 60 and all(r.match for r in reports)
-        assert misses == 60
+        assert misses == 30
 
     def test_theorem6_makes_one_harmonic_pass_per_prime_and_r(self):
         # 20 rows (p, r), each one pass up to 6p over its n = 2, 4, 6: one
@@ -237,20 +238,22 @@ class TestOneEvaluationPerValue:
 
     def test_grid_builds_one_row_per_argument_and_context(self):
         # distinct (s, context), one context per prime: theorem6 s = r + k
-        # in 2..13 (k < N) at 10 digits (60), interpolation s = -n (15), and
-        # kummer k and k + p in the same context (11 more: s = 1 at each
-        # prime, 14 and 15 at p = 11, and 14..17 at p = 13)
+        # in 2..13 (k < N) at 10 digits, odd s only (30), interpolation
+        # s = -n (15), and kummer k and k + p in the same context (27 more:
+        # s = 1, 2 and 4 at each prime, 6 at p = 3, 6 and 8 at p = 5, 8 and
+        # 10 at p = 7, 12, 14 and 15 at p = 11, and 14..17 at p = 13)
         M = GRID_MIXED.precision
         keys = set()
         for p in GRID_MIXED.primes:
-            keys |= {(r + k, p, M) for r in GRID_MIXED.r_values for k in range(1, M)}
+            diagonal = (r + k for r in GRID_MIXED.r_values for k in range(1, M))
+            keys |= {(s, p, M) for s in diagonal if s % 2}
             keys |= {(-n, p, M) for n in GRID_MIXED.n_values}
             keys |= {(s, p, M) for k in GRID_MIXED.r_values for s in (k, k + p)}
         with cold_caches():
             reports = run_grid(GRID_MIXED)
             rows = lfunctions._l_series_row.cache_info().misses
         assert len(reports) == 349 and all(r.match for r in reports)
-        assert rows == len(keys) == 86
+        assert rows == len(keys) == 72
 
     def test_grid_wraps_no_residue_in_a_padic_number(self):
         # a cold grid-mixed run builds a PadicNumber only for omega(g), the
@@ -317,21 +320,27 @@ class TestGridConfig:
         assert config.r_values == (1, 2)
         assert config.n_values == (2, 4)
 
-    def test_rejects_bad_values(self):
-        with pytest.raises(ValueError):
-            GridConfig(primes=(4,), r_values=(1,), n_values=(2,), precision=3)
-        with pytest.raises(ValueError):
-            GridConfig(primes=(3,), r_values=(1,), n_values=(3,), precision=3)
-        with pytest.raises(ValueError):
-            GridConfig(primes=(3,), r_values=(0,), n_values=(2,), precision=3)
-        with pytest.raises(ValueError):
-            GridConfig(primes=(3,), r_values=(1,), n_values=(2,), precision=0)
-
 
 class TestRunGrid:
     def test_empty_ranges_give_empty_list(self):
         config = GridConfig(primes=(), r_values=(), n_values=(), precision=3)
         assert run_grid(config) == []
+
+    @pytest.mark.parametrize(
+        "config, message",
+        [
+            (GridConfig((4,), (1,), (2,), 3), "p must be an odd prime, got 4"),
+            (GridConfig((3,), (1,), (3,), 3), "n must be even and >= 2, got 3"),
+            (GridConfig((3,), (0,), (2,), 3), "r must be >= 1, got 0"),
+            (GridConfig((3,), (1,), (2,), 0), "precision must be >= 1, got 0"),
+        ],
+        ids=["p=4", "n=3", "r=0", "precision=0"],
+    )
+    def test_refuses_a_value_that_a_check_refuses(self, config, message):
+        # GridConfig takes any values; theorem6, which runs first at every
+        # prime, r and n, refuses them through its own guards and its context
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            run_grid(config)
 
     def test_single_point_grid(self):
         config = GridConfig(primes=(3,), r_values=(1,), n_values=(2,), precision=3)
